@@ -13,8 +13,9 @@
  * far-memory tier (every wait stretches to hundreds of cycles while the
  * busy work stays constant — the truly memory-bound cell the >=3x
  * acceptance target is measured on), BFS and PR on RMAT (social-network
- * skew; busier pipelines, smaller but still real wins), and BFS on the
- * Graphicionado baseline.
+ * skew; busier pipelines, smaller but still real wins), and BFS and PR
+ * on the Graphicionado baseline (the PR cell is the large default-timing
+ * cell, long enough to time without the noise of the short ones).
  *
  * Writes BENCH_simperf.json next to the binary's working directory.
  * --quick shrinks the graphs for CI smoke runs.
@@ -241,6 +242,11 @@ main(int argc, char **argv)
         {"graphicionado/bfs/rmat", "BFS, RMAT, Graphicionado baseline",
          [quick] { return graph::rmat(quick ? 10 : 12, 16, 42, {}, false); },
          algo::AlgorithmId::Bfs, true, 1000});
+    workloads.push_back(
+        {"graphicionado/pr/rmat",
+         "PR, RMAT, Graphicionado baseline (large default-timing cell)",
+         [quick] { return graph::rmat(quick ? 10 : 13, 16, 42, {}, false); },
+         algo::AlgorithmId::Pr, true, quick ? 10u : 20u});
 
     std::ofstream json("BENCH_simperf.json");
     json << "{\n  \"bench\": \"simperf\",\n  \"quick\": "

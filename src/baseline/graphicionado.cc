@@ -1,5 +1,7 @@
 #include "baseline/graphicionado.hh"
 
+#include <algorithm>
+#include <bit>
 #include <csignal>
 #include <cstdlib>
 #include <optional>
@@ -45,6 +47,45 @@ tagPayload(std::uint64_t tag)
 constexpr unsigned maxRequestBytes = 512;
 constexpr unsigned applyBatchVerts = 128; ///< props per sweep request
 constexpr unsigned auRecordBatch = 8;     ///< active records per store
+
+// Stream scheduling masks: one bit per stream, 64 streams per word.
+constexpr unsigned kMaskWordBits = 64;
+
+void
+assignBit(std::vector<std::uint64_t> &mask, unsigned i, bool on)
+{
+    const std::uint64_t bit = std::uint64_t{1} << (i % kMaskWordBits);
+    if (on)
+        mask[i / kMaskWordBits] |= bit;
+    else
+        mask[i / kMaskWordBits] &= ~bit;
+}
+
+/** Lowest set bit at or above @p from, or mask.size() * 64 when none. */
+unsigned
+nextSetBit(const std::vector<std::uint64_t> &mask, unsigned from)
+{
+    const auto none = static_cast<unsigned>(mask.size() * kMaskWordBits);
+    std::size_t w = from / kMaskWordBits;
+    if (w >= mask.size())
+        return none;
+    std::uint64_t bits =
+        mask[w] & (~std::uint64_t{0} << (from % kMaskWordBits));
+    while (bits == 0) {
+        if (++w == mask.size())
+            return none;
+        bits = mask[w];
+    }
+    return static_cast<unsigned>(w * kMaskWordBits) +
+           static_cast<unsigned>(std::countr_zero(bits));
+}
+
+bool
+anyBit(const std::vector<std::uint64_t> &mask)
+{
+    return std::any_of(mask.begin(), mask.end(),
+                       [](std::uint64_t word) { return word != 0; });
+}
 
 } // namespace
 
@@ -98,6 +139,10 @@ GraphicionadoAccel::GraphicionadoAccel(const GraphicionadoConfig &config,
     hbm = std::make_unique<mem::Hbm>(cfg.hbm, this);
 
     streams.resize(cfg.numStreams);
+    const std::size_t mask_words =
+        ceilDiv<std::size_t>(cfg.numStreams, kMaskWordBits);
+    streamsHeadReady.assign(mask_words, 0);
+    streamsNeedingFetch.assign(mask_words, 0);
 }
 
 GraphicionadoAccel::~GraphicionadoAccel() = default;
@@ -201,7 +246,7 @@ GraphicionadoAccel::run(const core::RunOptions &options)
     // Checkpoint wiring: same payload protocol as GdsAccel::run()
     // (accelerator, then optional fault/sampler/tracer state, then the
     // driver).
-    constexpr std::uint32_t kStateVersion = 1;
+    constexpr std::uint32_t kStateVersion = 2;
     std::optional<sim::CheckpointStore> store;
     std::string identity;
     if (!options.checkpoint.dir.empty()) {
@@ -422,12 +467,35 @@ GraphicionadoAccel::startScatter()
                                              cfg.vprefBatch);
     sc.batchReady.assign(sc.batchesTotal, 0);
     sc.fetch.assign(sc.recordsTotal, RecordFetch{});
-    sc.fetchedEdges.assign(sc.recordsTotal, {});
 
     for (Stream &stream : streams) {
         stream.records.clear();
         stream.edgeCursor = 0;
     }
+    std::fill(streamsHeadReady.begin(), streamsHeadReady.end(), 0);
+    std::fill(streamsNeedingFetch.begin(), streamsNeedingFetch.end(), 0);
+}
+
+void
+GraphicionadoAccel::refreshStream(unsigned s)
+{
+    const Stream &stream = streams[s];
+    bool head_ready = false;
+    if (!stream.records.empty()) {
+        const std::uint64_t head = stream.records.front();
+        head_ready = sc.fetch[head].ready ||
+                     sliceGraph(curSlice).outDegree(
+                         activeCur[curSlice][head].vid) == 0;
+    }
+    assignBit(streamsHeadReady, s, head_ready);
+    const std::size_t lookahead = std::min<std::size_t>(
+        stream.records.size(), cfg.streamLookahead);
+    bool needs_fetch = false;
+    for (std::size_t i = 0; i < lookahead && !needs_fetch; ++i) {
+        const RecordFetch &f = sc.fetch[stream.records[i]];
+        needs_fetch = !f.ready && !f.allIssued;
+    }
+    assignBit(streamsNeedingFetch, s, needs_fetch);
 }
 
 bool
@@ -443,11 +511,13 @@ GraphicionadoAccel::tickScatter()
     const graph::Csr &sg = sliceGraph(curSlice);
     const auto &records = activeCur[curSlice];
 
-    // --- Streams: one edge per cycle, stalling on RAW conflicts. ---
-    for (unsigned s = 0; s < cfg.numStreams; ++s) {
+    // --- Streams: one edge per cycle, stalling on RAW conflicts. Only
+    // streams whose head record can act are visited (a head still waiting
+    // for its edge data does nothing), in ascending stream order: the
+    // reduce order PR's float sums depend on. ---
+    for (unsigned s = nextSetBit(streamsHeadReady, 0); s < cfg.numStreams;
+         s = nextSetBit(streamsHeadReady, s + 1)) {
         Stream &stream = streams[s];
-        if (stream.records.empty())
-            continue;
         const std::uint64_t rec = stream.records.front();
         const ActiveRecord &r = records[rec];
         const std::uint64_t degree = sg.outDegree(r.vid);
@@ -455,23 +525,25 @@ GraphicionadoAccel::tickScatter()
             stream.records.pop_front();
             stream.edgeCursor = 0;
             ++sc.recordsDone;
+            refreshStream(s);
             continue;
         }
-        RecordFetch &f = sc.fetch[rec];
-        if (!f.ready)
-            continue; // edge data not yet on chip
+        gds_assert(sc.fetch[rec].ready, "stream head scheduled unready");
 
-        const EdgeTask &task = sc.fetchedEdges[rec][stream.edgeCursor];
+        // The on-chip edge is read from the slice's CSR view.
+        const EdgeId e = sg.offsetOf(r.vid) + stream.edgeCursor;
+        const VertexId dst = sg.edgeDest(e);
         // Atomic enforcement: stall while a conflicting update is inside
         // the reduce pipeline.
-        if (now - lastReduceAt[task.dst] < cfg.atomicPipelineDepth &&
-            lastReduceAt[task.dst] != 0) {
+        if (now - lastReduceAt[dst] < cfg.atomicPipelineDepth &&
+            lastReduceAt[dst] != 0) {
             ++statAtomicStalls;
             continue;
         }
-        const PropValue res = algo.processEdge(r.prop, task.weight);
-        tProp[task.dst] = algo.reduce(tProp[task.dst], res);
-        lastReduceAt[task.dst] = now;
+        const PropValue res = algo.processEdge(
+            r.prop, weighted ? sg.edgeWeight(e) : Weight{1});
+        tProp[dst] = algo.reduce(tProp[dst], res);
+        lastReduceAt[dst] = now;
         ++statReduceOps;
         ++statEdgesProcessed;
         statStreamEdges[s] += 1;
@@ -482,19 +554,21 @@ GraphicionadoAccel::tickScatter()
         if (++stream.edgeCursor == degree) {
             stream.records.pop_front();
             stream.edgeCursor = 0;
-            sc.fetchedEdges[rec] = {};
             ++sc.recordsDone;
+            refreshStream(s);
         }
     }
 
     // --- Per-stream edge prefetch (offsets are on chip, so fetches start
     // immediately; each record reads one sentinel record extra and every
-    // record carries src_vid). ---
+    // record carries src_vid). Only streams whose lookahead window still
+    // needs a fetch are visited, in ascending stream order. ---
     unsigned issued = 0;
     bool mem_blocked = false;
-    for (unsigned s = 0; s < cfg.numStreams && issued < 8 && !mem_blocked;
-         ++s) {
-        Stream &stream = streams[s];
+    for (unsigned s = nextSetBit(streamsNeedingFetch, 0);
+         s < cfg.numStreams && issued < 8 && !mem_blocked;
+         s = nextSetBit(streamsNeedingFetch, s + 1)) {
+        const Stream &stream = streams[s];
         const std::size_t lookahead =
             std::min<std::size_t>(stream.records.size(),
                                   cfg.streamLookahead);
@@ -526,13 +600,13 @@ GraphicionadoAccel::tickScatter()
                 mem_blocked = true;
                 break;
             }
-            f.started = true;
             f.bytesIssued += chunk;
             ++f.parts;
             ++issued;
             if (f.bytesIssued >= total)
                 f.allIssued = true;
         }
+        refreshStream(s);
     }
 
     // --- Vpref: stream active records, hash-assign to streams. ---
@@ -556,11 +630,12 @@ GraphicionadoAccel::tickScatter()
         const std::uint64_t k = sc.commitCursor;
         if (!sc.batchReady[k / cfg.vprefBatch])
             break;
-        Stream &stream =
-            streams[records[k].vid % cfg.numStreams]; // hash placement
+        const unsigned s = records[k].vid % cfg.numStreams; // hash placement
+        Stream &stream = streams[s];
         if (stream.records.size() >= cfg.streamQueueRecords)
             break; // head-of-line block: the imbalance bottleneck
         stream.records.push_back(k);
+        refreshStream(s);
         ++sc.commitCursor;
         ++committed;
     }
@@ -772,20 +847,11 @@ GraphicionadoAccel::tick()
         RecordFetch &f = sc.fetch[rec];
         gds_assert(f.parts > 0, "stray edge response");
         --f.parts;
+        // The stream head reads the edges from the CSR view; arrival only
+        // flips readiness, which may make the record's stream head ready.
         if (f.allIssued && f.parts == 0 && !f.ready) {
-            const ActiveRecord &r = activeCur[curSlice][rec];
-            const graph::Csr &sg = sliceGraph(curSlice);
-            const EdgeId offset = sg.offsetOf(r.vid);
-            const std::uint64_t degree = sg.outDegree(r.vid);
-            auto &edges = sc.fetchedEdges[rec];
-            edges.reserve(degree);
-            for (std::uint64_t i = 0; i < degree; ++i) {
-                const EdgeId e = offset + i;
-                edges.push_back(EdgeTask{
-                    sg.edgeDest(e),
-                    weighted ? sg.edgeWeight(e) : Weight{1}});
-            }
             f.ready = true;
+            refreshStream(activeCur[curSlice][rec].vid % cfg.numStreams);
         }
     }
     while (wport.hasResponse())
@@ -822,7 +888,6 @@ GraphicionadoAccel::tick()
 bool
 GraphicionadoAccel::scatterQuiescent() const
 {
-    const graph::Csr &sg = sliceGraph(curSlice);
     const auto &records = activeCur[curSlice];
 
     // A drained phase transitions at the end of its next tick.
@@ -831,28 +896,15 @@ GraphicionadoAccel::scatterQuiescent() const
 
     // Streams: a head record with edge data (or none to fetch) acts next
     // tick -- reducing, RAW-stalling, or retiring. Only "waiting for edge
-    // data" is a pure wait.
-    for (const Stream &stream : streams) {
-        if (stream.records.empty())
-            continue;
-        const std::uint64_t rec = stream.records.front();
-        if (sg.outDegree(records[rec].vid) == 0 || sc.fetch[rec].ready)
-            return false;
-    }
+    // data" is a pure wait, and those heads have no ready bit.
+    if (anyBit(streamsHeadReady))
+        return false;
     // Edge prefetch: with in-flight budget available, any lookahead record
     // still needing its fetch either issues a request or (degree 0) is
     // marked ready on the spot.
-    if (eport.inflight() < cfg.edgeMaxInflight) {
-        for (const Stream &stream : streams) {
-            const std::size_t lookahead = std::min<std::size_t>(
-                stream.records.size(), cfg.streamLookahead);
-            for (std::size_t i = 0; i < lookahead; ++i) {
-                const RecordFetch &f = sc.fetch[stream.records[i]];
-                if (!f.ready && !f.allIssued)
-                    return false;
-            }
-        }
-    }
+    if (eport.inflight() < cfg.edgeMaxInflight &&
+        anyBit(streamsNeedingFetch))
+        return false;
     // Vpref: an issuable record batch, or a commit neither blocked on
     // batch data nor on a full stream queue.
     if (sc.batchesIssued < sc.batchesTotal &&
@@ -992,7 +1044,6 @@ GraphicionadoAccel::saveState(sim::Serializer &s) const
     s.writeU64(sc.recordsDone);
     s.writeU64(sc.edgesReduced);
     s.writePodVec(sc.fetch);
-    saveNestedVec(s, sc.fetchedEdges);
 
     s.writeU32(ap.sweepBegin);
     s.writeU32(ap.sweepEnd);
@@ -1060,7 +1111,6 @@ GraphicionadoAccel::restoreState(sim::Deserializer &d)
     sc.recordsDone = d.readU64();
     sc.edgesReduced = d.readU64();
     d.readPodVec(sc.fetch);
-    restoreNestedVec(d, sc.fetchedEdges);
 
     ap.sweepBegin = d.readU32();
     ap.sweepEnd = d.readU32();
@@ -1095,6 +1145,10 @@ GraphicionadoAccel::restoreState(sim::Deserializer &d)
     eport.restoreState(d);
     wport.restoreState(d);
     hbm->restoreState(d);
+
+    // The scheduling masks are derived state, never serialized.
+    for (unsigned s = 0; s < cfg.numStreams; ++s)
+        refreshStream(s);
 }
 
 } // namespace gds::baseline

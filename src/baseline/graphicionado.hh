@@ -139,17 +139,10 @@ class GraphicionadoAccel : public sim::Component
     /** Per-record edge fetch state. */
     struct RecordFetch
     {
-        bool started = false;
         bool allIssued = false;
         bool ready = false;
         std::uint32_t parts = 0;
         std::uint64_t bytesIssued = 0;
-    };
-
-    struct EdgeTask
-    {
-        VertexId dst;
-        Weight weight;
     };
 
     /** One processing stream (pipeline). */
@@ -178,6 +171,10 @@ class GraphicionadoAccel : public sim::Component
     // Fast-forward quiescence predicates (mirror the phase tick paths).
     bool scatterQuiescent() const;
     bool applyQuiescent() const;
+
+    /** Re-derive stream @p s's bits in the scheduling masks; called after
+     *  every push, pop, fetch issue and fetch completion on that stream. */
+    void refreshStream(unsigned s);
 
     // Tracer hooks (one branch each when tracing is off).
     void traceBegin(std::string event);
@@ -239,7 +236,6 @@ class GraphicionadoAccel : public sim::Component
         std::uint64_t recordsDone = 0;
         std::uint64_t edgesReduced = 0;
         std::vector<RecordFetch> fetch;
-        std::vector<std::vector<EdgeTask>> fetchedEdges;
     };
 
     // Apply state.
@@ -260,6 +256,19 @@ class GraphicionadoAccel : public sim::Component
     };
 
     std::vector<Stream> streams;
+    /**
+     * Scheduling masks, one bit per stream: the scatter tick and its
+     * quiescence predicate visit only set bits, in ascending stream order,
+     * so their cost follows the active streams rather than numStreams.
+     */
+    // gds-ckpt: skip(streamsHeadReady) derived from the stream queues and
+    // fetch states (head record has its edges on chip, or none); rebuilt
+    // at the end of restoreState()
+    std::vector<std::uint64_t> streamsHeadReady;
+    // gds-ckpt: skip(streamsNeedingFetch) derived from the stream queues
+    // and fetch states (lookahead records neither ready nor fully issued);
+    // rebuilt at the end of restoreState()
+    std::vector<std::uint64_t> streamsNeedingFetch;
     ScatterState sc;
     ApplyState ap;
     Phase phase = Phase::Finished;

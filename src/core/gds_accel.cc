@@ -70,6 +70,9 @@ GdsAccel::GdsAccel(const GdsConfig &config, const graph::Csr &g,
         throw ConfigError(algo.name() + " needs a weighted graph");
     if (cfg.numPes == 0 || cfg.numUes % cfg.numPes != 0)
         throw ConfigError("numUes must be a positive multiple of numPes");
+    // Flit routing selects the UE by masking the destination's low bits.
+    if (!isPow2(cfg.numUes))
+        throw ConfigError("numUes must be a power of two");
     if (cfg.numDispatchers != cfg.numPes)
         throw ConfigError("the DE->PE pairing assumes one DE per PE");
     // The workload queue must be able to hold the largest single
@@ -247,7 +250,7 @@ GdsAccel::run(const RunOptions &options)
     // Checkpoint wiring. The payload is the accelerator (plus HBM and
     // crossbar), then the optional fault/sampler/tracer state, then the
     // driver — one fixed order on both sides.
-    constexpr std::uint32_t kStateVersion = 1;
+    constexpr std::uint32_t kStateVersion = 2;
     std::optional<sim::CheckpointStore> store;
     std::string identity;
     if (!options.checkpoint.dir.empty()) {
@@ -765,7 +768,6 @@ GdsAccel::saveState(sim::Serializer &s) const
     s.writeU64(sc.fillBytesLeft);
     s.writePodDeque(sc.eprefPending);
     s.writePodVec(sc.fetch);
-    saveNestedVec(s, sc.fetchedEdges);
     saveNestedVec(s, sc.fetchBatches);
     s.writeU64(sc.bufferedEdges);
 
@@ -853,7 +855,6 @@ GdsAccel::restoreState(sim::Deserializer &d)
     sc.fillBytesLeft = d.readU64();
     d.readPodDeque(sc.eprefPending);
     d.readPodVec(sc.fetch);
-    restoreNestedVec(d, sc.fetchedEdges);
     restoreNestedVec(d, sc.fetchBatches);
     sc.bufferedEdges = d.readU64();
 

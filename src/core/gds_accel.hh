@@ -341,7 +341,6 @@ class GdsAccel : public sim::Component
         std::uint64_t fillBytesLeft = 0;
         std::deque<std::uint64_t> eprefPending; ///< records awaiting fetch
         std::vector<RecordFetch> fetch;
-        std::vector<std::vector<EdgeTask>> fetchedEdges;
         std::vector<std::vector<std::uint64_t>> fetchBatches;
         std::uint64_t bufferedEdges = 0;
     };

@@ -39,7 +39,6 @@ GdsAccel::startScatter()
                                              cfg.vprefBatch);
     sc.batchReady.assign(sc.batchesTotal, 0);
     sc.fetch.assign(sc.recordsTotal, RecordFetch{});
-    sc.fetchedEdges.assign(sc.recordsTotal, {});
 
     // Sliced, non-resetting algorithms restore this slice's temporary
     // properties into the Vertex Buffer from the property array (see
@@ -223,16 +222,8 @@ GdsAccel::tickVpref()
 void
 GdsAccel::materializeRecord(std::uint64_t rec_index)
 {
-    const ActiveRecord &r = activeCur[curSlice][rec_index];
-    const graph::Csr &sg = sliceGraph(curSlice);
-    auto &edges = sc.fetchedEdges[rec_index];
-    edges.reserve(r.edgeCnt);
-    for (std::uint32_t i = 0; i < r.edgeCnt; ++i) {
-        const EdgeId e = r.offset + i;
-        edges.push_back(EdgeTask{sg.edgeDest(e),
-                                 weighted ? sg.edgeWeight(e) : Weight{1},
-                                 r.prop});
-    }
+    // The edge data now "on chip" is read from the slice's CSR view at
+    // dispatch time (see dispatchChunk); arrival only flips readiness.
     sc.fetch[rec_index].ready = true;
 }
 
@@ -389,7 +380,13 @@ GdsAccel::dispatchChunk(De &de, unsigned de_index)
         return;
     }
 
-    auto &edges = sc.fetchedEdges[rec];
+    // Edge i of the record, read from the slice's CSR view.
+    const graph::Csr &sg = sliceGraph(curSlice);
+    const auto edge = [&](std::uint32_t i) {
+        const EdgeId e = r.offset + i;
+        return EdgeTask{sg.edgeDest(e),
+                        weighted ? sg.edgeWeight(e) : Weight{1}, r.prop};
+    };
 
     if (!cfg.workloadBalance) {
         // Ablation: Graphicionado-style hash placement -- the whole edge
@@ -399,7 +396,7 @@ GdsAccel::dispatchChunk(De &de, unsigned de_index)
         unsigned moved = 0;
         while (cursor < r.edgeCnt && moved < cfg.nSimt &&
                pe.edgeQueue.canPush()) {
-            pe.edgeQueue.push(edges[cursor]);
+            pe.edgeQueue.push(edge(cursor));
             ++scEdgesQueued;
             ++cursor;
             ++moved;
@@ -413,7 +410,6 @@ GdsAccel::dispatchChunk(De &de, unsigned de_index)
                 sc.bufferedEdges -= r.edgeCnt;
                 f.reserved = false;
             }
-            edges = {};
         }
         return;
     }
@@ -438,7 +434,7 @@ GdsAccel::dispatchChunk(De &de, unsigned de_index)
     }
 
     for (std::uint32_t i = 0; i < len; ++i)
-        pe.edgeQueue.push(edges[begin + i]);
+        pe.edgeQueue.push(edge(begin + i));
     scEdgesQueued += len;
     ++statSchedulingOps;
     ++de.chunkCursor;
@@ -453,7 +449,6 @@ GdsAccel::dispatchChunk(De &de, unsigned de_index)
             sc.bufferedEdges -= r.edgeCnt;
             f.reserved = false;
         }
-        edges = {};
     }
 }
 
@@ -492,21 +487,26 @@ GdsAccel::tickPesScatter()
 
         // Route up to nSimt buffered flits; blocked ones retry next cycle
         // (lanes are independent, so later flits may overtake a blocked
-        // one -- Reduce is commutative, Sec. 5.2.3).
+        // one -- Reduce is commutative, Sec. 5.2.3). One stable
+        // compaction pass: routed flits leave, the rest keep their order.
+        // numUes is a power of two, so the UE is the dst's low bits.
+        std::vector<ResultFlit> &flits = pe.pendingFlits;
         unsigned routed = 0;
-        auto it = pe.pendingFlits.begin();
-        while (it != pe.pendingFlits.end() && routed < cfg.nSimt) {
-            const unsigned ue = it->dst % cfg.numUes;
-            if (ues[ue].inbox.canPush() && xbar->tryRoute(ue)) {
-                ues[ue].inbox.push(*it);
-                ++ueFlitsQueued;
-                it = pe.pendingFlits.erase(it);
-                --scFlitsBuffered;
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < flits.size(); ++i) {
+            const ResultFlit flit = flits[i];
+            const unsigned ue = flit.dst & (cfg.numUes - 1);
+            if (routed < cfg.nSimt && ues[ue].inbox.canPush() &&
+                xbar->tryRoute(ue)) {
+                ues[ue].inbox.push(flit);
                 ++routed;
             } else {
-                ++it;
+                flits[kept++] = flit;
             }
         }
+        flits.resize(kept);
+        ueFlitsQueued += routed;
+        scFlitsBuffered -= routed;
 
         // S2V: assemble up to nSimt edges (merging small lists happens
         // naturally because the workload queue is edge-granular). Stall

@@ -311,7 +311,7 @@ class Hbm : public sim::Component
                         std::greater<Completion>>
         requestFinishes;
     // gds-ckpt: skip(demandScratch) per-call scratch, overwritten before
-    // every use in serviceChannel()
+    // every use in access()
     std::vector<unsigned> demandScratch; ///< per-channel admission counts
     std::uint64_t inflightTx = 0;
     std::uint64_t queuedTxTotal = 0; ///< not-yet-issued tx across channels

@@ -10,28 +10,41 @@
 
 #pragma once
 
+#include <bit>
 #include <deque>
+#include <type_traits>
+#include <vector>
 
+#include "common/error.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 
 namespace gds::sim
 {
 
-/** Fixed-capacity FIFO with backpressure. */
+/**
+ * Fixed-capacity FIFO with backpressure, stored in a power-of-two ring
+ * (capacity() rounded up) so push/pop are a masked index update. The
+ * configured capacity, not the slot count, bounds occupancy.
+ */
 template <typename T>
 class BoundedQueue
 {
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "BoundedQueue checkpoints its elements as raw bytes");
+
   public:
     explicit BoundedQueue(std::size_t queue_capacity)
-        : _capacity(queue_capacity)
+        : _capacity(queue_capacity),
+          slots(std::bit_ceil(queue_capacity)),
+          mask(slots.size() - 1)
     {
         gds_assert(_capacity > 0, "queue capacity must be positive");
     }
 
-    bool canPush() const { return entries.size() < _capacity; }
-    bool empty() const { return entries.empty(); }
-    std::size_t size() const { return entries.size(); }
+    bool canPush() const { return count < _capacity; }
+    bool empty() const { return count == 0; }
+    std::size_t size() const { return count; }
     std::size_t capacity() const { return _capacity; }
 
     void
@@ -39,50 +52,68 @@ class BoundedQueue
     {
         gds_assert(canPush(), "push into full queue (capacity %zu)",
                    _capacity);
-        entries.push_back(std::move(value));
+        slots[(head + count) & mask] = std::move(value);
+        ++count;
     }
 
     const T &
     front() const
     {
-        gds_assert(!entries.empty(), "front of empty queue");
-        return entries.front();
+        gds_assert(count != 0, "front of empty queue");
+        return slots[head];
     }
 
     T &
     front()
     {
-        gds_assert(!entries.empty(), "front of empty queue");
-        return entries.front();
+        gds_assert(count != 0, "front of empty queue");
+        return slots[head];
     }
 
     T
     pop()
     {
-        gds_assert(!entries.empty(), "pop from empty queue");
-        T value = std::move(entries.front());
-        entries.pop_front();
+        gds_assert(count != 0, "pop from empty queue");
+        T value = std::move(slots[head]);
+        head = (head + 1) & mask;
+        --count;
         return value;
     }
 
-    /** Checkpoint hook; capacity is configuration, only contents move. */
+    /**
+     * Checkpoint hook; capacity is configuration, only contents move. The
+     * bytes are the element count then the elements in FIFO order, the
+     * same image Serializer::writePodDeque writes.
+     */
     template <typename SER>
     void
     saveState(SER &s) const
     {
-        s.writePodDeque(entries);
+        s.writeU64(count);
+        for (std::size_t i = 0; i < count; ++i)
+            s.writePod(slots[(head + i) & mask]);
     }
 
     template <typename DES>
     void
     restoreState(DES &d)
     {
-        d.readPodDeque(entries);
+        const std::uint64_t n = d.readU64();
+        gds_require(n <= _capacity, CheckpointError,
+                    "checkpoint queue holds %llu elements, capacity %zu",
+                    static_cast<unsigned long long>(n), _capacity);
+        head = 0;
+        count = 0;
+        for (; count < n; ++count)
+            slots[count] = d.template readPod<T>();
     }
 
   private:
     std::size_t _capacity;
-    std::deque<T> entries;
+    std::vector<T> slots;
+    std::size_t mask;
+    std::size_t head = 0;  ///< slot of the oldest element
+    std::size_t count = 0; ///< elements queued
 };
 
 /**

@@ -43,6 +43,8 @@ struct Scenario
     bool telemetry = false;
     bool faults = false;
     bool fastForward = true;
+    /** Shrink on-chip storage so the test graph runs in two slices. */
+    bool sliced = false;
 
     std::string
     tag() const
@@ -51,6 +53,7 @@ struct Scenario
         t += telemetry ? "_tel" : "_notel";
         t += faults ? "_flt" : "_noflt";
         t += fastForward ? "_ff" : "_noff";
+        t += sliced ? "_sl" : "_nosl";
         return t;
     }
 };
@@ -62,6 +65,7 @@ struct RunArtifacts
     std::string stats;   ///< full statsGroup() dump
     std::string samples; ///< sampler CSV (telemetry scenarios)
     std::string trace;   ///< tracer JSON (telemetry scenarios)
+    std::string finalState; ///< debugState() where the run stopped
 };
 
 constexpr Cycle kSampleInterval = 512;
@@ -105,16 +109,23 @@ runScenario(const Scenario &sc, const graph::Csr &g, algo::AlgorithmId id,
 
     RunArtifacts art;
     std::ostringstream stats;
+    // Both sliced configurations hold 128 of the 256 test vertices.
     if (sc.graphicionado) {
         baseline::GraphicionadoConfig cfg;
+        if (sc.sliced)
+            cfg.onChipBytes = 128 * bytesPerWord;
         baseline::GraphicionadoAccel accel(cfg, g, *a);
         art.result = accel.run(o);
         accel.statsGroup().dump(stats);
+        art.finalState = accel.debugState();
     } else {
         core::GdsConfig cfg;
+        if (sc.sliced)
+            cfg.vbBytesPerUe = bytesPerWord; // 128 UEs x one word each
         core::GdsAccel accel(cfg, g, *a);
         art.result = accel.run(o);
         accel.statsGroup().dump(stats);
+        art.finalState = accel.debugState();
     }
     art.stats = stats.str();
     if (sc.telemetry) {
@@ -182,47 +193,87 @@ TEST_F(CheckpointTest, ResumeIsBitExactAcrossTheMatrix)
     const graph::Csr g = testGraph();
     const algo::AlgorithmId id = algo::AlgorithmId::Sssp;
 
-    for (const bool gio : {false, true}) {
-        for (const bool telemetry : {false, true}) {
-            for (const bool faults : {false, true}) {
-                for (const bool ff : {false, true}) {
-                    const Scenario sc{gio, telemetry, faults, ff};
-                    SCOPED_TRACE(sc.tag());
-                    const RunArtifacts ref = runScenario(sc, g, id, {});
-                    ASSERT_TRUE(ref.result.completed());
-                    ASSERT_GT(ref.result.cycles, 10u);
+    // Every combination of the five scenario switches.
+    for (unsigned bits = 0; bits < 32; ++bits) {
+        const Scenario sc{(bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0,
+                          (bits & 8) != 0, (bits & 16) != 0};
+        SCOPED_TRACE(sc.tag());
+        const RunArtifacts ref = runScenario(sc, g, id, {});
+        ASSERT_TRUE(ref.result.completed());
+        ASSERT_GT(ref.result.cycles, 10u);
 
-                    // Interrupt at two different depths of the run.
-                    for (const double frac : {0.3, 0.7}) {
-                        SCOPED_TRACE(frac);
-                        const Cycle budget = std::max<Cycle>(
-                            2, static_cast<Cycle>(
-                                   frac *
-                                   static_cast<double>(ref.result.cycles)));
-                        core::CheckpointOptions ck;
-                        ck.dir = "ckpt";
-                        ck.basename = sc.tag();
-                        ck.interval = std::max<Cycle>(1, budget / 3);
-                        const RunArtifacts cut =
-                            runScenario(sc, g, id, ck, budget);
-                        ASSERT_FALSE(cut.result.completed());
+        // Interrupt at two different depths of the run.
+        for (const double frac : {0.3, 0.7}) {
+            SCOPED_TRACE(frac);
+            const Cycle budget = std::max<Cycle>(
+                2, static_cast<Cycle>(
+                       frac * static_cast<double>(ref.result.cycles)));
+            core::CheckpointOptions ck;
+            ck.dir = "ckpt";
+            ck.basename = sc.tag();
+            ck.interval = std::max<Cycle>(1, budget / 3);
+            const RunArtifacts cut = runScenario(sc, g, id, ck, budget);
+            ASSERT_FALSE(cut.result.completed());
 
-                        ck.resume = true;
-                        ck.interval = 0;
-                        const RunArtifacts resumed =
-                            runScenario(sc, g, id, ck);
-                        expectExactMatch(resumed, ref);
+            ck.resume = true;
+            ck.interval = 0;
+            const RunArtifacts resumed = runScenario(sc, g, id, ck);
+            expectExactMatch(resumed, ref);
 
-                        // A completed run leaves nothing to resume.
-                        const sim::CheckpointStore store("ckpt", sc.tag());
-                        EXPECT_FALSE(std::filesystem::exists(
-                            store.currentPath()));
-                        EXPECT_FALSE(std::filesystem::exists(
-                            store.previousPath()));
-                    }
-                }
-            }
+            // A completed run leaves nothing to resume.
+            const sim::CheckpointStore store("ckpt", sc.tag());
+            EXPECT_FALSE(std::filesystem::exists(store.currentPath()));
+            EXPECT_FALSE(std::filesystem::exists(store.previousPath()));
         }
+    }
+}
+
+TEST_F(CheckpointTest, ResumeMidSecondSliceScatterIsBitExact)
+{
+    // Checkpoint exactly at a cycle where the second slice's scatter has
+    // work queued, so the resumed run must rebuild its derived scheduling
+    // state mid-slice and keep reading edges from that slice's subgraph.
+    const graph::Csr g = testGraph();
+    const algo::AlgorithmId id = algo::AlgorithmId::Sssp;
+    for (const bool gio : {false, true}) {
+        Scenario sc;
+        sc.graphicionado = gio;
+        sc.sliced = true;
+        SCOPED_TRACE(sc.tag());
+        const RunArtifacts ref = runScenario(sc, g, id, {});
+        ASSERT_TRUE(ref.result.completed());
+
+        // The first cut point in scatter of slice 1 with a non-empty
+        // stream (GI) or PE edge queue (GDS).
+        const std::string idle_queue = gio ? "streams=0]" : " edge=0 ";
+        Cycle cut = 0;
+        for (Cycle k = 1; k < 64 && cut == 0; ++k) {
+            const Cycle budget = ref.result.cycles * k / 64;
+            const RunArtifacts probe = runScenario(sc, g, id, {}, budget);
+            const std::string &st = probe.finalState;
+            if (st.find("phase=scatter") != std::string::npos &&
+                st.find("slice=1/2") != std::string::npos &&
+                st.find(idle_queue) == std::string::npos)
+                cut = budget;
+        }
+        ASSERT_NE(cut, 0u) << "no mid-slice-1 scatter state found";
+
+        // A periodic checkpoint lands exactly on the cut cycle; the budget
+        // stops the run one cycle later.
+        core::CheckpointOptions ck;
+        ck.dir = "ckpt";
+        ck.basename = sc.tag() + "_mid";
+        ck.interval = cut;
+        const RunArtifacts stopped = runScenario(sc, g, id, ck, cut + 1);
+        ASSERT_FALSE(stopped.result.completed());
+        const sim::CheckpointStore store("ckpt", ck.basename);
+        const auto loaded = store.loadLatest();
+        ASSERT_TRUE(loaded.has_value());
+        EXPECT_EQ(loaded->meta.cycle, cut);
+
+        ck.resume = true;
+        ck.interval = 0;
+        expectExactMatch(runScenario(sc, g, id, ck), ref);
     }
 }
 

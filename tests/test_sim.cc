@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
+#include "sim/checkpoint.hh"
 #include "sim/component.hh"
 #include "sim/queues.hh"
 #include "sim/simulator.hh"
@@ -359,6 +362,75 @@ TEST(BoundedQueueDeath, UnderflowPanics)
 {
     BoundedQueue<int> q(1);
     EXPECT_DEATH(q.pop(), "empty queue");
+}
+
+TEST(BoundedQueue, RingWrapsAroundWithNonPowerOfTwoCapacity)
+{
+    // Capacity 5 rounds up to 8 ring slots; varying fill levels over many
+    // rounds walk the head through every slot and across the wrap point.
+    BoundedQueue<int> q(5);
+    int next_in = 0;
+    int next_out = 0;
+    for (int round = 0; round < 12; ++round) {
+        const int fill = 1 + round % 5;
+        for (int i = 0; i < fill; ++i)
+            q.push(next_in++);
+        EXPECT_EQ(q.size(), static_cast<std::size_t>(fill));
+        EXPECT_EQ(q.front(), next_out);
+        while (!q.empty())
+            EXPECT_EQ(q.pop(), next_out++);
+    }
+    EXPECT_EQ(next_out, next_in);
+}
+
+TEST(BoundedQueue, BackpressureAtCapacityNotSlotCount)
+{
+    BoundedQueue<int> q(5);
+    EXPECT_EQ(q.capacity(), 5u);
+    for (int i = 0; i < 5; ++i) {
+        EXPECT_TRUE(q.canPush());
+        q.push(i);
+    }
+    EXPECT_FALSE(q.canPush()); // 3 ring slots still free, but full
+    q.pop();
+    EXPECT_TRUE(q.canPush());
+    q.push(5);
+    EXPECT_FALSE(q.canPush());
+}
+
+TEST(BoundedQueue, CheckpointMatchesDequeImageAndRoundTrips)
+{
+    // Rotate the head off slot 0 first so the saved image must be
+    // reassembled across the wrap point.
+    BoundedQueue<std::uint64_t> q(5);
+    for (std::uint64_t i = 0; i < 4; ++i)
+        q.push(i);
+    q.pop();
+    q.pop();
+    for (std::uint64_t i = 4; i < 7; ++i)
+        q.push(i);
+    const std::deque<std::uint64_t> contents{2, 3, 4, 5, 6};
+
+    Serializer ring_bytes;
+    q.saveState(ring_bytes);
+    Serializer deque_bytes;
+    deque_bytes.writePodDeque(contents);
+    EXPECT_EQ(ring_bytes.bytes(), deque_bytes.bytes());
+
+    BoundedQueue<std::uint64_t> restored(5);
+    restored.push(99); // stale contents are replaced, not appended to
+    Deserializer d(ring_bytes.bytes());
+    restored.restoreState(d);
+    d.expectEnd();
+    EXPECT_EQ(restored.size(), 5u);
+    EXPECT_FALSE(restored.canPush());
+    for (const std::uint64_t v : contents)
+        EXPECT_EQ(restored.pop(), v);
+
+    // An image larger than the configured capacity is a typed error.
+    BoundedQueue<std::uint64_t> small(4);
+    Deserializer too_big(ring_bytes.bytes());
+    EXPECT_THROW(small.restoreState(too_big), CheckpointError);
 }
 
 TEST(DelayQueue, ElementsMatureAfterLatency)

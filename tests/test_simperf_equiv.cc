@@ -15,6 +15,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "algo/vcpm.hh"
 #include "baseline/graphicionado.hh"
@@ -39,6 +40,7 @@ struct Artifacts
     std::string statsJson;
     std::string samplerCsv;
     std::string traceJson;
+    unsigned slices = 0;
 };
 
 /** Knobs of one equivalence cell (everything except fastForward). */
@@ -50,6 +52,8 @@ struct Cell
     Cycle samplerInterval = 100;
     /** PR cells cap iterations: equivalence needs cycles, not convergence. */
     unsigned maxIterations = 1000;
+    /** Shrink on-chip storage so the graph runs in two slices. */
+    bool sliced = false;
 };
 
 template <typename Accel, typename Config>
@@ -59,6 +63,13 @@ runOnce(const Cell &cell, bool fast_forward)
     const graph::Csr g = graph::rmat(8, 16, 42, {}, false);
     Config cfg;
     cfg.maxIterations = cell.maxIterations;
+    if (cell.sliced) {
+        // 128 of the 256 vertices per slice in either model.
+        if constexpr (std::is_same_v<Config, core::GdsConfig>)
+            cfg.vbBytesPerUe = bytesPerWord;
+        else
+            cfg.onChipBytes = 128 * bytesPerWord;
+    }
     auto algorithm = algo::makeAlgorithm(cell.algorithm);
     Accel accel(cfg, g, *algorithm);
 
@@ -78,6 +89,7 @@ runOnce(const Cell &cell, bool fast_forward)
 
     Artifacts a;
     a.result = accel.run(run);
+    a.slices = accel.numSlices();
     std::ostringstream stats_os;
     stats::dumpJson(accel.statsGroup(), stats_os);
     a.statsJson = stats_os.str();
@@ -118,6 +130,12 @@ expectEquivalent(const Cell &cell)
     // A no-op equivalence (nothing ran) would pass vacuously; rule it out.
     EXPECT_TRUE(fast.result.completed());
     EXPECT_GT(fast.result.cycles, 0u);
+    // Sliced cells must really slice and really skip, or they would
+    // prove nothing about slice-subgraph reads under fast-forward.
+    if (cell.sliced) {
+        EXPECT_EQ(fast.slices, 2u);
+        EXPECT_GT(fast.result.report.skippedCycles, 0u);
+    }
 }
 
 // --- GraphDynS -----------------------------------------------------------
@@ -165,6 +183,25 @@ TEST(FastForwardEquiv, GdsBfsFaultedTelemetry)
     expectEquivalent<core::GdsAccel, core::GdsConfig>(cell);
 }
 
+TEST(FastForwardEquiv, GdsPageRankSlicedTelemetry)
+{
+    Cell cell;
+    cell.algorithm = AlgorithmId::Pr;
+    cell.telemetry = true;
+    cell.maxIterations = 10;
+    cell.sliced = true;
+    expectEquivalent<core::GdsAccel, core::GdsConfig>(cell);
+}
+
+TEST(FastForwardEquiv, GdsBfsSlicedFaulted)
+{
+    Cell cell;
+    cell.sliced = true;
+    cell.faults.delayResponseProb = 0.05;
+    cell.faults.delayCycles = 200;
+    expectEquivalent<core::GdsAccel, core::GdsConfig>(cell);
+}
+
 // --- Graphicionado baseline ----------------------------------------------
 
 TEST(FastForwardEquiv, GraphicionadoBfsPlain)
@@ -194,6 +231,27 @@ TEST(FastForwardEquiv, GraphicionadoPageRankPlain)
 TEST(FastForwardEquiv, GraphicionadoBfsFaulted)
 {
     Cell cell;
+    cell.faults.delayResponseProb = 0.05;
+    cell.faults.delayCycles = 200;
+    expectEquivalent<baseline::GraphicionadoAccel,
+                     baseline::GraphicionadoConfig>(cell);
+}
+
+TEST(FastForwardEquiv, GraphicionadoPageRankSlicedTelemetry)
+{
+    Cell cell;
+    cell.algorithm = AlgorithmId::Pr;
+    cell.telemetry = true;
+    cell.maxIterations = 10;
+    cell.sliced = true;
+    expectEquivalent<baseline::GraphicionadoAccel,
+                     baseline::GraphicionadoConfig>(cell);
+}
+
+TEST(FastForwardEquiv, GraphicionadoBfsSlicedFaulted)
+{
+    Cell cell;
+    cell.sliced = true;
     cell.faults.delayResponseProb = 0.05;
     cell.faults.delayCycles = 200;
     expectEquivalent<baseline::GraphicionadoAccel,
