@@ -9,6 +9,7 @@
 
 #include "common/bitutil.hh"
 #include "common/parse.hh"
+#include "core/checkpoint_session.hh"
 #include "sim/checkpoint.hh"
 
 namespace gds::baseline
@@ -243,123 +244,26 @@ GraphicionadoAccel::run(const core::RunOptions &options)
         hbm->setFaultInjector(&*injector);
     }
 
-    // Checkpoint wiring: same payload protocol as GdsAccel::run()
-    // (accelerator, then optional fault/sampler/tracer state, then the
-    // driver).
-    constexpr std::uint32_t kStateVersion = 2;
-    std::optional<sim::CheckpointStore> store;
-    std::string identity;
-    if (!options.checkpoint.dir.empty()) {
-        identity = gds::detail::vformat(
-            "graphicionado|%s|V=%u|E=%llu|src=%u|%s", algo.name().c_str(),
-            v_count,
-            static_cast<unsigned long long>(fullGraph.numEdges()),
-            options.source, options.checkpoint.identity.c_str());
-        store.emplace(options.checkpoint.dir, options.checkpoint.basename);
-    }
-
-    const auto serializeAll = [&](sim::Serializer &s) {
-        saveState(s);
-        s.writeBool(injector.has_value());
-        if (injector)
-            injector->saveState(s);
-        s.writeBool(options.sampler != nullptr);
-        if (options.sampler)
-            options.sampler->saveState(s);
-        obs::Tracer *tr = obs::activeTracer();
-        s.writeBool(tr != nullptr);
-        if (tr)
-            tr->saveState(s);
-        driver.saveState(s);
+    const auto finished = [&] {
+        if (options.killAtCycle != 0 &&
+            now - runStart >= options.killAtCycle)
+            std::raise(SIGKILL);
+        return phase == Phase::Finished;
     };
-
-    if (store && options.checkpoint.resume) {
-        std::string reason;
-        if (const auto loaded = store->loadLatest(&reason)) {
-            if (loaded->meta.stateVersion != kStateVersion ||
-                loaded->meta.identity != identity) {
-                warn("ignoring checkpoint %s: identity/version mismatch "
-                     "(have \"%s\" v%u, want \"%s\" v%u); starting clean",
-                     store->currentPath().c_str(),
-                     loaded->meta.identity.c_str(),
-                     loaded->meta.stateVersion, identity.c_str(),
-                     kStateVersion);
-            } else {
-                sim::Deserializer d(loaded->payload);
-                restoreState(d);
-                const bool had_injector = d.readBool();
-                gds_require(had_injector == injector.has_value(),
-                            CheckpointError,
-                            "checkpoint fault-injection state does not "
-                            "match this run's fault plan");
-                if (injector)
-                    injector->restoreState(d);
-                const bool had_sampler = d.readBool();
-                gds_require(had_sampler == (options.sampler != nullptr),
-                            CheckpointError,
-                            "checkpoint sampler state does not match this "
-                            "run's sampler configuration");
-                if (options.sampler)
-                    options.sampler->restoreState(d);
-                const bool had_tracer = d.readBool();
-                obs::Tracer *tr = obs::activeTracer();
-                gds_require(had_tracer == (tr != nullptr), CheckpointError,
-                            "checkpoint tracer state does not match this "
-                            "run's tracer configuration");
-                if (tr)
-                    tr->restoreState(d);
-                driver.restoreState(d);
-                d.expectEnd();
-                inform("resumed from %s at cycle %llu%s",
-                       (loaded->usedFallback ? store->previousPath()
-                                             : store->currentPath())
-                           .c_str(),
-                       static_cast<unsigned long long>(loaded->meta.cycle),
-                       loaded->usedFallback
-                           ? " (previous checkpoint; current was invalid)"
-                           : "");
-            }
-        } else if (!reason.empty()) {
-            warn("no usable checkpoint (%s); starting clean",
-                 reason.c_str());
-        }
-    }
-
-    sim::RunHooks hooks;
-    hooks.wallBudgetSeconds = options.wallBudgetSeconds;
-    if (store) {
-        hooks.checkpointInterval = options.checkpoint.interval;
-        hooks.writeCheckpoint = [&] {
-            sim::Serializer s;
-            serializeAll(s);
-            sim::CheckpointMeta meta;
-            meta.stateVersion = kStateVersion;
-            meta.identity = identity;
-            meta.cycle = now;
-            store->write(meta, s);
-        };
-    }
-
-    const Cycle start_cycle = runStart;
-    const sim::RunReport report = driver.run(
-        [&] {
-            if (options.killAtCycle != 0 &&
-                now - start_cycle >= options.killAtCycle)
-                std::raise(SIGKILL);
-            return phase == Phase::Finished;
-        },
-        limits, hooks);
+    const sim::RunReport report = core::runCheckpointed(
+        "graphicionado", algo.name(), fullGraph, options, *this, now,
+        injector ? &*injector : nullptr, driver,
+        [&](const sim::RunHooks &hooks) {
+            return driver.run(finished, limits, hooks);
+        });
 
     hbm->setFaultInjector(nullptr);
-
-    if (store && report.outcome == sim::RunOutcome::Completed)
-        store->removeAll();
 
     core::RunResult result;
     result.report = report;
     result.properties = prop;
     result.iterations = iteration;
-    result.cycles = now - start_cycle;
+    result.cycles = now - runStart;
     result.edgesProcessed =
         static_cast<std::uint64_t>(statEdgesProcessed.value());
     result.vertexUpdates =
@@ -992,25 +896,35 @@ namespace
 
 constexpr std::uint32_t kBaselineMarker = 0x47494f31; // "GIO1"
 
-template <typename SER, typename T>
-void
-saveNestedVec(SER &s, const std::vector<std::vector<T>> &v)
-{
-    s.writeU64(v.size());
-    for (const std::vector<T> &inner : v)
-        s.writePodVec(inner);
-}
-
-template <typename DES, typename T>
-void
-restoreNestedVec(DES &d, std::vector<std::vector<T>> &v)
-{
-    v.resize(static_cast<std::size_t>(d.readU64()));
-    for (std::vector<T> &inner : v)
-        d.readPodVec(inner);
-}
-
 } // namespace
+
+template <typename Self, typename Ar>
+void
+GraphicionadoAccel::fields(Self &self, Ar &ar)
+{
+    sim::Component::fields(self, ar);
+    ar(sim::Marker{kBaselineMarker});
+
+    ar(self.prop, self.tProp, self.cProp, self.lastReduceAt, self.activeCur,
+       self.activeNext, self.activatedThisIteration);
+    for (auto &stream : self.streams)
+        ar(stream.records, stream.edgeCursor);
+
+    auto &scatter = self.sc;
+    ar(scatter.recordsTotal, scatter.expectedEdges, scatter.batchesTotal,
+       scatter.batchesIssued, scatter.batchReady, scatter.commitCursor,
+       scatter.recordsDone, scatter.edgesReduced, scatter.fetch);
+    auto &apply = self.ap;
+    ar(apply.sweepBegin, apply.sweepEnd, apply.batchesTotal,
+       apply.batchesIssued, apply.batchIssuedParts, apply.batchPending,
+       apply.commitCursor, apply.appliedCount, apply.pendingApplies,
+       apply.pendingAuRecords, apply.auWriteCursor, apply.writes);
+
+    ar(self.phase, self.curSlice, self.iteration, self.activeBuf, self.now,
+       self.runStart, self.collectPeLoads, self.streamLoadThisIteration,
+       self.streamLoadTrace);
+    ar(self.vport, self.eport, self.wport, *self.hbm);
+}
 
 void
 GraphicionadoAccel::saveState(sim::Serializer &s) const
@@ -1018,65 +932,7 @@ GraphicionadoAccel::saveState(sim::Serializer &s) const
     s.registerPointer(&vport);
     s.registerPointer(&eport);
     s.registerPointer(&wport);
-
-    sim::Component::saveState(s);
-    s.writeMarker(kBaselineMarker);
-
-    s.writePodVec(prop);
-    s.writePodVec(tProp);
-    s.writePodVec(cProp);
-    s.writePodVec(lastReduceAt);
-    saveNestedVec(s, activeCur);
-    saveNestedVec(s, activeNext);
-    s.writeU64(activatedThisIteration);
-
-    for (const Stream &stream : streams) {
-        s.writePodDeque(stream.records);
-        s.writeU32(stream.edgeCursor);
-    }
-
-    s.writeU64(sc.recordsTotal);
-    s.writeU64(sc.expectedEdges);
-    s.writeU64(sc.batchesTotal);
-    s.writeU64(sc.batchesIssued);
-    s.writePodVec(sc.batchReady);
-    s.writeU64(sc.commitCursor);
-    s.writeU64(sc.recordsDone);
-    s.writeU64(sc.edgesReduced);
-    s.writePodVec(sc.fetch);
-
-    s.writeU32(ap.sweepBegin);
-    s.writeU32(ap.sweepEnd);
-    s.writeU64(ap.batchesTotal);
-    s.writeU64(ap.batchesIssued);
-    s.writePodVec(ap.batchIssuedParts);
-    s.writePodVec(ap.batchPending);
-    s.writeU32(ap.commitCursor);
-    s.writeU32(ap.appliedCount);
-    s.writePodDeque(ap.pendingApplies);
-    s.writeU64(ap.pendingAuRecords);
-    s.writeU64(ap.auWriteCursor);
-    // std::pair is not trivially copyable; serialize element-wise.
-    s.writeU64(ap.writes.size());
-    for (const auto &[addr, count] : ap.writes) {
-        s.writeU64(addr);
-        s.writeU32(count);
-    }
-
-    s.writeU8(static_cast<std::uint8_t>(phase));
-    s.writeU32(curSlice);
-    s.writeU32(iteration);
-    s.writeU32(activeBuf);
-    s.writeU64(now);
-    s.writeU64(runStart);
-    s.writeBool(collectPeLoads);
-    s.writePodVec(streamLoadThisIteration);
-    saveNestedVec(s, streamLoadTrace);
-
-    vport.saveState(s);
-    eport.saveState(s);
-    wport.saveState(s);
-    hbm->saveState(s);
+    fields(*this, s);
 }
 
 void
@@ -1085,66 +941,7 @@ GraphicionadoAccel::restoreState(sim::Deserializer &d)
     d.registerPointer(&vport);
     d.registerPointer(&eport);
     d.registerPointer(&wport);
-
-    sim::Component::restoreState(d);
-    d.expectMarker(kBaselineMarker);
-
-    d.readPodVec(prop);
-    d.readPodVec(tProp);
-    d.readPodVec(cProp);
-    d.readPodVec(lastReduceAt);
-    restoreNestedVec(d, activeCur);
-    restoreNestedVec(d, activeNext);
-    activatedThisIteration = d.readU64();
-
-    for (Stream &stream : streams) {
-        d.readPodDeque(stream.records);
-        stream.edgeCursor = d.readU32();
-    }
-
-    sc.recordsTotal = d.readU64();
-    sc.expectedEdges = d.readU64();
-    sc.batchesTotal = d.readU64();
-    sc.batchesIssued = d.readU64();
-    d.readPodVec(sc.batchReady);
-    sc.commitCursor = d.readU64();
-    sc.recordsDone = d.readU64();
-    sc.edgesReduced = d.readU64();
-    d.readPodVec(sc.fetch);
-
-    ap.sweepBegin = d.readU32();
-    ap.sweepEnd = d.readU32();
-    ap.batchesTotal = d.readU64();
-    ap.batchesIssued = d.readU64();
-    d.readPodVec(ap.batchIssuedParts);
-    d.readPodVec(ap.batchPending);
-    ap.commitCursor = d.readU32();
-    ap.appliedCount = d.readU32();
-    d.readPodDeque(ap.pendingApplies);
-    ap.pendingAuRecords = d.readU64();
-    ap.auWriteCursor = d.readU64();
-    ap.writes.clear();
-    const std::uint64_t pending_writes = d.readU64();
-    for (std::uint64_t i = 0; i < pending_writes; ++i) {
-        const Addr addr = d.readU64();
-        const unsigned count = d.readU32();
-        ap.writes.emplace_back(addr, count);
-    }
-
-    phase = static_cast<Phase>(d.readU8());
-    curSlice = d.readU32();
-    iteration = d.readU32();
-    activeBuf = d.readU32();
-    now = d.readU64();
-    runStart = d.readU64();
-    collectPeLoads = d.readBool();
-    d.readPodVec(streamLoadThisIteration);
-    restoreNestedVec(d, streamLoadTrace);
-
-    vport.restoreState(d);
-    eport.restoreState(d);
-    wport.restoreState(d);
-    hbm->restoreState(d);
+    fields(*this, d);
 
     // The scheduling masks are derived state, never serialized.
     for (unsigned s = 0; s < cfg.numStreams; ++s)

@@ -113,6 +113,10 @@ class GraphicionadoAccel : public sim::Component
     void saveState(sim::Serializer &s) const override;
     void restoreState(sim::Deserializer &d) override;
 
+    /** The one checkpoint field list behind saveState()/restoreState(). */
+    template <typename Self, typename Ar>
+    static void fields(Self &self, Ar &ar);
+
     /** Activity = edges processed by the streams (counter-track unit). */
     std::uint64_t
     activityCounter() const override
@@ -134,6 +138,13 @@ class GraphicionadoAccel : public sim::Component
     {
         VertexId vid;
         PropValue prop;
+
+        template <typename Self, typename Ar>
+        static void
+        fields(Self &r, Ar &ar)
+        {
+            ar(r.vid, r.prop);
+        }
     };
 
     /** Per-record edge fetch state. */
@@ -143,6 +154,13 @@ class GraphicionadoAccel : public sim::Component
         bool ready = false;
         std::uint32_t parts = 0;
         std::uint64_t bytesIssued = 0;
+
+        template <typename Self, typename Ar>
+        static void
+        fields(Self &f, Ar &ar)
+        {
+            ar(f.allIssued, f.ready, f.parts, f.bytesIssued);
+        }
     };
 
     /** One processing stream (pipeline). */

@@ -78,21 +78,6 @@ class Rng
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
     }
 
-    /** Raw generator state, for mid-run checkpointing. */
-    std::array<std::uint64_t, 4>
-    state() const
-    {
-        return {s[0], s[1], s[2], s[3]};
-    }
-
-    /** Overwrite the generator state with a checkpointed snapshot. */
-    void
-    setState(const std::array<std::uint64_t, 4> &words)
-    {
-        for (std::size_t i = 0; i < words.size(); ++i)
-            s[i] = words[i];
-    }
-
   private:
     static std::uint64_t
     rotl(std::uint64_t x, int k)

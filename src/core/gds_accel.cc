@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "common/parse.hh"
+#include "core/checkpoint_session.hh"
 #include "core/detail.hh"
 #include "sim/checkpoint.hh"
 
@@ -247,143 +248,45 @@ GdsAccel::run(const RunOptions &options)
         xbar->setFaultInjector(&*injector);
     }
 
-    // Checkpoint wiring. The payload is the accelerator (plus HBM and
-    // crossbar), then the optional fault/sampler/tracer state, then the
-    // driver — one fixed order on both sides.
-    constexpr std::uint32_t kStateVersion = 2;
-    std::optional<sim::CheckpointStore> store;
-    std::string identity;
-    if (!options.checkpoint.dir.empty()) {
-        identity = gds::detail::vformat(
-            "graphdyns|%s|V=%u|E=%llu|src=%u|%s", algo.name().c_str(),
-            v_count,
-            static_cast<unsigned long long>(fullGraph.numEdges()),
-            options.source, options.checkpoint.identity.c_str());
-        store.emplace(options.checkpoint.dir, options.checkpoint.basename);
-    }
-
-    const auto serializeAll = [&](sim::Serializer &s) {
-        saveState(s);
-        s.writeBool(injector.has_value());
-        if (injector)
-            injector->saveState(s);
-        s.writeBool(options.sampler != nullptr);
-        if (options.sampler)
-            options.sampler->saveState(s);
-        obs::Tracer *tr = obs::activeTracer();
-        s.writeBool(tr != nullptr);
-        if (tr)
-            tr->saveState(s);
-        driver.saveState(s);
-    };
-
-    if (store && options.checkpoint.resume) {
-        std::string reason;
-        if (const auto loaded = store->loadLatest(&reason)) {
-            if (loaded->meta.stateVersion != kStateVersion ||
-                loaded->meta.identity != identity) {
-                warn("ignoring checkpoint %s: identity/version mismatch "
-                     "(have \"%s\" v%u, want \"%s\" v%u); starting clean",
-                     store->currentPath().c_str(),
-                     loaded->meta.identity.c_str(),
-                     loaded->meta.stateVersion, identity.c_str(),
-                     kStateVersion);
-            } else {
-                sim::Deserializer d(loaded->payload);
-                restoreState(d);
-                const bool had_injector = d.readBool();
-                gds_require(had_injector == injector.has_value(),
-                            CheckpointError,
-                            "checkpoint fault-injection state does not "
-                            "match this run's fault plan");
-                if (injector)
-                    injector->restoreState(d);
-                const bool had_sampler = d.readBool();
-                gds_require(had_sampler == (options.sampler != nullptr),
-                            CheckpointError,
-                            "checkpoint sampler state does not match this "
-                            "run's sampler configuration");
-                if (options.sampler)
-                    options.sampler->restoreState(d);
-                const bool had_tracer = d.readBool();
-                obs::Tracer *tr = obs::activeTracer();
-                gds_require(had_tracer == (tr != nullptr), CheckpointError,
-                            "checkpoint tracer state does not match this "
-                            "run's tracer configuration");
-                if (tr)
-                    tr->restoreState(d);
-                driver.restoreState(d);
-                d.expectEnd();
-                inform("resumed from %s at cycle %llu%s",
-                       (loaded->usedFallback ? store->previousPath()
-                                             : store->currentPath())
-                           .c_str(),
-                       static_cast<unsigned long long>(loaded->meta.cycle),
-                       loaded->usedFallback
-                           ? " (previous checkpoint; current was invalid)"
-                           : "");
-            }
-        } else if (!reason.empty()) {
-            warn("no usable checkpoint (%s); starting clean",
-                 reason.c_str());
+    const auto finished = [&] {
+        // Diagnostic heartbeat for long runs (GDS_PROGRESS=1).
+        if (progress && now != runStart &&
+            (now - runStart) % 1'000'000 == 0) {
+            inform("cycle=%llu iter=%u slice=%u phase=%d "
+                   "scatter=%llu/%llu reduced=%llu/%llu apply=%llu/%zu",
+                   static_cast<unsigned long long>(now - runStart),
+                   iteration, curSlice, static_cast<int>(phase),
+                   static_cast<unsigned long long>(sc.recordsDispatched),
+                   static_cast<unsigned long long>(sc.recordsTotal),
+                   static_cast<unsigned long long>(sc.edgesReduced),
+                   static_cast<unsigned long long>(sc.expectedEdges),
+                   static_cast<unsigned long long>(ap.groupsCompleted),
+                   ap.groups.size());
         }
-    }
-
-    sim::RunHooks hooks;
-    hooks.wallBudgetSeconds = options.wallBudgetSeconds;
-    if (store) {
-        hooks.checkpointInterval = options.checkpoint.interval;
-        hooks.writeCheckpoint = [&] {
-            sim::Serializer s;
-            serializeAll(s);
-            sim::CheckpointMeta meta;
-            meta.stateVersion = kStateVersion;
-            meta.identity = identity;
-            meta.cycle = now;
-            store->write(meta, s);
-        };
-    }
-
-    const Cycle start_cycle = runStart;
-    const sim::RunReport report = driver.run(
-        [&] {
-            // Diagnostic heartbeat for long runs (GDS_PROGRESS=1).
-            if (progress && now != start_cycle &&
-                (now - start_cycle) % 1'000'000 == 0) {
-                inform("cycle=%llu iter=%u slice=%u phase=%d "
-                       "scatter=%llu/%llu reduced=%llu/%llu apply=%llu/%zu",
-                       static_cast<unsigned long long>(now - start_cycle),
-                       iteration, curSlice, static_cast<int>(phase),
-                       static_cast<unsigned long long>(
-                           sc.recordsDispatched),
-                       static_cast<unsigned long long>(sc.recordsTotal),
-                       static_cast<unsigned long long>(sc.edgesReduced),
-                       static_cast<unsigned long long>(sc.expectedEdges),
-                       static_cast<unsigned long long>(ap.groupsCompleted),
-                       ap.groups.size());
-            }
-            // Crash injection for the checkpoint tests: die without any
-            // cleanup, exactly like an external SIGKILL preemption.
-            if (options.killAtCycle != 0 &&
-                now - start_cycle >= options.killAtCycle)
-                std::raise(SIGKILL);
-            return phase == Phase::Finished;
-        },
-        limits, hooks);
+        // Crash injection for the checkpoint tests: die without any
+        // cleanup, exactly like an external SIGKILL preemption.
+        if (options.killAtCycle != 0 &&
+            now - runStart >= options.killAtCycle)
+            std::raise(SIGKILL);
+        return phase == Phase::Finished;
+    };
+    // Resume (when asked to) lands before the predicate first runs, so
+    // runStart is the restored logical run start.
+    const sim::RunReport report = runCheckpointed(
+        "graphdyns", algo.name(), fullGraph, options, *this, now,
+        injector ? &*injector : nullptr, driver,
+        [&](const sim::RunHooks &hooks) {
+            return driver.run(finished, limits, hooks);
+        });
 
     hbm->setFaultInjector(nullptr);
     xbar->setFaultInjector(nullptr);
-
-    // A completed run leaves nothing to resume; drop its checkpoints so a
-    // later run under the same base name starts clean.
-    if (store && report.outcome == sim::RunOutcome::Completed)
-        store->removeAll();
 
     RunResult result;
     result.report = report;
     result.properties = prop;
     result.iterations = iteration;
-    result.cycles = now - start_cycle;
+    result.cycles = now - runStart;
     result.edgesProcessed =
         static_cast<std::uint64_t>(statEdgesProcessed.value());
     result.vertexUpdates =
@@ -693,25 +596,48 @@ namespace
 
 constexpr std::uint32_t kAccelMarker = 0x47445331; // "GDS1"
 
-template <typename SER, typename T>
-void
-saveNestedVec(SER &s, const std::vector<std::vector<T>> &v)
-{
-    s.writeU64(v.size());
-    for (const std::vector<T> &inner : v)
-        s.writePodVec(inner);
-}
-
-template <typename DES, typename T>
-void
-restoreNestedVec(DES &d, std::vector<std::vector<T>> &v)
-{
-    v.resize(static_cast<std::size_t>(d.readU64()));
-    for (std::vector<T> &inner : v)
-        d.readPodVec(inner);
-}
-
 } // namespace
+
+template <typename Self, typename Ar>
+void
+GdsAccel::fields(Self &self, Ar &ar)
+{
+    sim::Component::fields(self, ar);
+    ar(sim::Marker{kAccelMarker});
+
+    // Functional state.
+    ar(self.prop, self.tProp, self.cProp, self.readyGroup, self.activeCur,
+       self.activeNext, self.activatedThisIteration);
+
+    // Datapath queues and pipeline registers.
+    for (auto &de : self.des)
+        ar(de.vpb, de.chunkCursor);
+    for (auto &pe : self.pes)
+        ar(pe.edgeQueue, pe.pendingFlits, pe.applyQueue, pe.vbStage);
+    for (auto &ue : self.ues)
+        ar(ue.inbox, ue.pipeAddr, ue.pipeCycle);
+    ar(self.scEdgesQueued, self.scFlitsBuffered, self.ueFlitsQueued);
+
+    // Scatter- and Apply-phase bookkeeping.
+    auto &scatter = self.sc;
+    ar(scatter.recordsTotal, scatter.expectedEdges, scatter.batchesTotal,
+       scatter.batchesIssued, scatter.batchReady, scatter.commitCursor,
+       scatter.recordsDispatched, scatter.edgesReduced,
+       scatter.fillOutstanding, scatter.fillCursor, scatter.fillBytesLeft,
+       scatter.eprefPending, scatter.fetch, scatter.fetchBatches,
+       scatter.bufferedEdges);
+    auto &apply = self.ap;
+    ar(apply.groups, apply.fetch, apply.groupsRequested, apply.commitCursor,
+       apply.groupsCompleted, apply.auBufferedRecords, apply.auWriteCursor,
+       apply.propWrites);
+
+    // Control state, then the ports and the child components.
+    ar(self.phase, self.curSlice, self.iteration, self.activeBuf, self.now,
+       self.runStart, self.collectPeLoads, self.peLoadThisIteration,
+       self.peLoadTrace);
+    ar(self.vportRead, self.eportRead, self.auPortWrite, *self.hbm,
+       *self.xbar);
+}
 
 void
 GdsAccel::saveState(sim::Serializer &s) const
@@ -721,88 +647,7 @@ GdsAccel::saveState(sim::Serializer &s) const
     s.registerPointer(&vportRead);
     s.registerPointer(&eportRead);
     s.registerPointer(&auPortWrite);
-
-    sim::Component::saveState(s);
-    s.writeMarker(kAccelMarker);
-
-    // Functional state.
-    s.writePodVec(prop);
-    s.writePodVec(tProp);
-    s.writePodVec(cProp);
-    s.writePodVec(readyGroup);
-    saveNestedVec(s, activeCur);
-    saveNestedVec(s, activeNext);
-    s.writeU64(activatedThisIteration);
-
-    // Datapath queues and pipeline registers.
-    for (const De &de : des) {
-        de.vpb.saveState(s);
-        s.writeU32(de.chunkCursor);
-    }
-    for (const Pe &pe : pes) {
-        pe.edgeQueue.saveState(s);
-        s.writePodVec(pe.pendingFlits);
-        pe.applyQueue.saveState(s);
-        pe.vbStage.saveState(s);
-    }
-    for (const Ue &ue : ues) {
-        ue.inbox.saveState(s);
-        s.writePod(ue.pipeAddr);
-        s.writePod(ue.pipeCycle);
-    }
-    s.writeU64(scEdgesQueued);
-    s.writeU64(scFlitsBuffered);
-    s.writeU64(ueFlitsQueued);
-
-    // Scatter-phase bookkeeping.
-    s.writeU64(sc.recordsTotal);
-    s.writeU64(sc.expectedEdges);
-    s.writeU64(sc.batchesTotal);
-    s.writeU64(sc.batchesIssued);
-    s.writePodVec(sc.batchReady);
-    s.writeU64(sc.commitCursor);
-    s.writeU64(sc.recordsDispatched);
-    s.writeU64(sc.edgesReduced);
-    s.writeU64(sc.fillOutstanding);
-    s.writeU64(sc.fillCursor);
-    s.writeU64(sc.fillBytesLeft);
-    s.writePodDeque(sc.eprefPending);
-    s.writePodVec(sc.fetch);
-    saveNestedVec(s, sc.fetchBatches);
-    s.writeU64(sc.bufferedEdges);
-
-    // Apply-phase bookkeeping.
-    s.writePodVec(ap.groups);
-    s.writePodVec(ap.fetch);
-    s.writeU64(ap.groupsRequested);
-    s.writeU64(ap.commitCursor);
-    s.writeU64(ap.groupsCompleted);
-    s.writeU64(ap.auBufferedRecords);
-    s.writeU64(ap.auWriteCursor);
-    // std::pair is not trivially copyable; serialize element-wise.
-    s.writeU64(ap.propWrites.size());
-    for (const auto &[addr, count] : ap.propWrites) {
-        s.writeU64(addr);
-        s.writeU32(count);
-    }
-
-    // Control state.
-    s.writeU8(static_cast<std::uint8_t>(phase));
-    s.writeU32(curSlice);
-    s.writeU32(iteration);
-    s.writeU32(activeBuf);
-    s.writeU64(now);
-    s.writeU64(runStart);
-    s.writeBool(collectPeLoads);
-    s.writePodVec(peLoadThisIteration);
-    saveNestedVec(s, peLoadTrace);
-
-    // Ports, then the child components.
-    vportRead.saveState(s);
-    eportRead.saveState(s);
-    auPortWrite.saveState(s);
-    hbm->saveState(s);
-    xbar->saveState(s);
+    fields(*this, s);
 }
 
 void
@@ -811,83 +656,7 @@ GdsAccel::restoreState(sim::Deserializer &d)
     d.registerPointer(&vportRead);
     d.registerPointer(&eportRead);
     d.registerPointer(&auPortWrite);
-
-    sim::Component::restoreState(d);
-    d.expectMarker(kAccelMarker);
-
-    d.readPodVec(prop);
-    d.readPodVec(tProp);
-    d.readPodVec(cProp);
-    d.readPodVec(readyGroup);
-    restoreNestedVec(d, activeCur);
-    restoreNestedVec(d, activeNext);
-    activatedThisIteration = d.readU64();
-
-    for (De &de : des) {
-        de.vpb.restoreState(d);
-        de.chunkCursor = d.readU32();
-    }
-    for (Pe &pe : pes) {
-        pe.edgeQueue.restoreState(d);
-        d.readPodVec(pe.pendingFlits);
-        pe.applyQueue.restoreState(d);
-        pe.vbStage.restoreState(d);
-    }
-    for (Ue &ue : ues) {
-        ue.inbox.restoreState(d);
-        ue.pipeAddr = d.readPod<std::array<VertexId, 2>>();
-        ue.pipeCycle = d.readPod<std::array<Cycle, 2>>();
-    }
-    scEdgesQueued = d.readU64();
-    scFlitsBuffered = d.readU64();
-    ueFlitsQueued = d.readU64();
-
-    sc.recordsTotal = d.readU64();
-    sc.expectedEdges = d.readU64();
-    sc.batchesTotal = d.readU64();
-    sc.batchesIssued = d.readU64();
-    d.readPodVec(sc.batchReady);
-    sc.commitCursor = d.readU64();
-    sc.recordsDispatched = d.readU64();
-    sc.edgesReduced = d.readU64();
-    sc.fillOutstanding = d.readU64();
-    sc.fillCursor = d.readU64();
-    sc.fillBytesLeft = d.readU64();
-    d.readPodDeque(sc.eprefPending);
-    d.readPodVec(sc.fetch);
-    restoreNestedVec(d, sc.fetchBatches);
-    sc.bufferedEdges = d.readU64();
-
-    d.readPodVec(ap.groups);
-    d.readPodVec(ap.fetch);
-    ap.groupsRequested = d.readU64();
-    ap.commitCursor = d.readU64();
-    ap.groupsCompleted = d.readU64();
-    ap.auBufferedRecords = d.readU64();
-    ap.auWriteCursor = d.readU64();
-    ap.propWrites.clear();
-    const std::uint64_t prop_writes = d.readU64();
-    for (std::uint64_t i = 0; i < prop_writes; ++i) {
-        const Addr addr = d.readU64();
-        const unsigned count = d.readU32();
-        ap.propWrites.emplace_back(addr, count);
-    }
-
-    phase = static_cast<Phase>(d.readU8());
-    curSlice = d.readU32();
-    iteration = d.readU32();
-    activeBuf = d.readU32();
-    now = d.readU64();
-    runStart = d.readU64();
-    collectPeLoads = d.readBool();
-    d.readPodVec(peLoadThisIteration);
-    restoreNestedVec(d, peLoadTrace);
-
-    vportRead.restoreState(d);
-    eportRead.restoreState(d);
-    auPortWrite.restoreState(d);
-    hbm->restoreState(d);
-    xbar->restoreState(d);
+    fields(*this, d);
 }
 
 void

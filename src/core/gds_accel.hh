@@ -205,6 +205,10 @@ class GdsAccel : public sim::Component
     void saveState(sim::Serializer &s) const override;
     void restoreState(sim::Deserializer &d) override;
 
+    /** The one checkpoint field list behind saveState()/restoreState(). */
+    template <typename Self, typename Ar>
+    static void fields(Self &self, Ar &ar);
+
     /** Activity = edges processed by the PEs (counter-track unit). */
     std::uint64_t
     activityCounter() const override
@@ -243,6 +247,13 @@ class GdsAccel : public sim::Component
         PropValue prop;
         std::uint32_t edgeCnt;
         EdgeId offset; ///< into the owning slice's edge array
+
+        template <typename Self, typename Ar>
+        static void
+        fields(Self &r, Ar &ar)
+        {
+            ar(r.vid, r.prop, r.edgeCnt, r.offset);
+        }
     };
 
     /** One SIMT lane's worth of scatter work. */
@@ -251,6 +262,13 @@ class GdsAccel : public sim::Component
         VertexId dst;
         Weight weight;
         PropValue uProp;
+
+        template <typename Self, typename Ar>
+        static void
+        fields(Self &t, Ar &ar)
+        {
+            ar(t.dst, t.weight, t.uProp);
+        }
     };
 
     /** Edge-processing result routed through the crossbar to a UE. */
@@ -258,6 +276,13 @@ class GdsAccel : public sim::Component
     {
         VertexId dst;
         PropValue value;
+
+        template <typename Self, typename Ar>
+        static void
+        fields(Self &f, Ar &ar)
+        {
+            ar(f.dst, f.value);
+        }
     };
 
     /** An Apply-phase vertex list (vListSize consecutive vertices). */
@@ -266,6 +291,13 @@ class GdsAccel : public sim::Component
         VertexId startVid;
         std::uint16_t count;
         std::uint32_t group; ///< index into ApplyState::groups
+
+        template <typename Self, typename Ar>
+        static void
+        fields(Self &l, Ar &ar)
+        {
+            ar(l.startVid, l.count, l.group);
+        }
     };
 
     /** Per-record edge-prefetch bookkeeping. Large edge lists are fetched
@@ -277,6 +309,13 @@ class GdsAccel : public sim::Component
         bool ready = false;      ///< edge data available for dispatch
         std::uint32_t parts = 0; ///< part responses still outstanding
         std::uint64_t bytesIssued = 0;
+
+        template <typename Self, typename Ar>
+        static void
+        fields(Self &f, Ar &ar)
+        {
+            ar(f.reserved, f.allIssued, f.ready, f.parts, f.bytesIssued);
+        }
     };
 
     /** Per-UE state: Reduce Pipeline history + AU batching. */

@@ -101,23 +101,20 @@ class Crossbar : public sim::Component
 
     bool supportsFastForward() const override { return true; }
 
-    /** Checkpoint: base progress/stats plus the grant mask. Checkpoints
-     *  land between cycles, where the mask is the (already consumed)
-     *  previous cycle's grants — serialized anyway so the state is
-     *  byte-for-byte identical to the uninterrupted run's. */
-    void
-    saveState(sim::Serializer &s) const override
+    /** Checkpoint fields: base progress/stats plus the grant mask.
+     *  Checkpoints land between cycles, where the mask is the (already
+     *  consumed) previous cycle's grants — serialized anyway so the state
+     *  is byte-for-byte identical to the uninterrupted run's. */
+    template <typename Self, typename Ar>
+    static void
+    fields(Self &self, Ar &ar)
     {
-        sim::Component::saveState(s);
-        s.writeBoolVec(granted);
+        sim::Component::fields(self, ar);
+        ar(self.granted);
     }
 
-    void
-    restoreState(sim::Deserializer &d) override
-    {
-        sim::Component::restoreState(d);
-        d.readBoolVec(granted);
-    }
+    void saveState(sim::Serializer &s) const override { fields(*this, s); }
+    void restoreState(sim::Deserializer &d) override { fields(*this, d); }
 
     std::string
     debugState() const override

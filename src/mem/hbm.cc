@@ -443,85 +443,32 @@ Hbm::rowHitRate() const
     return issued == 0.0 ? 0.0 : statRowHits.value() / issued;
 }
 
+template <typename Self, typename Ar>
 void
-Hbm::saveState(sim::Serializer &s) const
+Hbm::fields(Self &self, Ar &ar)
 {
     using Pq = PqOpener<Completion, std::vector<Completion>,
                         std::greater<Completion>>;
-    sim::Component::saveState(s);
-    s.writeMarker(kHbmMarker);
-    s.writeU64(channels.size());
-    for (const Channel &channel : channels) {
-        s.writePodDeque(channel.queue);
-        s.writePodVec(channel.banks);
-        s.writeU64(channel.busFreeAt);
-        s.writeU64(channel.nextActivateAt);
-        s.writeU64(channel.nextRefreshAt);
-        s.writeU32(channel.refreshBank);
-    }
-    // The request slab travels field-by-field: the port is a live object
-    // reference (registry index), so Request is not memcpy-safe. Free
-    // slots keep their stale-but-registered port pointer, preserving the
-    // slab byte-for-byte.
-    s.writeU64(requests.size());
-    for (const Request &req : requests) {
-        s.writeU64(req.tag);
-        s.writePointer(req.port);
-        s.writeU32(req.pendingTx);
-        s.writeBool(req.isWrite);
-        s.writeU64(req.issuedAt);
-        s.writeBool(req.faultChecked);
-        s.writeU32(req.queuedTx);
-        s.writeU64(req.finishAt);
-    }
-    s.writePodVec(freeList);
-    s.writePodVec(Pq::container(completions));
-    s.writePodVec(Pq::container(requestFinishes));
-    s.writeU64(inflightTx);
-    s.writeU64(queuedTxTotal);
-    s.writeU64(now);
+    sim::Component::fields(self, ar);
+    // Free request slots keep their stale-but-registered port pointer,
+    // preserving the slab entry for entry; both completion heaps travel
+    // verbatim so equal-time pops replay in the pre-checkpoint order.
+    ar(sim::Marker{kHbmMarker}, sim::fixedCount(self.channels),
+       self.requests, self.freeList, Pq::container(self.completions),
+       Pq::container(self.requestFinishes));
+    ar(self.inflightTx, self.queuedTxTotal, self.now);
+}
+
+void
+Hbm::saveState(sim::Serializer &s) const
+{
+    fields(*this, s);
 }
 
 void
 Hbm::restoreState(sim::Deserializer &d)
 {
-    using Pq = PqOpener<Completion, std::vector<Completion>,
-                        std::greater<Completion>>;
-    sim::Component::restoreState(d);
-    d.expectMarker(kHbmMarker);
-    const std::uint64_t nch = d.readU64();
-    gds_require(nch == channels.size(), CheckpointError,
-                "checkpoint has %llu HBM channels, this config has %zu",
-                static_cast<unsigned long long>(nch), channels.size());
-    for (Channel &channel : channels) {
-        d.readPodDeque(channel.queue);
-        d.readPodVec(channel.banks);
-        channel.busFreeAt = d.readU64();
-        channel.nextActivateAt = d.readU64();
-        channel.nextRefreshAt = d.readU64();
-        channel.refreshBank = d.readU32();
-    }
-    const std::uint64_t nreq = d.readU64();
-    requests.clear();
-    requests.reserve(static_cast<std::size_t>(nreq));
-    for (std::uint64_t i = 0; i < nreq; ++i) {
-        Request req{};
-        req.tag = d.readU64();
-        req.port = d.readPointer<HbmPort>();
-        req.pendingTx = d.readU32();
-        req.isWrite = d.readBool();
-        req.issuedAt = d.readU64();
-        req.faultChecked = d.readBool();
-        req.queuedTx = d.readU32();
-        req.finishAt = d.readU64();
-        requests.push_back(req);
-    }
-    d.readPodVec(freeList);
-    d.readPodVec(Pq::container(completions));
-    d.readPodVec(Pq::container(requestFinishes));
-    inflightTx = d.readU64();
-    queuedTxTotal = d.readU64();
-    now = d.readU64();
+    fields(*this, d);
 }
 
 } // namespace gds::mem

@@ -76,25 +76,16 @@ class HbmPort
     std::uint64_t inflight() const { return _inflight; }
 
     /**
-     * Checkpoint hook: pending response tags plus the in-flight count.
-     * The owning requester saves its ports alongside its own state (the
+     * Checkpoint fields: pending response tags plus the in-flight count.
+     * The owning requester lists its ports among its own fields (the
      * Hbm serializes port *references* through the pointer registry, not
      * port contents).
      */
-    template <typename SER>
-    void
-    saveState(SER &s) const
+    template <typename Self, typename Ar>
+    static void
+    fields(Self &port, Ar &ar)
     {
-        s.writePodDeque(responses);
-        s.writeU64(_inflight);
-    }
-
-    template <typename DES>
-    void
-    restoreState(DES &d)
-    {
-        d.readPodDeque(responses);
-        _inflight = d.readU64();
+        ar(port.responses, port._inflight);
     }
 
   private:
@@ -162,6 +153,10 @@ class Hbm : public sim::Component
     void saveState(sim::Serializer &s) const override;
     void restoreState(sim::Deserializer &d) override;
 
+    /** The one checkpoint field list behind saveState()/restoreState(). */
+    template <typename Self, typename Ar>
+    static void fields(Self &self, Ar &ar);
+
     /** Activity = transactions issued (counter-track unit: 32 B bursts). */
     std::uint64_t
     activityCounter() const override
@@ -226,6 +221,15 @@ class Hbm : public sim::Component
         bool faultChecked = false; ///< injector consulted for this request
         unsigned queuedTx = 0;     ///< transactions not yet issued
         Cycle finishAt = 0;        ///< max completion time issued so far
+
+        /** The port travels as a pointer-registry reference. */
+        template <typename Self, typename Ar>
+        static void
+        fields(Self &r, Ar &ar)
+        {
+            ar(r.tag, r.port, r.pendingTx, r.isWrite, r.issuedAt,
+               r.faultChecked, r.queuedTx, r.finishAt);
+        }
     };
 
     struct Transaction
@@ -249,6 +253,14 @@ class Hbm : public sim::Component
         Cycle nextActivateAt = 0; ///< tRRD gate
         Cycle nextRefreshAt;
         unsigned refreshBank = 0; ///< round-robin per-bank refresh index
+
+        template <typename Self, typename Ar>
+        static void
+        fields(Self &c, Ar &ar)
+        {
+            ar(c.queue, c.banks, c.busFreeAt, c.nextActivateAt,
+               c.nextRefreshAt, c.refreshBank);
+        }
     };
 
     struct Completion
@@ -256,6 +268,13 @@ class Hbm : public sim::Component
         Cycle at;
         std::uint32_t requestIndex;
         bool operator>(const Completion &o) const { return at > o.at; }
+
+        template <typename Self, typename Ar>
+        static void
+        fields(Self &c, Ar &ar)
+        {
+            ar(c.at, c.requestIndex);
+        }
     };
 
     static constexpr std::uint64_t noRow = ~0ULL;

@@ -154,16 +154,16 @@ class Sampler
     restoreState(DES &d)
     {
         sealed = d.readBool();
-        const std::uint64_t cols = d.readU64();
+        const std::size_t cols = d.readCount(sizeof(std::uint64_t));
         std::vector<std::string> names;
-        names.reserve(static_cast<std::size_t>(cols));
-        for (std::uint64_t c = 0; c < cols; ++c)
+        names.reserve(cols);
+        for (std::size_t c = 0; c < cols; ++c)
             names.push_back(d.readString());
         table.clear();
         if (!names.empty())
             table.setColumns(std::move(names));
         const std::uint64_t rows = d.readU64();
-        std::vector<double> values(static_cast<std::size_t>(cols));
+        std::vector<double> values(cols);
         for (std::uint64_t r = 0; r < rows; ++r) {
             const Cycle cycle = d.readU64();
             for (double &v : values)

@@ -119,18 +119,20 @@ class Tracer
     void
     restoreState(DES &d)
     {
-        const std::uint64_t tracks = d.readU64();
+        // A track is a name length plus a depth; an event at least its
+        // phase, tid, ts, two string lengths and value.
+        const std::size_t tracks = d.readCount(16);
         trackNames.clear();
-        trackNames.reserve(static_cast<std::size_t>(tracks));
-        for (std::uint64_t t = 0; t < tracks; ++t)
+        trackNames.reserve(tracks);
+        for (std::size_t t = 0; t < tracks; ++t)
             trackNames.push_back(d.readString());
-        openDepth.assign(static_cast<std::size_t>(tracks), 0);
+        openDepth.assign(tracks, 0);
         for (unsigned &depth : openDepth)
             depth = static_cast<unsigned>(d.readU64());
-        const std::uint64_t n = d.readU64();
+        const std::size_t n = d.readCount(37);
         events.clear();
-        events.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i) {
+        events.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) {
             Event e;
             e.phase = static_cast<char>(d.readU8());
             e.tid = d.readU32();

@@ -9,6 +9,7 @@
 #include <iterator>
 #include <system_error>
 
+#include "common/bitutil.hh"
 #include "common/fsio.hh"
 #include "common/parse.hh"
 
@@ -28,17 +29,6 @@ enum StatKind : std::uint8_t
     KindVector = 1,
     KindDistribution = 2,
 };
-
-std::uint64_t
-fnv1a64(const std::uint8_t *data, std::size_t n)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 /**
  * Crash-injection hook for the torn-write tests: when
@@ -65,8 +55,9 @@ tearThisWrite()
 } // namespace
 
 void
-saveStats(Serializer &s, const stats::Group &group)
+Serializer::statGroup(const stats::Group &group)
 {
+    Serializer &s = *this;
     const auto &list = group.stats();
     s.writeU32(static_cast<std::uint32_t>(list.size()));
     for (const stats::Stat *stat : list) {
@@ -98,8 +89,9 @@ saveStats(Serializer &s, const stats::Group &group)
 }
 
 void
-restoreStats(Deserializer &d, stats::Group &group)
+Deserializer::statGroup(stats::Group &group)
 {
+    Deserializer &d = *this;
     const auto &list = group.stats();
     const std::uint32_t n = d.readU32();
     gds_require(n == list.size(), CheckpointError,
@@ -129,11 +121,10 @@ restoreStats(Deserializer &d, stats::Group &group)
         } else if (auto *dist = dynamic_cast<stats::Distribution *>(stat)) {
             gds_require(kind == KindDistribution, CheckpointError,
                         "stat '%s' kind mismatch", name.c_str());
-            const std::uint64_t buckets = d.readU64();
-            std::vector<std::uint64_t> counts;
-            counts.reserve(static_cast<std::size_t>(buckets));
-            for (std::uint64_t b = 0; b < buckets; ++b)
-                counts.push_back(d.readU64());
+            std::vector<std::uint64_t> counts(
+                d.readCount(sizeof(std::uint64_t)));
+            for (std::uint64_t &c : counts)
+                c = d.readU64();
             const std::uint64_t samples = d.readU64();
             const std::uint64_t sum = d.readU64();
             const std::uint64_t max_sample = d.readU64();

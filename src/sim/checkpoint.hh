@@ -2,13 +2,15 @@
  * @file
  * Versioned, checksummed checkpoint/restore of mid-run simulator state.
  *
- * Components serialize into a Serializer (a flat byte buffer with typed
- * append helpers) and restore from a Deserializer (the bounds-checked
- * mirror; every defect throws a typed CheckpointError). The byte stream
- * is a same-build artifact: values are host-endian memcpy images guarded
- * by a state-version stamp and an identity string, never a portable
- * interchange format — a checkpoint resumes the exact binary that wrote
- * it, which is all preemption tolerance needs.
+ * Each checkpointed class lists its state once, in a static
+ * `fields(self, ar)` visitor; a Serializer (a flat byte buffer) walks
+ * that list to save and a Deserializer (the bounds-checked reader; every
+ * defect throws a typed CheckpointError) walks the same list to restore.
+ * The byte stream is a same-build artifact: values are host-endian
+ * memcpy images guarded by a state-version stamp and an identity string,
+ * never a portable interchange format — a checkpoint resumes the exact
+ * binary that wrote it, which is all preemption tolerance needs. No
+ * padding byte is ever copied, so equal state gives equal bytes.
  *
  * CheckpointStore manages the on-disk lifecycle: atomically published
  * files (`<base>.ckpt` via fsync + rename + directory fsync), one-deep
@@ -36,20 +38,172 @@
 #include <string>
 #include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
+#include "sim/component.hh"
 #include "stats/stats.hh"
 
 namespace gds::sim
 {
 
-/** Typed append-only byte buffer that components save their state into. */
-class Serializer
+/** Section marker in a field list: written on save, verified on restore. */
+struct Marker
+{
+    std::uint32_t tag;
+};
+
+/**
+ * A container whose length is configuration (one entry per HBM channel,
+ * say): the count is written, and restore checks it against the live
+ * container instead of resizing it.
+ */
+template <typename C>
+struct FixedCount
+{
+    C &items;
+};
+
+template <typename C>
+FixedCount<C>
+fixedCount(C &items)
+{
+    return {items};
+}
+
+namespace detail
+{
+
+/** True when T is a specialization of the class template Tmpl. */
+template <typename T, template <typename...> class Tmpl>
+struct IsA : std::false_type
+{};
+template <template <typename...> class Tmpl, typename... Args>
+struct IsA<Tmpl<Args...>, Tmpl> : std::true_type
+{};
+
+template <typename T>
+constexpr bool kIsSequence =
+    IsA<T, std::vector>::value || IsA<T, std::deque>::value;
+
+/** Fewest payload bytes one element of T occupies; bounds restored
+ *  counts so a corrupt one cannot size a huge allocation. */
+template <typename T>
+constexpr std::size_t
+minPayloadBytes()
+{
+    if constexpr (kIsSequence<T>)
+        return sizeof(std::uint64_t);
+    else if constexpr (std::is_arithmetic_v<T>)
+        return std::is_same_v<T, bool> ? 1 : sizeof(T);
+    else
+        return 1;
+}
+
+} // namespace detail
+
+/**
+ * The one overload set both archives share. `ar(a, b, ...)` saves each
+ * field into a Serializer or restores it from a Deserializer, so a
+ * class's static `fields(self, ar)` list is its whole checkpoint layout
+ * and save/restore asymmetry cannot be expressed. Covered kinds:
+ * child Components (through their virtual hooks), types with their own
+ * `fields`, Marker, FixedCount, a stats group, bool, enums, registered
+ * pointers, std::pair, std::vector (bool included) and std::deque, and
+ * raw scalars. The raw memcpy path accepts only types without padding,
+ * so equal state always gives equal bytes; padded structs and structs
+ * with float members declare their own `fields`.
+ */
+template <typename Ar>
+class FieldVisitor
 {
   public:
+    /** Visit each field in order; saving sees every field as const. */
+    template <typename... Ts>
+    void
+    operator()(Ts &&...values)
+    {
+        if constexpr (Ar::kRestoring)
+            (visit(values), ...);
+        else
+            (visit(std::as_const(values)), ...);
+    }
+
+  private:
+    Ar &ar() { return static_cast<Ar &>(*this); }
+
+    template <typename T>
+    void
+    visit(T &v)
+    {
+        using U = std::remove_const_t<T>;
+        constexpr bool restoring = Ar::kRestoring;
+        if constexpr (std::is_base_of_v<Component, U>) {
+            ar().component(v);
+        } else if constexpr (requires { U::fields(v, ar()); }) {
+            U::fields(v, ar());
+        } else if constexpr (std::is_same_v<U, Marker>) {
+            ar().marker(v.tag);
+        } else if constexpr (detail::IsA<U, FixedCount>::value) {
+            ar().fixedCount(v.items.size());
+            for (auto &e : v.items)
+                visit(e);
+        } else if constexpr (std::is_same_v<U, stats::Group>) {
+            ar().statGroup(v);
+        } else if constexpr (std::is_same_v<U, bool>) {
+            ar().template as<std::uint8_t>(v);
+        } else if constexpr (std::is_enum_v<U>) {
+            ar().template as<std::underlying_type_t<U>>(v);
+        } else if constexpr (std::is_pointer_v<U>) {
+            ar().pointer(v);
+        } else if constexpr (detail::IsA<U, std::pair>::value) {
+            visit(v.first);
+            visit(v.second);
+        } else if constexpr (std::is_same_v<U, std::vector<bool>>) {
+            const std::size_t n = ar().count(v.size(), 1);
+            if constexpr (restoring)
+                v.assign(n, false);
+            for (std::size_t i = 0; i < n; ++i) {
+                bool bit = v[i];
+                visit(bit);
+                if constexpr (restoring)
+                    v[i] = bit;
+            }
+        } else if constexpr (detail::kIsSequence<U>) {
+            using E = typename U::value_type;
+            const std::size_t n =
+                ar().count(v.size(), detail::minPayloadBytes<E>());
+            if constexpr (restoring) {
+                v.clear();
+                v.resize(n);
+            }
+            if constexpr (std::is_arithmetic_v<E> &&
+                          !std::is_same_v<E, bool> &&
+                          std::is_same_v<U, std::vector<E>>) {
+                ar().bytes(v.data(), n * sizeof(E));
+            } else {
+                for (auto &e : v)
+                    visit(e);
+            }
+        } else {
+            static_assert(std::has_unique_object_representations_v<U> ||
+                              std::is_floating_point_v<U>,
+                          "padded or float-carrying type: give it a "
+                          "static fields(self, ar) list");
+            ar().bytes(&v, sizeof v);
+        }
+    }
+};
+
+/** Typed append-only byte buffer that components save their state into. */
+class Serializer : public FieldVisitor<Serializer>
+{
+  public:
+    static constexpr bool kRestoring = false;
+
     Serializer() = default;
 
     void writeBool(bool v) { writeU8(v ? 1 : 0); }
@@ -65,49 +219,6 @@ class Serializer
         writeRaw(v.data(), v.size());
     }
 
-    /** Structural sanity marker; the reader asserts it back. */
-    void writeMarker(std::uint32_t tag) { writeU32(tag); }
-
-    template <typename T>
-    void
-    writePod(const T &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "writePod needs a trivially copyable type");
-        writeRaw(&v, sizeof v);
-    }
-
-    template <typename T>
-    void
-    writePodVec(const std::vector<T> &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "writePodVec needs a trivially copyable type");
-        writeU64(v.size());
-        if (!v.empty())
-            writeRaw(v.data(), v.size() * sizeof(T));
-    }
-
-    template <typename T>
-    void
-    writePodDeque(const std::deque<T> &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "writePodDeque needs a trivially copyable type");
-        writeU64(v.size());
-        for (const T &e : v)
-            writeRaw(&e, sizeof e);
-    }
-
-    /** std::vector<bool> has no contiguous storage; one byte per bit. */
-    void
-    writeBoolVec(const std::vector<bool> &v)
-    {
-        writeU64(v.size());
-        for (const bool b : v)
-            writeU8(b ? 1 : 0);
-    }
-
     /**
      * Enroll a live object address. Pointers are serialized as the index
      * of their registration; the restore side must registerPointer() the
@@ -121,9 +232,46 @@ class Serializer
         ids.emplace(p, id);
     }
 
+    const std::vector<std::uint8_t> &bytes() const { return buf; }
+
+    static constexpr std::uint32_t kNullPointer = ~std::uint32_t{0};
+
+  private:
+    friend class FieldVisitor<Serializer>;
+
+    void
+    writeRaw(const void *data, std::size_t n)
+    {
+        const auto *p = static_cast<const std::uint8_t *>(data);
+        buf.insert(buf.end(), p, p + n);
+    }
+
+    // Primitives of the shared field visitor.
+    void bytes(const void *data, std::size_t n) { writeRaw(data, n); }
+
+    std::size_t
+    count(std::size_t n, std::size_t)
+    {
+        writeU64(n);
+        return n;
+    }
+
+    void fixedCount(std::size_t n) { writeU64(n); }
+    void marker(std::uint32_t tag) { writeU32(tag); }
+    void component(const Component &c) { c.saveState(*this); }
+    void statGroup(const stats::Group &group);
+
+    template <typename U, typename T>
+    void
+    as(const T &v)
+    {
+        const U u = static_cast<U>(v);
+        writeRaw(&u, sizeof u);
+    }
+
     template <typename T>
     void
-    writePointer(const T *p)
+    pointer(const T *p)
     {
         if (p == nullptr) {
             writeU32(kNullPointer);
@@ -135,18 +283,6 @@ class Serializer
         writeU32(it->second);
     }
 
-    const std::vector<std::uint8_t> &bytes() const { return buf; }
-
-    static constexpr std::uint32_t kNullPointer = ~std::uint32_t{0};
-
-  private:
-    void
-    writeRaw(const void *data, std::size_t n)
-    {
-        const auto *p = static_cast<const std::uint8_t *>(data);
-        buf.insert(buf.end(), p, p + n);
-    }
-
     std::vector<std::uint8_t> buf;
     std::unordered_map<const void *, std::uint32_t> ids;
 };
@@ -156,9 +292,11 @@ class Serializer
  * mismatch or malformed length throws CheckpointError; restore code can
  * therefore consume the stream without defensive length bookkeeping.
  */
-class Deserializer
+class Deserializer : public FieldVisitor<Deserializer>
 {
   public:
+    static constexpr bool kRestoring = true;
+
     Deserializer(const std::uint8_t *payload, std::size_t size)
         : data(payload), len(size)
     {}
@@ -191,81 +329,25 @@ class Deserializer
         return s;
     }
 
-    void
-    expectMarker(std::uint32_t tag)
-    {
-        const std::uint32_t found = readU32();
-        gds_require(found == tag, CheckpointError,
-                    "checkpoint section marker mismatch "
-                    "(found 0x%08x, expected 0x%08x at offset %zu)",
-                    found, tag, pos - sizeof(std::uint32_t));
-    }
-
-    template <typename T>
-    T
-    readPod()
-    {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "readPod needs a trivially copyable type");
-        return readRawAs<T>();
-    }
-
-    template <typename T>
-    void
-    readPodVec(std::vector<T> &out)
-    {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "readPodVec needs a trivially copyable type");
-        const std::uint64_t n = readU64();
-        gds_require(n <= remaining() / sizeof(T), CheckpointError,
-                    "checkpoint truncated: vector of %llu elements "
-                    "exceeds the %zu bytes left",
-                    static_cast<unsigned long long>(n), remaining());
-        out.resize(static_cast<std::size_t>(n));
-        if (n != 0) {
-            std::memcpy(out.data(), data + pos,
-                        static_cast<std::size_t>(n) * sizeof(T));
-            pos += static_cast<std::size_t>(n) * sizeof(T);
-        }
-    }
-
-    template <typename T>
-    void
-    readPodDeque(std::deque<T> &out)
-    {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "readPodDeque needs a trivially copyable type");
-        const std::uint64_t n = readU64();
-        out.clear();
-        for (std::uint64_t i = 0; i < n; ++i)
-            out.push_back(readRawAs<T>());
-    }
-
-    void
-    readBoolVec(std::vector<bool> &out)
+    /**
+     * Read an element count, bounded by the bytes left: each element
+     * occupies at least @p min_bytes of payload, so a corrupt count
+     * throws CheckpointError instead of sizing a huge allocation.
+     */
+    std::size_t
+    readCount(std::size_t min_bytes = 1)
     {
         const std::uint64_t n = readU64();
-        need(n);
-        out.assign(static_cast<std::size_t>(n), false);
-        for (std::uint64_t i = 0; i < n; ++i)
-            out[static_cast<std::size_t>(i)] = data[pos++] != 0;
+        gds_require(n <= remaining() / min_bytes, CheckpointError,
+                    "checkpoint truncated: %llu elements of at least %zu "
+                    "bytes exceed the %zu bytes left",
+                    static_cast<unsigned long long>(n), min_bytes,
+                    remaining());
+        return static_cast<std::size_t>(n);
     }
 
     /** Mirror of Serializer::registerPointer; same objects, same order. */
     void registerPointer(void *p) { ptrs.push_back(p); }
-
-    template <typename T>
-    T *
-    readPointer()
-    {
-        const std::uint32_t id = readU32();
-        if (id == Serializer::kNullPointer)
-            return nullptr;
-        gds_require(id < ptrs.size(), CheckpointError,
-                    "checkpoint references unregistered pointer id %u "
-                    "(only %zu registered)", id, ptrs.size());
-        return static_cast<T *>(ptrs[id]);
-    }
 
     std::size_t remaining() const { return len - pos; }
 
@@ -279,6 +361,8 @@ class Deserializer
     }
 
   private:
+    friend class FieldVisitor<Deserializer>;
+
     void
     need(std::uint64_t n)
     {
@@ -291,11 +375,69 @@ class Deserializer
     T
     readRawAs()
     {
-        need(sizeof(T));
         T v;
-        std::memcpy(&v, data + pos, sizeof v);
-        pos += sizeof v;
+        bytes(&v, sizeof v);
         return v;
+    }
+
+    // Primitives of the shared field visitor.
+    void
+    bytes(void *out, std::size_t n)
+    {
+        need(n);
+        if (n != 0)
+            std::memcpy(out, data + pos, n);
+        pos += n;
+    }
+
+    std::size_t
+    count(std::size_t, std::size_t min_bytes)
+    {
+        return readCount(min_bytes);
+    }
+
+    void
+    fixedCount(std::size_t n)
+    {
+        const std::uint64_t found = readU64();
+        gds_require(found == n, CheckpointError,
+                    "checkpoint has %llu entries where this configuration "
+                    "has %zu", static_cast<unsigned long long>(found), n);
+    }
+
+    void
+    marker(std::uint32_t tag)
+    {
+        const std::uint32_t found = readU32();
+        gds_require(found == tag, CheckpointError,
+                    "checkpoint section marker mismatch "
+                    "(found 0x%08x, expected 0x%08x at offset %zu)",
+                    found, tag, pos - sizeof(std::uint32_t));
+    }
+
+    void component(Component &c) { c.restoreState(*this); }
+    void statGroup(stats::Group &group);
+
+    template <typename U, typename T>
+    void
+    as(T &v)
+    {
+        v = static_cast<T>(readRawAs<U>());
+    }
+
+    template <typename T>
+    void
+    pointer(T *&p)
+    {
+        const std::uint32_t id = readU32();
+        if (id == Serializer::kNullPointer) {
+            p = nullptr;
+            return;
+        }
+        gds_require(id < ptrs.size(), CheckpointError,
+                    "checkpoint references unregistered pointer id %u "
+                    "(only %zu registered)", id, ptrs.size());
+        p = static_cast<T *>(ptrs[id]);
     }
 
     const std::uint8_t *data;
@@ -303,20 +445,6 @@ class Deserializer
     std::size_t pos = 0;
     std::vector<void *> ptrs;
 };
-
-/**
- * Serialize every stat registered directly on @p group (child groups
- * belong to child components, which save themselves). Order is the
- * registration order, which is fixed at construction.
- */
-void saveStats(Serializer &s, const stats::Group &group);
-
-/**
- * Restore the stats written by saveStats(). Names and kinds are verified
- * stat-by-stat; any mismatch means the checkpoint came from a different
- * layout and throws CheckpointError.
- */
-void restoreStats(Deserializer &d, stats::Group &group);
 
 /** Descriptive header of one checkpoint, verified before restoring. */
 struct CheckpointMeta

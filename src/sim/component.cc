@@ -45,17 +45,13 @@ Component::subtreeProgress() const
 void
 Component::saveState(Serializer &s) const
 {
-    s.writeU64(_progressCount);
-    s.writeU64(_lastProgressAt);
-    saveStats(s, _stats);
+    fields(*this, s);
 }
 
 void
 Component::restoreState(Deserializer &d)
 {
-    _progressCount = d.readU64();
-    _lastProgressAt = d.readU64();
-    restoreStats(d, _stats);
+    fields(*this, d);
 }
 
 bool

@@ -155,19 +155,29 @@ class Component
      * Serialize every run-mutable datum of this component into @p s so a
      * later restoreState() resumes bit-exactly: queue contents, cursors,
      * local clocks, RNG streams, plus the base-class progress counters
-     * and directly-registered stats (the base implementation covers the
-     * latter two — overrides must call it first). Configuration-derived
-     * state (geometry, capacities, wiring) is rebuilt by the constructor
-     * and must NOT be serialized. Child components are saved explicitly
-     * by their owner, in a fixed order, after its own state.
+     * and directly-registered stats. Overrides forward to their class's
+     * one static `fields(self, ar)` list (see sim/checkpoint.hh), which
+     * starts with Component::fields and names child components after
+     * the class's own state. Configuration-derived state (geometry,
+     * capacities, wiring) is rebuilt by the constructor and must NOT be
+     * serialized.
      */
     virtual void saveState(Serializer &s) const;
 
     /**
-     * Mirror of saveState(): consume the same fields in the same order.
+     * Walk the same field list as saveState(), restoring each field.
      * @throws CheckpointError (via Deserializer) on any layout mismatch.
      */
     virtual void restoreState(Deserializer &d);
+
+    /** The base-class checkpoint fields: progress counters and the
+     *  stats registered directly on this component's group. */
+    template <typename Self, typename Ar>
+    static void
+    fields(Self &self, Ar &ar)
+    {
+        ar(self._progressCount, self._lastProgressAt, self._stats);
+    }
 
     /** Stats group for this component (child of the parent's group). */
     stats::Group &statsGroup() { return _stats; }

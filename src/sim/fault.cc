@@ -1,7 +1,6 @@
 #include "sim/fault.hh"
 
 #include "common/debug.hh"
-#include "sim/checkpoint.hh"
 
 namespace gds::sim
 {
@@ -99,32 +98,6 @@ FaultInjector::stallOutput()
         return true;
     }
     return false;
-}
-
-void
-FaultInjector::saveState(Serializer &s) const
-{
-    for (const std::uint64_t word : rng.state())
-        s.writeU64(word);
-    s.writeU64(_responsesSeen);
-    s.writeU64(_dropped);
-    s.writeU64(_delayed);
-    s.writeU64(_rejected);
-    s.writeU64(_stalled);
-}
-
-void
-FaultInjector::restoreState(Deserializer &d)
-{
-    std::array<std::uint64_t, 4> words{};
-    for (std::uint64_t &word : words)
-        word = d.readU64();
-    rng.setState(words);
-    _responsesSeen = d.readU64();
-    _dropped = d.readU64();
-    _delayed = d.readU64();
-    _rejected = d.readU64();
-    _stalled = d.readU64();
 }
 
 } // namespace gds::sim

@@ -28,9 +28,6 @@
 namespace gds::sim
 {
 
-class Serializer;
-class Deserializer;
-
 /** Declarative description of the faults to inject. */
 struct FaultPlan
 {
@@ -96,13 +93,18 @@ class FaultInjector
     bool stallOutput();
 
     /**
-     * Checkpoint the decision stream: RNG words plus counters, so a
-     * resumed run draws the exact same fault sequence from where the
+     * Checkpoint fields of the decision stream: RNG words plus counters,
+     * so a resumed run draws the exact same fault sequence from where the
      * interrupted one left off. The plan itself is configuration and is
      * rebuilt by the constructor.
      */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    template <typename Self, typename Ar>
+    static void
+    fields(Self &self, Ar &ar)
+    {
+        ar(self.rng, self._responsesSeen, self._dropped, self._delayed,
+           self._rejected, self._stalled);
+    }
 
     // Decision counters (observability + test assertions).
     std::uint64_t responsesSeen() const { return _responsesSeen; }

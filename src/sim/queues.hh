@@ -11,8 +11,8 @@
 #pragma once
 
 #include <bit>
+#include <cstdint>
 #include <deque>
-#include <type_traits>
 #include <vector>
 
 #include "common/error.hh"
@@ -30,9 +30,6 @@ namespace gds::sim
 template <typename T>
 class BoundedQueue
 {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "BoundedQueue checkpoints its elements as raw bytes");
-
   public:
     explicit BoundedQueue(std::size_t queue_capacity)
         : _capacity(queue_capacity),
@@ -81,31 +78,25 @@ class BoundedQueue
     }
 
     /**
-     * Checkpoint hook; capacity is configuration, only contents move. The
-     * bytes are the element count then the elements in FIFO order, the
-     * same image Serializer::writePodDeque writes.
+     * Checkpoint fields; capacity is configuration, only contents move.
+     * The bytes are the element count then the elements in FIFO order,
+     * the same image a std::deque of the same contents writes.
      */
-    template <typename SER>
-    void
-    saveState(SER &s) const
+    template <typename Self, typename Ar>
+    static void
+    fields(Self &q, Ar &ar)
     {
-        s.writeU64(count);
-        for (std::size_t i = 0; i < count; ++i)
-            s.writePod(slots[(head + i) & mask]);
-    }
-
-    template <typename DES>
-    void
-    restoreState(DES &d)
-    {
-        const std::uint64_t n = d.readU64();
-        gds_require(n <= _capacity, CheckpointError,
-                    "checkpoint queue holds %llu elements, capacity %zu",
-                    static_cast<unsigned long long>(n), _capacity);
-        head = 0;
-        count = 0;
-        for (; count < n; ++count)
-            slots[count] = d.template readPod<T>();
+        std::uint64_t n = q.count;
+        ar(n);
+        if constexpr (Ar::kRestoring) {
+            gds_require(n <= q._capacity, CheckpointError,
+                        "checkpoint queue holds %llu elements, capacity %zu",
+                        static_cast<unsigned long long>(n), q._capacity);
+            q.head = 0;
+            q.count = static_cast<std::size_t>(n);
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            ar(q.slots[(q.head + i) & q.mask]);
     }
 
   private:
@@ -195,22 +186,13 @@ class DelayQueue
         return value;
     }
 
-    /** Checkpoint hook: local clock plus in-flight entries (their
+    /** Checkpoint fields: local clock plus in-flight entries (their
      *  readyAt stamps are relative to that clock, so both travel). */
-    template <typename SER>
-    void
-    saveState(SER &s) const
+    template <typename Self, typename Ar>
+    static void
+    fields(Self &q, Ar &ar)
     {
-        s.writeU64(now);
-        s.writePodDeque(entries);
-    }
-
-    template <typename DES>
-    void
-    restoreState(DES &d)
-    {
-        now = d.readU64();
-        d.readPodDeque(entries);
+        ar(q.now, q.entries);
     }
 
   private:
@@ -218,6 +200,13 @@ class DelayQueue
     {
         Cycle readyAt;
         T value;
+
+        template <typename Self, typename Ar>
+        static void
+        fields(Self &e, Ar &ar)
+        {
+            ar(e.readyAt, e.value);
+        }
     };
 
     std::size_t _capacity;

@@ -1,5 +1,5 @@
-// Fixture: R8 checkpoint-field-coverage — 'lost' is serialized by
-// neither hook, 'halfway' only by saveState().
+// Fixture: R8 checkpoint-field-coverage — 'credits' and 'lost' are
+// missing from the fields() visitor, so every checkpoint drops them.
 
 #pragma once
 
@@ -13,19 +13,18 @@ class LeakyWidget : public sim::Component
     std::uint64_t activityCounter() const override { return ticks; }
     Cycle nextEventCycle() const override { return kNeverEvent; }
 
-    void saveState(sim::Serializer &s) const override
-    {
-        s.writeU64(ticks);
-        s.writeU64(halfway);
-    }
+    void saveState(sim::Serializer &s) const override { fields(*this, s); }
+    void restoreState(sim::Deserializer &d) override { fields(*this, d); }
 
-    void restoreState(sim::Deserializer &d) override
+    template <typename Self, typename Ar>
+    static void
+    fields(Self &self, Ar &ar)
     {
-        ticks = d.readU64();
+        ar(self.ticks);
     }
 
   private:
     std::uint64_t ticks = 0;
-    std::uint64_t halfway = 0;
+    std::uint64_t credits = 0;
     std::uint64_t lost = 0;
 };

@@ -1,6 +1,6 @@
 // Fixture: bad gds-ckpt directives — one without a justification, one
 // naming a field no component in this file declares, and one stale skip
-// on a field both hooks already serialize.
+// on a field the fields() visitor already lists.
 
 #pragma once
 
@@ -15,21 +15,19 @@ class SlipperyWidget : public sim::Component
     std::uint64_t activityCounter() const override { return ticks; }
     Cycle nextEventCycle() const override { return kNeverEvent; }
 
-    void saveState(sim::Serializer &s) const override
-    {
-        s.writeU64(ticks);
-        s.writeU64(credits);
-    }
+    void saveState(sim::Serializer &s) const override { fields(*this, s); }
+    void restoreState(sim::Deserializer &d) override { fields(*this, d); }
 
-    void restoreState(sim::Deserializer &d) override
+    template <typename Self, typename Ar>
+    static void
+    fields(Self &self, Ar &ar)
     {
-        ticks = d.readU64();
-        credits = d.readU64();
+        ar(self.ticks, self.credits);
     }
 
   private:
     // gds-ckpt: skip(ticks)
     std::uint64_t ticks = 0;
-    // gds-ckpt: skip(credits) stale: both hooks serialize this field
+    // gds-ckpt: skip(credits) stale: fields() already lists this field
     std::uint64_t credits = 0;
 };

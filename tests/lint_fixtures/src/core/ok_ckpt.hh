@@ -1,6 +1,6 @@
-// Fixture: R8/R9-clean component — every field is either serialized by
-// both hooks in the same order, stats-typed (the Component base walks
-// registered stats), or carries a justified gds-ckpt skip.
+// Fixture: R8-clean component — every field is either listed in its
+// fields() visitor, stats-typed (the Component base walks registered
+// stats), or carries a justified gds-ckpt skip.
 
 #pragma once
 
@@ -15,16 +15,16 @@ class TidyWidget : public sim::Component
     std::uint64_t activityCounter() const override { return ticks; }
     Cycle nextEventCycle() const override { return kNeverEvent; }
 
-    void saveState(sim::Serializer &s) const override
-    {
-        s.writeU64(ticks);
-        s.writeU64(credits);
-    }
+    void saveState(sim::Serializer &s) const override { fields(*this, s); }
+    void restoreState(sim::Deserializer &d) override { fields(*this, d); }
 
-    void restoreState(sim::Deserializer &d) override
+    template <typename Self, typename Ar>
+    static void
+    fields(Self &self, Ar &ar)
     {
-        ticks = d.readU64();
-        credits = d.readU64();
+        sim::Component::fields(self, ar);
+        ar(self.ticks);
+        ar(self.credits);
     }
 
   private:

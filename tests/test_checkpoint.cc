@@ -25,6 +25,8 @@
 
 #include "algo/vcpm.hh"
 #include "baseline/graphicionado.hh"
+#include "common/bitutil.hh"
+#include "core/checkpoint_session.hh"
 #include "core/gds_accel.hh"
 #include "graph/generators.hh"
 #include "obs/sampler.hh"
@@ -364,6 +366,93 @@ TEST_F(CheckpointTest, CorruptCheckpointFilesAreRejectedWithTypedErrors)
     { std::ofstream empty("ckpt/empty.ckpt"); }
     EXPECT_THROW(sim::CheckpointStore::readFile("ckpt/empty.ckpt"),
                  CheckpointError);
+}
+
+TEST(CheckpointCounts, HugeCountsThrowTypedErrors)
+{
+    // A corrupt count of 2^62 fails as CheckpointError; it must never
+    // reach an allocation (std::length_error / std::bad_alloc).
+    constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
+    {
+        sim::Serializer s;
+        s.writeU64(kHuge); // track count
+        obs::Tracer tracer;
+        sim::Deserializer d(s.bytes());
+        EXPECT_THROW(tracer.restoreState(d), CheckpointError);
+    }
+    {
+        sim::Serializer s;
+        s.writeBool(false); // sealed
+        s.writeU64(kHuge);  // column count
+        obs::Sampler sampler;
+        sim::Deserializer d(s.bytes());
+        EXPECT_THROW(sampler.restoreState(d), CheckpointError);
+    }
+    for (const std::uint64_t outer : {kHuge, std::uint64_t{1}}) {
+        sim::Serializer s;
+        s.writeU64(outer);
+        s.writeU64(kHuge); // first inner vector
+        std::vector<std::vector<std::uint32_t>> nested;
+        sim::Deserializer d(s.bytes());
+        EXPECT_THROW(d(nested), CheckpointError);
+    }
+}
+
+// --- Payload determinism --------------------------------------------------
+
+/** Payload of the checkpoint a scenario leaves at half its full run. */
+std::vector<std::uint8_t>
+halfwayPayload(const Scenario &sc, const graph::Csr &g, algo::AlgorithmId id,
+               Cycle full_cycles, const std::string &base)
+{
+    core::CheckpointOptions ck;
+    ck.dir = "ckpt";
+    ck.basename = base;
+    ck.interval = std::max<Cycle>(1, full_cycles / 4);
+    runScenario(sc, g, id, ck, full_cycles / 2);
+    const sim::CheckpointStore store("ckpt", base);
+    return sim::CheckpointStore::readFile(store.currentPath()).payload;
+}
+
+TEST_F(CheckpointTest, IdenticalRunsWriteIdenticalPayloads)
+{
+    // No padding byte reaches a payload, so the same run checkpoints the
+    // same bytes every time. The sizes and hashes are pinned beside the
+    // state version: a layout change has to update both on purpose.
+    static_assert(core::kStateVersion == 3,
+                  "re-pin the payload sizes and hashes below");
+    struct Pinned
+    {
+        Scenario sc;
+        algo::AlgorithmId id;
+        std::size_t size;
+        std::uint64_t fnv;
+    };
+    const Scenario noisy{false, true, true, true, true};
+    const Pinned cases[] = {
+        {Scenario{}, algo::AlgorithmId::Pr, 30262, 0x510d4f4e5dbf0ce0ULL},
+        {noisy, algo::AlgorithmId::Bfs, 29976, 0x15666cf324d0862aULL},
+        {Scenario{true}, algo::AlgorithmId::Pr, 35888, 0xfc2db09b52dbc2eeULL},
+        {Scenario{true, true, true, true, true}, algo::AlgorithmId::Sssp,
+         25376, 0x16f95c3c0bce7e5aULL},
+    };
+    const graph::Csr g = testGraph();
+    for (const Pinned &c : cases) {
+        SCOPED_TRACE(c.sc.tag());
+        const RunArtifacts ref = runScenario(c.sc, g, c.id, {});
+        ASSERT_TRUE(ref.result.completed());
+        const auto first = halfwayPayload(c.sc, g, c.id, ref.result.cycles,
+                                          c.sc.tag() + "_first");
+        const auto second = halfwayPayload(c.sc, g, c.id, ref.result.cycles,
+                                           c.sc.tag() + "_second");
+        ASSERT_EQ(first.size(), second.size());
+        std::size_t differing = 0;
+        for (std::size_t i = 0; i < first.size(); ++i)
+            differing += first[i] != second[i] ? 1 : 0;
+        EXPECT_EQ(differing, 0u);
+        EXPECT_EQ(first.size(), c.size);
+        EXPECT_EQ(fnv1a64(first.data(), first.size()), c.fnv);
+    }
 }
 
 TEST_F(CheckpointTest, TornCurrentFallsBackToPreviousAndResumesExactly)

@@ -52,7 +52,6 @@ TEST(LintRules, KnownRuleSetIsStable)
         "component-hooks",
         "checkpoint-hooks",
         "checkpoint-field-coverage",
-        "save-restore-symmetry",
         "env-knob-discipline",
         "no-raw-cerr-logging",
     };
@@ -282,15 +281,13 @@ TEST(LintModel, UnserializedFieldsFlagged)
 {
     const LintResult r = lintFixture("src/core/bad_ckpt_field.hh");
     ASSERT_EQ(signatures(r),
-              (std::vector<std::string>{"checkpoint-field-coverage@29",
-                                        "checkpoint-field-coverage@30"}));
-    // 'halfway' is written but never restored; 'lost' appears in neither.
-    EXPECT_NE(r.diagnostics[0].message.find("'halfway'"),
+              (std::vector<std::string>{"checkpoint-field-coverage@28",
+                                        "checkpoint-field-coverage@29"}));
+    EXPECT_NE(r.diagnostics[0].message.find("'credits'"),
               std::string::npos);
-    EXPECT_NE(r.diagnostics[0].message.find("never read back"),
+    EXPECT_NE(r.diagnostics[0].message.find("missing from fields()"),
               std::string::npos);
     EXPECT_NE(r.diagnostics[1].message.find("'lost'"), std::string::npos);
-    EXPECT_NE(r.diagnostics[1].message.find("neither"), std::string::npos);
 }
 
 TEST(LintModel, SkipDirectiveAndStatsFieldsExempt)
@@ -302,8 +299,8 @@ TEST(LintModel, SkipDirectiveAndStatsFieldsExempt)
 
 TEST(LintModel, CoverageAnalyzedAcrossFiles)
 {
-    // Class in a header, bodies out-of-line in the matching source: the
-    // model stitches them together and anchors the R8 finding to the
+    // Class in a header, fields() out-of-line in the matching source:
+    // the model stitches them together and anchors the R8 finding to the
     // field's declaration in the header.
     const std::string header =
         "#pragma once\n"
@@ -316,19 +313,18 @@ TEST(LintModel, CoverageAnalyzedAcrossFiles)
         "    Cycle nextEventCycle() const override { return 1; }\n"
         "    void saveState(sim::Serializer &s) const override;\n"
         "    void restoreState(sim::Deserializer &d) override;\n"
+        "    template <typename Self, typename Ar>\n"
+        "    static void fields(Self &self, Ar &ar);\n"
         "  private:\n"
         "    std::uint64_t ticks = 0;\n"
         "    std::uint64_t dropped = 0;\n"
         "};\n";
     const std::string source =
         "#include \"split_widget.hh\"\n"
-        "void SplitWidget::saveState(sim::Serializer &s) const\n"
+        "template <typename Self, typename Ar>\n"
+        "void SplitWidget::fields(Self &self, Ar &ar)\n"
         "{\n"
-        "    s.writeU64(ticks);\n"
-        "}\n"
-        "void SplitWidget::restoreState(sim::Deserializer &d)\n"
-        "{\n"
-        "    ticks = d.readU64();\n"
+        "    ar(self.ticks);\n"
         "}\n";
     const LintResult r = lintBuffers(
         {{"split_widget.hh", "src/core/split_widget.hh", header},
@@ -336,15 +332,15 @@ TEST(LintModel, CoverageAnalyzedAcrossFiles)
     ASSERT_EQ(r.diagnostics.size(), 1u);
     EXPECT_EQ(r.diagnostics[0].rule, "checkpoint-field-coverage");
     EXPECT_EQ(r.diagnostics[0].path, "split_widget.hh");
-    EXPECT_EQ(r.diagnostics[0].line, 13u);
+    EXPECT_EQ(r.diagnostics[0].line, 15u);
     EXPECT_NE(r.diagnostics[0].message.find("'dropped'"),
               std::string::npos);
 }
 
 TEST(LintModel, HeaderAloneWithoutBodiesIsNotFlagged)
 {
-    // Linting just the header must not false-positive: the hook bodies
-    // live in the unseen source file, and R7 already polices existence.
+    // Linting just the header must not false-positive: fields() lives in
+    // the unseen source file, and R7 already polices the hooks.
     const std::string header =
         "#pragma once\n"
         "class SplitWidget : public sim::Component\n"
@@ -356,6 +352,8 @@ TEST(LintModel, HeaderAloneWithoutBodiesIsNotFlagged)
         "    Cycle nextEventCycle() const override { return 1; }\n"
         "    void saveState(sim::Serializer &s) const override;\n"
         "    void restoreState(sim::Deserializer &d) override;\n"
+        "    template <typename Self, typename Ar>\n"
+        "    static void fields(Self &self, Ar &ar);\n"
         "  private:\n"
         "    std::uint64_t ticks = 0;\n"
         "};\n";
@@ -363,14 +361,20 @@ TEST(LintModel, HeaderAloneWithoutBodiesIsNotFlagged)
         lintBuffer("x.hh", "src/core/x.hh", header).empty());
 }
 
-/** Read a fixture into memory so tests can mutate it. */
+/** Read a file into memory so tests can mutate it. */
 std::string
-slurpFixture(const std::string &rel)
+slurpFile(const std::string &path)
 {
-    std::ifstream in(fixtureRoot + "/" + rel, std::ios::binary);
+    std::ifstream in(path, std::ios::binary);
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
+}
+
+std::string
+slurpFixture(const std::string &rel)
+{
+    return slurpFile(fixtureRoot + "/" + rel);
 }
 
 /** Remove the first source line containing @p needle. */
@@ -392,22 +396,37 @@ deleteLineContaining(const std::string &text, const std::string &needle)
     return out.str();
 }
 
-TEST(LintModel, MutationDeletingSaveLineTripsCoverage)
+TEST(LintModel, MutationDeletingFieldsLineTripsCoverage)
 {
-    // The gate guards itself: start from the R8/R9-clean fixture, delete
-    // the one line that serializes 'credits' in saveState(), and the
-    // coverage rule must fire.
+    // The gate guards itself: start from the R8-clean fixture, delete
+    // the one fields() line that lists 'credits', and the coverage rule
+    // must fire.
     const std::string clean = slurpFixture("src/core/ok_ckpt.hh");
     ASSERT_TRUE(
         lintBuffer("ok_ckpt.hh", "src/core/ok_ckpt.hh", clean).empty());
     const std::string mutated =
-        deleteLineContaining(clean, "s.writeU64(credits);");
+        deleteLineContaining(clean, "ar(self.credits);");
     const auto diags =
         lintBuffer("ok_ckpt.hh", "src/core/ok_ckpt.hh", mutated);
     ASSERT_EQ(diags.size(), 1u);
     EXPECT_EQ(diags[0].rule, "checkpoint-field-coverage");
     EXPECT_NE(diags[0].message.find("'credits'"), std::string::npos);
-    EXPECT_NE(diags[0].message.find("never written by"),
+    EXPECT_NE(diags[0].message.find("missing from fields()"),
+              std::string::npos);
+}
+
+TEST(LintModel, MutationDeletingSaveLineTripsCoverage)
+{
+    // Deleting the saveState() line that forwards to fields() leaves the
+    // component out of every checkpoint; the hooks rule must fire.
+    const std::string clean = slurpFixture("src/core/ok_ckpt.hh");
+    const std::string mutated =
+        deleteLineContaining(clean, "void saveState(");
+    const auto diags =
+        lintBuffer("ok_ckpt.hh", "src/core/ok_ckpt.hh", mutated);
+    ASSERT_EQ(diags.size(), 1u);
+    EXPECT_EQ(diags[0].rule, "checkpoint-hooks");
+    EXPECT_NE(diags[0].message.find("must override saveState()"),
               std::string::npos);
 }
 
@@ -415,25 +434,12 @@ TEST(LintModel, MutationDeletingRestoreLineTripsCoverage)
 {
     const std::string clean = slurpFixture("src/core/ok_ckpt.hh");
     const std::string mutated =
-        deleteLineContaining(clean, "credits = d.readU64();");
+        deleteLineContaining(clean, "void restoreState(");
     const auto diags =
         lintBuffer("ok_ckpt.hh", "src/core/ok_ckpt.hh", mutated);
     ASSERT_EQ(diags.size(), 1u);
-    EXPECT_EQ(diags[0].rule, "checkpoint-field-coverage");
-    EXPECT_NE(diags[0].message.find("never read back"),
-              std::string::npos);
-}
-
-// --- R9: save-restore-symmetry -------------------------------------------
-
-TEST(LintModel, SwappedRestoreOrderFlagged)
-{
-    const LintResult r = lintFixture("src/core/bad_ckpt_order.hh");
-    ASSERT_EQ(signatures(r),
-              (std::vector<std::string>{"save-restore-symmetry@24"}));
-    EXPECT_NE(r.diagnostics[0].message.find(
-                  "saveState writes 'head' where restoreState reads "
-                  "'tail'"),
+    EXPECT_EQ(diags[0].rule, "checkpoint-hooks");
+    EXPECT_NE(diags[0].message.find("must override restoreState()"),
               std::string::npos);
 }
 
@@ -474,8 +480,8 @@ TEST(LintModel, BadCkptDirectivesFlagged)
     const LintResult r = lintFixture("src/core/bad_ckpt_skip.hh");
     ASSERT_EQ(signatures(r),
               (std::vector<std::string>{"bad-suppression@9",
-                                        "bad-suppression@31",
-                                        "bad-suppression@34"}));
+                                        "bad-suppression@29",
+                                        "bad-suppression@32"}));
     EXPECT_NE(r.diagnostics[0].message.find(
                   "names no data member"),
               std::string::npos);
@@ -561,8 +567,8 @@ TEST(LintDriver, JsonSummaryCountsRules)
     std::ostringstream os;
     writeJsonSummary(r, os);
     const std::string json = os.str();
-    EXPECT_NE(json.find("\"files_scanned\": 24"), std::string::npos);
-    EXPECT_NE(json.find("\"violations\": 27"), std::string::npos);
+    EXPECT_NE(json.find("\"files_scanned\": 23"), std::string::npos);
+    EXPECT_NE(json.find("\"violations\": 26"), std::string::npos);
     EXPECT_NE(json.find("\"tool_errors\": 0"), std::string::npos);
     EXPECT_NE(json.find("\"no-naked-assert\": 2"), std::string::npos);
     EXPECT_NE(json.find("\"bad-suppression\": 6"), std::string::npos);
@@ -570,15 +576,14 @@ TEST(LintDriver, JsonSummaryCountsRules)
     EXPECT_NE(json.find("\"checkpoint-hooks\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"checkpoint-field-coverage\": 2"),
               std::string::npos);
-    EXPECT_NE(json.find("\"save-restore-symmetry\": 1"),
-              std::string::npos);
+    EXPECT_EQ(json.find("save-restore-symmetry"), std::string::npos);
     EXPECT_NE(json.find("\"env-knob-discipline\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"no-raw-cerr-logging\": 2"), std::string::npos);
 }
 
 TEST(LintDriver, SarifLogHasToolRulesAndResults)
 {
-    const LintResult r = lintFixture("src/core/bad_ckpt_order.hh");
+    const LintResult r = lintFixture("src/core/bad_checkpoint.hh");
     std::ostringstream os;
     writeSarif(r, os);
     const std::string sarif = os.str();
@@ -589,17 +594,17 @@ TEST(LintDriver, SarifLogHasToolRulesAndResults)
         EXPECT_NE(sarif.find("\"id\": \"" + rule + "\""),
                   std::string::npos);
     // The one finding lands as a result with a physical location.
-    EXPECT_NE(sarif.find("\"ruleId\": \"save-restore-symmetry\""),
+    EXPECT_NE(sarif.find("\"ruleId\": \"checkpoint-hooks\""),
               std::string::npos);
-    EXPECT_NE(sarif.find("\"startLine\": 24"), std::string::npos);
-    EXPECT_NE(sarif.find("bad_ckpt_order.hh"), std::string::npos);
+    EXPECT_NE(sarif.find("\"startLine\": 9"), std::string::npos);
+    EXPECT_NE(sarif.find("bad_checkpoint.hh"), std::string::npos);
 }
 
 TEST(LintDriver, FixtureTreeExitsOne)
 {
     const LintResult r = lintPaths({fixtureRoot}, fixtureRoot);
-    EXPECT_EQ(r.filesScanned, 24u);
-    EXPECT_EQ(r.diagnostics.size(), 27u);
+    EXPECT_EQ(r.filesScanned, 23u);
+    EXPECT_EQ(r.diagnostics.size(), 26u);
     EXPECT_EQ(exitCode(r), 1);
 }
 
@@ -630,6 +635,27 @@ TEST(LintSelfCheck, RepositoryTreeIsClean)
     EXPECT_EQ(exitCode(r), 0);
     // Walking tests/ must have skipped the planted fixtures.
     EXPECT_GT(r.filesScanned, 100u);
+}
+
+TEST(LintSelfCheck, DeletingAnHbmFieldsLineFailsTheSweep)
+{
+    // The same mutation CI applies: drop the inflightTx line of Hbm's
+    // fields() list and the cross-file coverage rule must catch it.
+    const std::string header = slurpFile(repoRoot + "/src/mem/hbm.hh");
+    const std::string source = slurpFile(repoRoot + "/src/mem/hbm.cc");
+    const auto lint = [&](const std::string &cc) {
+        return lintBuffers({{"hbm.hh", "src/mem/hbm.hh", header},
+                            {"hbm.cc", "src/mem/hbm.cc", cc}});
+    };
+    ASSERT_TRUE(lint(source).clean());
+    const LintResult r =
+        lint(deleteLineContaining(source, "ar(self.inflightTx"));
+    ASSERT_FALSE(r.diagnostics.empty());
+    for (const Diagnostic &d : r.diagnostics)
+        EXPECT_EQ(d.rule, "checkpoint-field-coverage");
+    EXPECT_NE(r.diagnostics[0].message.find("'inflightTx'"),
+              std::string::npos);
+    EXPECT_EQ(exitCode(r), 1);
 }
 
 } // namespace

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <deque>
+#include <utility>
+#include <vector>
 
 #include "sim/checkpoint.hh"
 #include "sim/component.hh"
@@ -412,15 +415,15 @@ TEST(BoundedQueue, CheckpointMatchesDequeImageAndRoundTrips)
     const std::deque<std::uint64_t> contents{2, 3, 4, 5, 6};
 
     Serializer ring_bytes;
-    q.saveState(ring_bytes);
+    ring_bytes(q);
     Serializer deque_bytes;
-    deque_bytes.writePodDeque(contents);
+    deque_bytes(contents);
     EXPECT_EQ(ring_bytes.bytes(), deque_bytes.bytes());
 
     BoundedQueue<std::uint64_t> restored(5);
     restored.push(99); // stale contents are replaced, not appended to
     Deserializer d(ring_bytes.bytes());
-    restored.restoreState(d);
+    d(restored);
     d.expectEnd();
     EXPECT_EQ(restored.size(), 5u);
     EXPECT_FALSE(restored.canPush());
@@ -430,7 +433,7 @@ TEST(BoundedQueue, CheckpointMatchesDequeImageAndRoundTrips)
     // An image larger than the configured capacity is a typed error.
     BoundedQueue<std::uint64_t> small(4);
     Deserializer too_big(ring_bytes.bytes());
-    EXPECT_THROW(small.restoreState(too_big), CheckpointError);
+    EXPECT_THROW(too_big(small), CheckpointError);
 }
 
 TEST(DelayQueue, ElementsMatureAfterLatency)
@@ -475,6 +478,142 @@ TEST(DelayQueueDeath, PopBeforeMaturityPanics)
     DelayQueue<int> q(4, 5);
     q.push(1);
     EXPECT_DEATH(q.pop(), "non-ready");
+}
+
+
+// --- Checkpoint field visitor ----------------------------------------------
+
+enum class Mode : std::uint8_t
+{
+    Idle,
+    Busy = 7,
+};
+
+/** Padded and float-carrying: declares its own field list. */
+struct Sample
+{
+    std::uint8_t tag = 0;
+    double weight = 0.0;
+    std::uint32_t id = 0;
+
+    template <typename Self, typename Ar>
+    static void
+    fields(Self &s, Ar &ar)
+    {
+        ar(s.tag, s.weight, s.id);
+    }
+
+    bool operator==(const Sample &) const = default;
+};
+
+/** One field of every kind the shared overload set covers. */
+struct EveryKind
+{
+    std::uint64_t word = 0;
+    float ratio = 0.0f;
+    bool flag = false;
+    Mode mode = Mode::Idle;
+    std::vector<std::uint32_t> vec;
+    std::deque<std::uint64_t> deq;
+    std::vector<std::vector<std::uint16_t>> nested;
+    std::vector<bool> bits;
+    std::deque<std::pair<Addr, unsigned>> pairs;
+    std::vector<Sample> samples;
+    std::vector<int> fixed = std::vector<int>(3);
+    int *ptr = nullptr;
+    int *none = nullptr;
+
+    template <typename Self, typename Ar>
+    static void
+    fields(Self &e, Ar &ar)
+    {
+        ar(e.word, e.ratio, e.flag, e.mode, Marker{0x54455354}, e.vec,
+           e.deq, e.nested, e.bits, e.pairs, e.samples, fixedCount(e.fixed),
+           e.ptr, e.none);
+    }
+
+    bool operator==(const EveryKind &) const = default;
+};
+
+TEST(FieldVisitor, EveryKindRoundTrips)
+{
+    int targets[2] = {0, 0};
+    EveryKind in;
+    in.word = 0x0123456789abcdefULL;
+    in.ratio = 1.5f;
+    in.flag = true;
+    in.mode = Mode::Busy;
+    in.vec = {1, 2, 3};
+    in.deq = {4, 5};
+    in.nested = {{1}, {}, {2, 3}};
+    in.bits = {true, false, true};
+    in.pairs = {{10, 1}, {20, 2}};
+    in.samples = {{1, 0.25, 9}, {2, -3.0, 8}};
+    in.fixed = {7, 8, 9};
+    in.ptr = &targets[1];
+
+    Serializer s;
+    s.registerPointer(&targets[0]);
+    s.registerPointer(&targets[1]);
+    s(in);
+
+    EveryKind out;
+    out.vec = {99}; // stale contents are replaced, not appended to
+    out.none = &targets[0];
+    Deserializer d(s.bytes());
+    d.registerPointer(&targets[0]);
+    d.registerPointer(&targets[1]);
+    d(out);
+    d.expectEnd();
+    EXPECT_EQ(out, in);
+}
+
+TEST(FieldVisitor, PaddedStructWritesNoPaddingBytes)
+{
+    // Same values over different padding garbage: identical bytes, and
+    // only the 1 + 8 + 4 value bytes.
+    Sample a;
+    Sample b;
+    std::memset(static_cast<void *>(&a), 0x00, sizeof a);
+    std::memset(static_cast<void *>(&b), 0xff, sizeof b);
+    a.tag = b.tag = 3;
+    a.weight = b.weight = 2.5;
+    a.id = b.id = 11;
+    Serializer sa;
+    sa(a);
+    Serializer sb;
+    sb(b);
+    EXPECT_EQ(sa.bytes(), sb.bytes());
+    EXPECT_EQ(sa.bytes().size(), 13u);
+}
+
+TEST(FieldVisitor, FixedCountMismatchIsTypedError)
+{
+    const std::vector<int> three{1, 2, 3};
+    Serializer s;
+    s(fixedCount(three));
+    std::vector<int> two(2);
+    Deserializer d(s.bytes());
+    EXPECT_THROW(d(fixedCount(two)), CheckpointError);
+}
+
+TEST(FieldVisitor, MarkerMismatchIsTypedError)
+{
+    Serializer s;
+    s(Marker{1});
+    Deserializer d(s.bytes());
+    EXPECT_THROW(d(Marker{2}), CheckpointError);
+}
+
+TEST(FieldVisitor, UnregisteredPointerIsTypedError)
+{
+    int target = 0;
+    int *p = &target;
+    Serializer s;
+    s.registerPointer(&target);
+    s(p);
+    Deserializer d(s.bytes()); // nothing registered on this side
+    EXPECT_THROW(d(p), CheckpointError);
 }
 
 } // namespace

@@ -58,7 +58,7 @@ struct Suppression
  * A parsed `// gds-ckpt: skip(<field>) <justification>` directive: the
  * named data member of a Component declared in this file is exempt from
  * R8 checkpoint-field-coverage (config-derived or per-call scratch state
- * that the constructor rebuilds and saveState() must not serialize).
+ * that the constructor rebuilds and fields() must not list).
  */
 struct CkptSkip
 {

@@ -104,8 +104,8 @@ lintBuffers(const std::vector<BufferInput> &buffers)
     }
 
     // Pass 2: the class model over the whole set. Each model diagnostic
-    // is routed to the file it anchors to (field declaration for R8,
-    // restore body for R9) so that file's allow() directives cover it.
+    // is routed to the file it anchors to (the field's or directive's
+    // declaring file) so that file's allow() directives cover it.
     const ClassModel model = buildModel(lexed, rels);
     std::vector<Diagnostic> model_diags;
     runModelRules(model, model_diags);
@@ -259,12 +259,9 @@ ruleDescription(const std::string &rule)
         return "Component subclasses override the serialization pair "
                "saveState()/restoreState()";
     if (rule == "checkpoint-field-coverage")
-        return "every component data member is serialized by both "
-               "saveState() and restoreState(), or carries a justified "
+        return "every component data member is listed in its fields() "
+               "checkpoint visitor, or carries a justified "
                "gds-ckpt: skip(<field>) exemption";
-    if (rule == "save-restore-symmetry")
-        return "saveState() and restoreState() serialize fields in the "
-               "same order; the checkpoint byte stream has no field tags";
     if (rule == "env-knob-discipline")
         return "GDS_* environment knobs are read through the "
                "common/parse helpers, never raw std::getenv";

@@ -2,7 +2,7 @@
  * @file
  * gds-lint driver: collects files (walking directories deterministically,
  * skipping build trees and lint fixtures), lexes them all, runs the
- * per-file rules plus the cross-file class-model rules (R8/R9, see
+ * per-file rules plus the cross-file class-model rule (R8, see
  * model.hh) over the whole set, and renders results as text diagnostics,
  * a machine-readable JSON summary, or a SARIF 2.1.0 log for CI code
  * scanning.
@@ -55,14 +55,14 @@ struct BufferInput
 
 /**
  * Lint a set of in-memory buffers as one analysis unit: per-file rules
- * on each buffer, then the cross-file model rules (R8/R9) over the whole
+ * on each buffer, then the cross-file model rule (R8) over the whole
  * set, with every diagnostic filtered through the suppressions of the
  * file it anchors to. lintPaths() is this over files on disk.
  */
 LintResult lintBuffers(const std::vector<BufferInput> &buffers);
 
 /** Lint one in-memory buffer (for tests). Includes the model rules, so
- *  a fixture with inline saveState/restoreState bodies gets R8/R9. */
+ *  a fixture with an inline fields() body gets R8. */
 std::vector<Diagnostic> lintBuffer(const std::string &display_path,
                                    const std::string &rel_path,
                                    std::string_view content);

@@ -51,26 +51,26 @@ isNonMemberLead(const Token &t)
            isIdent(t, "template");
 }
 
-const char *const hookNames[] = {"saveState", "restoreState",
-                                 "nextEventCycle"};
-
-HookBody *
-hookSlot(ComponentModel &cm, const std::string &name)
+/** Capture the body toks[open] == '{' as @p cm's fields() list (the
+ *  first definition wins); returns the index of its closing brace. */
+std::size_t
+captureFields(const std::vector<Token> &toks, std::size_t open,
+              ComponentModel &cm)
 {
-    if (name == "saveState")
-        return &cm.save;
-    if (name == "restoreState")
-        return &cm.restore;
-    if (name == "nextEventCycle")
-        return &cm.nextEvent;
-    return nullptr;
+    const std::size_t close = skipBraced(toks, open) - 1;
+    if (!cm.fieldsBody.defined) {
+        cm.fieldsBody.defined = true;
+        cm.fieldsBody.tokens.assign(toks.begin() + open + 1,
+                                    toks.begin() + close);
+    }
+    return close;
 }
 
 /**
- * Parse one class body (toks[open] == '{') into fields and inline hook
- * bodies. Statements are walked at body depth only; nested type
- * definitions and function bodies are skipped wholesale, so only the
- * class's own non-static data members are recorded.
+ * Parse one class body (toks[open] == '{') into data members and an
+ * inline fields() body. Statements are walked at body depth only;
+ * nested type definitions and function bodies are skipped wholesale, so
+ * only the class's own non-static data members are recorded.
  */
 void
 parseClassBody(const std::vector<Token> &toks, std::size_t open,
@@ -102,12 +102,9 @@ parseClassBody(const std::vector<Token> &toks, std::size_t open,
 
         if (isPunct(toks[j], "(")) {
             // Function (declaration, definition, or constructor). Check
-            // whether it is one of the modeled hooks.
-            HookBody *hook = nullptr;
-            if (j > stmt_begin && toks[j - 1].kind == TokKind::Identifier)
-                hook = hookSlot(cm, toks[j - 1].text);
-            if (hook != nullptr)
-                hook->declared = true;
+            // whether it is the fields() list.
+            const bool is_fields =
+                j > stmt_begin && isIdent(toks[j - 1], "fields");
             // Skip to the end of the declaration or definition: past the
             // parameter list, any qualifiers/initializer list, then either
             // ';' or a brace body.
@@ -125,14 +122,9 @@ parseClassBody(const std::vector<Token> &toks, std::size_t open,
                    !isPunct(toks[j], "{"))
                 ++j;
             if (j < end && isPunct(toks[j], "{")) {
-                const std::size_t body_end = skipBraced(toks, j) - 1;
-                if (hook != nullptr && !hook->defined) {
-                    hook->defined = true;
-                    hook->file = cm.file;
-                    hook->line = toks[j].line;
-                    hook->tokens.assign(toks.begin() + j + 1,
-                                        toks.begin() + body_end);
-                }
+                const std::size_t body_end =
+                    is_fields ? captureFields(toks, j, cm)
+                              : skipBraced(toks, j) - 1;
                 i = body_end + 1;
                 // A constructor body may be followed by nothing; a
                 // nested lambda-less definition never needs the ';'.
@@ -245,7 +237,7 @@ collectComponents(const LexedFile &file, const std::string &rel,
     }
 }
 
-/** Attach out-of-line `Class::hook(...) ... { body }` definitions found
+/** Attach out-of-line `Class::fields(...) { body }` definitions found
  *  anywhere in the scanned set to their class. */
 void
 collectOutOfLineBodies(const LexedFile &file, ClassModel &model)
@@ -257,24 +249,16 @@ collectOutOfLineBodies(const LexedFile &file, ClassModel &model)
     const auto &toks = file.tokens;
     for (std::size_t i = 0; i + 3 < toks.size(); ++i) {
         if (toks[i].kind != TokKind::Identifier ||
-            !isPunct(toks[i + 1], "::"))
-            continue;
-        const Token &hook_tok = toks[i + 2];
-        if (hook_tok.kind != TokKind::Identifier ||
+            !isPunct(toks[i + 1], "::") || !isIdent(toks[i + 2], "fields") ||
             !isPunct(toks[i + 3], "("))
-            continue;
-        bool is_hook = false;
-        for (const char *h : hookNames)
-            is_hook = is_hook || hook_tok.text == h;
-        if (!is_hook)
             continue;
         const auto it = by_name.find(toks[i].text);
         if (it == by_name.end())
             continue;
         // Skip the parameter list, then any qualifiers, then require a
         // brace body (a ';' here is a mere declaration — or a qualified
-        // call like sim::Component::saveState(s), which also ends in
-        // ';'/',' and is rejected the same way).
+        // call like sim::Component::fields(self, ar), which also ends in
+        // ';' and is rejected the same way).
         std::size_t j = i + 3;
         std::size_t depth = 0;
         while (j < toks.size()) {
@@ -290,56 +274,19 @@ collectOutOfLineBodies(const LexedFile &file, ClassModel &model)
                (isIdent(toks[j], "const") || isIdent(toks[j], "noexcept") ||
                 isIdent(toks[j], "override") || isIdent(toks[j], "final")))
             ++j;
-        if (j >= toks.size() || !isPunct(toks[j], "{"))
-            continue;
-        const std::size_t body_end = skipBraced(toks, j) - 1;
-        HookBody *hook = hookSlot(*it->second, hook_tok.text);
-        if (hook == nullptr || hook->defined)
-            continue;
-        hook->declared = true;
-        hook->defined = true;
-        hook->file = file.path;
-        hook->line = toks[j].line;
-        hook->tokens.assign(toks.begin() + j + 1, toks.begin() + body_end);
+        if (j < toks.size() && isPunct(toks[j], "{"))
+            captureFields(toks, j, *it->second);
     }
 }
 
 /** True when @p name appears as an identifier in @p body. */
 bool
-referencesField(const HookBody &body, const std::string &name)
+referencesField(const FieldsBody &body, const std::string &name)
 {
     for (const Token &t : body.tokens)
         if (t.kind == TokKind::Identifier && t.text == name)
             return true;
     return false;
-}
-
-/** First-occurrence order of @p names in @p body. */
-std::vector<std::string>
-referenceOrder(const HookBody &body,
-               const std::unordered_set<std::string> &names)
-{
-    std::vector<std::string> order;
-    std::unordered_set<std::string> seen;
-    for (const Token &t : body.tokens) {
-        if (t.kind != TokKind::Identifier || names.count(t.text) == 0 ||
-            !seen.insert(t.text).second)
-            continue;
-        order.push_back(t.text);
-    }
-    return order;
-}
-
-std::string
-joinNames(const std::vector<std::string> &names)
-{
-    std::string out;
-    for (const std::string &n : names) {
-        if (!out.empty())
-            out += ", ";
-        out += n;
-    }
-    return out;
 }
 
 } // namespace
@@ -389,83 +336,42 @@ runModelRules(const ClassModel &model, std::vector<Diagnostic> &out)
     }
 
     for (const ComponentModel &cm : model.components) {
-        // Without both bodies visible there is nothing semantic to
-        // check: R7 (checkpoint-hooks) polices that the pair exists,
-        // and a partial view (single-file lint of a header whose
-        // bodies live in the .cc) must not produce false positives.
-        if (!cm.save.defined || !cm.restore.defined)
+        // Without the fields() body visible there is nothing semantic to
+        // check: R7 (checkpoint-hooks) polices that the hooks exist, and
+        // a partial view (single-file lint of a header whose fields()
+        // lives in the .cc) must not produce false positives.
+        if (!cm.fieldsBody.defined)
             continue;
 
         std::unordered_set<std::string> skipped;
         for (const CkptSkip &skip : cm.skips)
             skipped.insert(skip.field);
 
-        // R8: every field covered by both bodies, skipped, or stats-typed.
-        std::unordered_set<std::string> symmetric; // feed into R9
+        // R8: every field listed in fields(), skipped, or stats-typed.
         for (const FieldDecl &f : cm.fields) {
             if (f.statsType)
-                continue; // Component::saveState walks registered stats
-            const bool saved = referencesField(cm.save, f.name);
-            const bool restored = referencesField(cm.restore, f.name);
+                continue; // Component::fields walks registered stats
+            const bool listed = referencesField(cm.fieldsBody, f.name);
             if (skipped.count(f.name) != 0) {
-                if (saved && restored) {
+                if (listed) {
                     out.push_back(
                         {cm.file, f.line, "bad-suppression",
                          "stale gds-ckpt: skip(" + f.name + "): the field "
-                         "is serialized by both saveState() and "
-                         "restoreState(); drop the directive",
+                         "is listed in fields(); drop the directive",
                          false});
                 }
                 continue;
             }
-            if (saved && restored) {
-                symmetric.insert(f.name);
+            if (listed)
                 continue;
-            }
-            std::string what;
-            if (!saved && !restored) {
-                what = "is serialized by neither saveState() nor "
-                       "restoreState(): a checkpoint silently drops it "
-                       "and every resume diverges";
-            } else if (saved) {
-                what = "is written by saveState() but never read back by "
-                       "restoreState(), so the restored stream "
-                       "misaligns";
-            } else {
-                what = "is read by restoreState() but never written by "
-                       "saveState(), so restore consumes bytes that were "
-                       "never produced";
-            }
             out.push_back({cm.file, f.line, "checkpoint-field-coverage",
                            "Component '" + cm.name + "' field '" + f.name +
-                           "' " + what + "; serialize it in both hooks or "
-                           "annotate '// gds-ckpt: skip(" + f.name +
+                           "' is missing from fields(): a checkpoint "
+                           "silently drops it and every resume diverges; "
+                           "list it in fields() or annotate "
+                           "'// gds-ckpt: skip(" + f.name +
                            ") <justification>' for config-derived state",
                            false});
-        }
-
-        // R9: the two bodies must reference the serialized fields in the
-        // same order — the byte stream has no field tags, so order drift
-        // produces a checksum-valid checkpoint that restores garbage.
-        const std::vector<std::string> save_order =
-            referenceOrder(cm.save, symmetric);
-        const std::vector<std::string> restore_order =
-            referenceOrder(cm.restore, symmetric);
-        for (std::size_t k = 0;
-             k < save_order.size() && k < restore_order.size(); ++k) {
-            if (save_order[k] == restore_order[k])
-                continue;
-            out.push_back(
-                {cm.restore.file, cm.restore.line, "save-restore-symmetry",
-                 "Component '" + cm.name + "': restoreState() consumes "
-                 "fields in a different order than saveState() produces "
-                 "them (first divergence: saveState writes '" +
-                 save_order[k] + "' where restoreState reads '" +
-                 restore_order[k] + "'; save order [" +
-                 joinNames(save_order) + "], restore order [" +
-                 joinNames(restore_order) + "])",
-                 false});
-            break;
         }
     }
 }

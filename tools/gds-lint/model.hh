@@ -4,32 +4,28 @@
  *
  * The per-file rules in rules.hh are token-local: they can check that a
  * sim::Component subclass *declares* saveState()/restoreState(), but not
- * that those bodies actually cover the class's state. This model is the
- * second pass that closes that gap: it parses the token streams of every
- * scanned file together into a symbol table of Component subclasses —
- * each with its non-static data members (name, declared type, line) and
- * the bodies of its checkpoint/fast-forward hooks, whether defined
- * inline in the class or out-of-line as `Class::hook` in another file —
- * and runs the rules that need the whole picture:
+ * that its checkpoint actually covers the class's state. This model is
+ * the second pass that closes that gap: it parses the token streams of
+ * every scanned file together into a symbol table of Component
+ * subclasses — each with its non-static data members (name, declared
+ * type, line) and the body of its static `fields(self, ar)` list, the
+ * one field list both saveState() and restoreState() walk, whether
+ * defined inline in the class or out-of-line as `Class::fields` in
+ * another file — and runs the rule that needs the whole picture:
  *
  *  - checkpoint-field-coverage  R8: every data member is referenced in
- *    BOTH saveState() and restoreState(), or carries an own-line
- *    `// gds-ckpt: skip(<field>) <justification>` exemption in the
- *    declaring file (config-derived geometry, per-call scratch,
- *    externally attached collaborators). Members with a stats:: type
- *    are exempt automatically: the Component base class serializes the
- *    registered stats of the group.
- *  - save-restore-symmetry      R9: the sequence of member references
- *    in saveState() and restoreState() matches in name and order, so a
- *    reordered codec fails lint instead of producing a checkpoint that
- *    checksums clean and restores garbage.
+ *    fields(), or carries an own-line `// gds-ckpt: skip(<field>)
+ *    <justification>` exemption in the declaring file (config-derived
+ *    geometry, per-call scratch, externally attached collaborators).
+ *    Members with a stats:: type are exempt automatically: the
+ *    Component base class serializes the registered stats of the group.
  *
  * Like the lexer, this is a heuristic parser, not a C++ front end: it
  * understands the project's house style (one class per header, members
- * declared one per statement, hook bodies either inline or defined as
- * `void Class::hook(...)` in the matching source file). Classes whose
- * hook bodies are not visible in the scanned file set are skipped —
- * rule R7 (checkpoint-hooks) already polices their existence — so
+ * declared one per statement, fields() either inline or defined as
+ * `void Class::fields(...)` in the matching source file). Classes whose
+ * fields() body is not visible in the scanned file set are skipped —
+ * rule R7 (checkpoint-hooks) already polices the hooks' existence — so
  * linting a single file stays useful while the whole-tree sweep gets
  * the full cross-TU analysis.
  */
@@ -56,13 +52,10 @@ struct FieldDecl
     bool statsType;       ///< type mentions stats:: (base class covers it)
 };
 
-/** One hook body (saveState / restoreState / nextEventCycle). */
-struct HookBody
+/** The captured body of a component's fields() list. */
+struct FieldsBody
 {
-    bool declared = false; ///< named anywhere in the class body
     bool defined = false;  ///< a brace body was found and captured
-    std::string file;      ///< file holding the body (when defined)
-    std::size_t line = 0;  ///< line of the body's definition
     std::vector<Token> tokens; ///< body tokens, braces excluded
 };
 
@@ -75,9 +68,7 @@ struct ComponentModel
     std::size_t line = 0; ///< line of the class keyword
     std::vector<FieldDecl> fields;
     std::vector<CkptSkip> skips; ///< gds-ckpt directives of the file
-    HookBody save;
-    HookBody restore;
-    HookBody nextEvent;
+    FieldsBody fieldsBody;
 };
 
 /** The cross-TU symbol table built from every scanned file. */
@@ -88,7 +79,7 @@ struct ClassModel
 
 /**
  * Build the model over @p files (first pass: class definitions and
- * inline bodies; second pass: out-of-line `Class::hook` definitions
+ * inline bodies; second pass: out-of-line `Class::fields` definitions
  * anywhere in the set). @p rel_paths holds the repo-relative path of
  * each file, index-aligned with @p files.
  */
@@ -96,12 +87,11 @@ ClassModel buildModel(const std::vector<LexedFile> &files,
                       const std::vector<std::string> &rel_paths);
 
 /**
- * Run the model rules (R8 checkpoint-field-coverage, R9
- * save-restore-symmetry, plus staleness/aim checks on gds-ckpt skip
- * directives) and append diagnostics to @p out. Diagnostics carry the
- * path of the file they anchor to (field declaration for R8, restore
- * body for R9) so the caller can route them through that file's
- * suppressions.
+ * Run the model rules (R8 checkpoint-field-coverage plus staleness/aim
+ * checks on gds-ckpt skip directives) and append diagnostics to @p out.
+ * Diagnostics carry the path of the file they anchor to (the field or
+ * directive's declaring file) so the caller can route them through that
+ * file's suppressions.
  */
 void runModelRules(const ClassModel &model, std::vector<Diagnostic> &out);
 

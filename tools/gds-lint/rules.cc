@@ -443,7 +443,6 @@ knownRules()
         "component-hooks",
         "checkpoint-hooks",
         "checkpoint-field-coverage",
-        "save-restore-symmetry",
         "env-knob-discipline",
         "no-raw-cerr-logging",
     };

@@ -31,14 +31,11 @@
  *                      from every mid-run checkpoint.
  *  - checkpoint-field-coverage
  *                      R8: every non-static data member of a component is
- *                      referenced in BOTH saveState() and restoreState(),
- *                      or carries an own-line `// gds-ckpt: skip(<field>)
+ *                      referenced in its static fields() list — the one
+ *                      list saveState() and restoreState() both walk — or
+ *                      carries an own-line `// gds-ckpt: skip(<field>)
  *                      <justification>` exemption (cross-file; see
  *                      model.hh).
- *  - save-restore-symmetry
- *                      R9: saveState() and restoreState() reference the
- *                      serialized fields in the same order (cross-file;
- *                      see model.hh).
  *  - env-knob-discipline
  *                      R10: `std::getenv("GDS_…")` only inside
  *                      src/common/parse.cc and src/common/debug.cc; every
@@ -88,7 +85,7 @@ const std::vector<std::string> &knownRules();
  * Run every per-file rule over @p file WITHOUT suppression filtering.
  * @p rel_path is the path relative to the repository root (forward
  * slashes) and drives per-directory rule scoping. The cross-file rules
- * (R8/R9) live in model.hh; the driver appends their diagnostics before
+ * (R8) live in model.hh; the driver appends their diagnostics before
  * filtering everything through applySuppressions().
  */
 std::vector<Diagnostic> runFileRules(const LexedFile &file,
