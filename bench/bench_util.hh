@@ -12,7 +12,7 @@
 
 #include "graph/datasets.hh"
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
+#include "common/parallel.hh"
 
 namespace gds::bench
 {
@@ -47,7 +47,7 @@ sharedMatrix(harness::ResultCache &cache)
 {
     std::printf("evaluation matrix: cold cells run on GDS_JOBS=%u "
                 "workers; cached cells are reused\n\n",
-                harness::jobCount());
+                common::jobCount());
     return harness::evaluationMatrix(cache);
 }
 

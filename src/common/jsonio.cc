@@ -1,6 +1,9 @@
 #include "common/jsonio.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -431,34 +434,162 @@ parseJson(const std::string &text)
     return Reader(text).parse();
 }
 
-std::string
-jsonQuote(const std::string &s)
+namespace
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    out.push_back('"');
-    for (const unsigned char c : s) {
+
+/** The one RFC 8259 escaping loop; @p put appends a piece to the sink. */
+template <typename Put>
+void
+escapeJson(std::string_view s, Put &&put)
+{
+    put("\"");
+    for (const char ch : s) {
+        const unsigned char c = static_cast<unsigned char>(ch);
         switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
+          case '"': put("\\\""); break;
+          case '\\': put("\\\\"); break;
+          case '\b': put("\\b"); break;
+          case '\f': put("\\f"); break;
+          case '\n': put("\\n"); break;
+          case '\r': put("\\r"); break;
+          case '\t': put("\\t"); break;
           default:
+            // RFC 8259: all other control characters must be \u-escaped.
             if (c < 0x20) {
                 char buf[8];
                 std::snprintf(buf, sizeof(buf), "\\u%04x",
                               static_cast<unsigned>(c));
-                out += buf;
+                put(buf);
             } else {
-                out.push_back(static_cast<char>(c));
+                put(std::string_view(&ch, 1));
             }
         }
     }
-    out.push_back('"');
+    put("\"");
+}
+
+} // namespace
+
+void
+emitJsonString(std::ostream &os, std::string_view s)
+{
+    escapeJson(s, [&os](std::string_view piece) { os << piece; });
+}
+
+std::string
+jsonQuote(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    escapeJson(s, [&out](std::string_view piece) { out += piece; });
     return out;
+}
+
+void
+emitJsonNumber(std::ostream &os, double v, int min_digits)
+{
+    if (!std::isfinite(v)) {
+        os << "null";
+        return;
+    }
+    // The shortest round-trip form fixes how many significant digits v
+    // needs; count them in its scientific rendering ("-1.7625e+06": 5).
+    char buf[64];
+    char *const end = buf + sizeof(buf);
+    char *last = std::to_chars(buf, end, v, std::chars_format::scientific).ptr;
+    int digits = 0;
+    for (const char *p = buf; p != last && *p != 'e'; ++p)
+        digits += (*p >= '0' && *p <= '9') ? 1 : 0;
+    // "%.Pg" rounds correctly to P digits; step P up in the rare case
+    // (some powers of two) where that rounding lands outside v's
+    // round-trip interval.
+    for (int precision = std::max(min_digits, digits);; ++precision) {
+        last = std::to_chars(buf, end, v, std::chars_format::general,
+                             precision)
+                   .ptr;
+        double back = 0.0;
+        std::from_chars(buf, last, back);
+        if (back == v || precision >= kRoundTripDigits)
+            break;
+    }
+    os.write(buf, last - buf);
+}
+
+JsonWriter &
+JsonWriter::open(char bracket)
+{
+    separate();
+    os << bracket;
+    first = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::close(char bracket)
+{
+    os << bracket;
+    first = false;
+    return *this;
+}
+
+void
+JsonWriter::separate()
+{
+    if (afterKey)
+        afterKey = false;
+    else if (!first)
+        os << ',';
+    first = false;
+}
+
+JsonWriter &
+JsonWriter::key(std::string_view name)
+{
+    separate();
+    emitJsonString(os, name);
+    os << ':';
+    afterKey = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::string(std::string_view s)
+{
+    separate();
+    emitJsonString(os, s);
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::number(double v)
+{
+    separate();
+    emitJsonNumber(os, v);
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::integer(std::uint64_t v)
+{
+    separate();
+    os << v;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::boolean(bool b)
+{
+    separate();
+    os << (b ? "true" : "false");
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::null()
+{
+    separate();
+    os << "null";
+    return *this;
 }
 
 } // namespace gds::common

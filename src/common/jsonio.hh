@@ -1,14 +1,15 @@
 /**
  * @file
- * Minimal RFC 8259 JSON reader for the simulation service's request
- * parsing (the writer side lives in stats/json.hh, which emits JSON but
- * never reads it). Builds a JsonValue tree; numbers additionally retain
- * their raw lexeme so integer fields can be re-parsed through the strict
- * common/parse.hh helpers — one checked numeric path for CLI flags and
- * daemon requests alike.
+ * The repo's one RFC 8259 JSON module: one reader, one string escaper,
+ * one number formatter and a comma-tracking writer built on them. Every
+ * JSON document the repo emits (stats, traces, records, manifests,
+ * daemon lines) and every one it reads goes through here.
  *
- * Not a general-purpose JSON library: no streaming, no comments, inputs
- * are single request lines. Depth is bounded to keep adversarial inputs
+ * The reader builds a JsonValue tree; numbers additionally retain their
+ * raw lexeme so integer fields can be re-parsed through the strict
+ * common/parse.hh helpers — one checked numeric path for CLI flags and
+ * daemon requests alike. Not a general-purpose JSON library: no
+ * streaming, no comments. Depth is bounded to keep adversarial inputs
  * from recursing the stack away.
  */
 
@@ -17,7 +18,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hh"
@@ -87,7 +90,61 @@ class JsonValue
  */
 Result<JsonValue> parseJson(const std::string &text);
 
-/** Escape + quote @p s as a JSON string (writer-side convenience). */
-std::string jsonQuote(const std::string &s);
+/** Write @p s as a quoted, RFC 8259-escaped JSON string. */
+void emitJsonString(std::ostream &os, std::string_view s);
+
+/** emitJsonString() into a returned string. */
+std::string jsonQuote(std::string_view s);
+
+/** Significant digits that round-trip every double. */
+inline constexpr int kRoundTripDigits = 17;
+
+/**
+ * Write @p v as a JSON number, whatever the stream's precision or flags:
+ * printf "%.Pg" with P the larger of @p min_digits and the fewest
+ * significant digits that parse back to exactly @p v, so no value is
+ * ever rounded. The default of 6 prints every value that "%g" already
+ * printed exactly byte for byte as "%g" does; kRoundTripDigits
+ * reproduces "%.17g" (the trace, sampler and cache-journal bytes).
+ * Non-finite values become null.
+ */
+void emitJsonNumber(std::ostream &os, double v, int min_digits = 6);
+
+/**
+ * Comma-placing JSON writer: callers name what comes next (a key, a
+ * value, an opening or closing bracket) and the writer inserts the ','
+ * and ':' separators. It does not check that calls nest correctly.
+ */
+class JsonWriter
+{
+  public:
+    explicit JsonWriter(std::ostream &out) : os(out) {}
+
+    JsonWriter &beginObject() { return open('{'); }
+    JsonWriter &endObject() { return close('}'); }
+    JsonWriter &beginArray() { return open('['); }
+    JsonWriter &endArray() { return close(']'); }
+
+    /** An object member's key; the next call writes its value. */
+    JsonWriter &key(std::string_view name);
+
+    JsonWriter &string(std::string_view s);
+    /** A number through emitJsonNumber() at its default precision. */
+    JsonWriter &number(double v);
+    /** An exact integer (counters and cycle numbers). */
+    JsonWriter &integer(std::uint64_t v);
+    JsonWriter &boolean(bool b);
+    JsonWriter &null();
+
+  private:
+    JsonWriter &open(char bracket);
+    JsonWriter &close(char bracket);
+    /** Emit the ',' that precedes a value or key, where one is due. */
+    void separate();
+
+    std::ostream &os;
+    bool first = true;     ///< nothing written yet in the open container
+    bool afterKey = false; ///< a key was just written; its value follows
+};
 
 } // namespace gds::common

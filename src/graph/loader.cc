@@ -425,12 +425,6 @@ loadEdgeList(const std::string &path, VertexId num_vertices, bool weighted)
 }
 
 void
-saveBinary(const Csr &graph, const std::string &path)
-{
-    writeBinaryFile(graph, path);
-}
-
-void
 saveBinaryAtomic(const Csr &graph, const std::string &path)
 {
     const std::string tmp_file =

@@ -46,18 +46,6 @@ Csr loadEdgeList(const std::string &path, VertexId num_vertices = 0,
                  bool weighted = false);
 
 /**
- * Save a CSR graph in binary format v2, non-atomically.
- *
- * @deprecated Every production write path goes through
- * saveBinaryAtomic(); a direct save can leave a truncated file under the
- * final name after a crash, which later loads then have to detect and
- * regenerate.
- */
-[[deprecated("use saveBinaryAtomic: one durable write path for the "
-             "dataset cache")]]
-void saveBinary(const Csr &graph, const std::string &path);
-
-/**
  * Save a CSR graph (binary format v2) atomically and durably: write to a
  * process-unique temp file in the same directory, fsync, then rename over
  * @p path and fsync the parent directory. A crash mid-write or a

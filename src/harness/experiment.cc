@@ -1,5 +1,6 @@
 #include "harness/experiment.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -9,20 +10,20 @@
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <memory>
-#include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "common/fsio.hh"
+#include "common/parallel.hh"
 #include "common/parse.hh"
 #include "common/rss.hh"
 #include "energy/energy_model.hh"
 #include "graph/loader.hh"
 #include "harness/dataset_pool.hh"
 #include "harness/manifest.hh"
-#include "harness/parallel.hh"
 #include "harness/walltime.hh"
-#include "stats/json.hh"
 
 namespace gds::harness
 {
@@ -541,27 +542,18 @@ evaluationMatrix(ResultCache &cache)
                     active);
     };
 
-    parallelFor(cells.size(), jobCount(), run_one);
+    common::parallelFor(cells.size(), common::jobCount(), run_one);
 
     // Provenance manifest: one entry per cell, in the serial traversal
     // order (the records vector), so manifests diff cleanly across runs.
     Manifest manifest;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        const RunRecord &r = records[i];
         ManifestCell entry;
         entry.key = cellKey(systemTag(cells[i].sys), cells[i].id,
                             cells[i].spec->name);
-        entry.system = r.system;
-        entry.algorithm = r.algorithm;
-        entry.dataset = r.dataset;
+        entry.record = records[i];
         entry.seed = cells[i].spec->seed;
-        entry.configHash = r.configHash;
-        entry.outcome = r.status;
         entry.cached = servedFromCache[i] != 0;
-        entry.simulatedSeconds = r.seconds;
-        entry.wallLoadSeconds = r.wallLoadSeconds;
-        entry.wallSimSeconds = r.wallSimSeconds;
-        entry.wallValidateSeconds = r.wallValidateSeconds;
         entry.peakRssBytes =
             static_cast<double>(common::peakRssBytes());
         manifest.add(std::move(entry));
@@ -605,12 +597,27 @@ namespace
 constexpr const char *cacheFile = "gds_bench_cache_v1.csv";
 /** First line of the file; bumped whenever the column layout changes. */
 constexpr const char *cacheFormatLine = "# gds-bench-cache format 3";
-constexpr const char *cacheColumnsLine =
-    "# key,system,algorithm,dataset,status,iterations,seconds,"
-    "gteps,memoryBytes,footprintBytes,bandwidthUtilization,"
-    "energyJoules,schedulingOps,atomicStalls,updatesSkipped,"
-    "vertexUpdates,edgesProcessed,configHash,wallLoadSeconds,"
-    "wallSimSeconds,wallValidateSeconds";
+
+/** Whether a RunRecord::fields member is one of the string fields. */
+template <typename T>
+constexpr bool kIsText = std::is_same_v<std::remove_cvref_t<T>, std::string>;
+
+/** Second line of the file: "# key," then every field name. */
+const std::string &
+cacheColumnsLine()
+{
+    static const std::string line = [] {
+        std::string out = "# key";
+        auto name = [&out](const char *field, const auto &, bool = false) {
+            out += ',';
+            out += field;
+        };
+        const RunRecord r;
+        RunRecord::fields(r, name);
+        return out;
+    }();
+    return line;
+}
 
 /** The cache line format has no quoting, so a field containing the
  *  delimiter (or a line break / control character) would re-parse with
@@ -629,16 +636,64 @@ void
 writeRecordLine(std::ostream &out, const std::string &key,
                 const RunRecord &r)
 {
-    out.precision(17);
-    out << key << ',' << r.system << ',' << r.algorithm << ','
-        << r.dataset << ',' << r.status << ',' << r.iterations << ','
-        << r.seconds << ',' << r.gteps << ',' << r.memoryBytes << ','
-        << r.footprintBytes << ',' << r.bandwidthUtilization << ','
-        << r.energyJoules << ',' << r.schedulingOps << ','
-        << r.atomicStalls << ',' << r.updatesSkipped << ','
-        << r.vertexUpdates << ',' << r.edgesProcessed << ','
-        << r.configHash << ',' << r.wallLoadSeconds << ','
-        << r.wallSimSeconds << ',' << r.wallValidateSeconds << '\n';
+    // Doubles at kRoundTripDigits: the bytes format 3 has always had.
+    out << key;
+    auto column = [&out](const char *, const auto &value, bool = false) {
+        out << ',';
+        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(value)>,
+                                     double>)
+            common::emitJsonNumber(out, value, common::kRoundTripDigits);
+        else
+            out << value;
+    };
+    RunRecord::fields(r, column);
+    out << '\n';
+}
+
+/**
+ * Parse one journal line: exactly the columns line's column count, a
+ * non-empty key, and every numeric column through the strict
+ * common/parse.hh parsers (iterations range-checked to unsigned).
+ */
+bool
+parseRecordLine(const std::string &line, std::string &key, RunRecord &r)
+{
+    std::vector<std::string> cols;
+    for (std::size_t start = 0;;) {
+        const std::size_t comma = line.find(',', start);
+        cols.push_back(line.substr(start, comma - start));
+        if (comma == std::string::npos)
+            break;
+        start = comma + 1;
+    }
+    static const std::size_t columns =
+        1 + std::count(cacheColumnsLine().begin(), cacheColumnsLine().end(),
+                       ',');
+    if (cols.size() != columns || cols[0].empty())
+        return false;
+    key = cols[0];
+    std::size_t next = 1;
+    bool ok = true;
+    auto column = [&](const char *, auto &value, bool = false) {
+        const std::string &text = cols[next++];
+        using T = std::remove_cvref_t<decltype(value)>;
+        if constexpr (kIsText<T>) {
+            value = text;
+        } else if constexpr (std::is_same_v<T, unsigned>) {
+            const auto parsed = common::parseU64(text);
+            ok = ok && parsed.ok() &&
+                 parsed.value() <= std::numeric_limits<unsigned>::max();
+            if (ok)
+                value = static_cast<unsigned>(parsed.value());
+        } else {
+            const auto parsed = common::parseF64(text);
+            ok = ok && parsed.ok();
+            if (ok)
+                value = parsed.value();
+        }
+    };
+    RunRecord::fields(r, column);
+    return ok;
 }
 
 } // namespace
@@ -679,13 +734,18 @@ ResultCache::lookup(const std::string &key) const
 void
 ResultCache::store(const std::string &key, const RunRecord &record)
 {
-    if (!cacheFieldOk(key) || !cacheFieldOk(record.system) ||
-        !cacheFieldOk(record.algorithm) || !cacheFieldOk(record.dataset) ||
-        !cacheFieldOk(record.status) || !cacheFieldOk(record.configHash)) {
-        throw ConfigError(
-            "result-cache fields must not contain commas or control "
-            "characters: key '" + key + "', cell " + record.system + "/" +
-            record.algorithm + "/" + record.dataset);
+    std::string bad = cacheFieldOk(key) ? "" : "key";
+    auto check = [&bad](const char *name, const auto &value, bool = false) {
+        if constexpr (kIsText<decltype(value)>) {
+            if (bad.empty() && !cacheFieldOk(value))
+                bad = name;
+        }
+    };
+    RunRecord::fields(record, check);
+    if (!bad.empty()) {
+        throw ConfigError("result-cache field '" + bad +
+                          "' must not contain commas or control "
+                          "characters (key '" + key + "')");
     }
     const std::lock_guard<std::mutex> lock(mu);
     entries[key] = record;
@@ -702,7 +762,7 @@ ResultCache::appendLocked(const std::string &key, const RunRecord &record)
                      needs_header ? std::ios::trunc : std::ios::app);
         if (journal && needs_header) {
             journal << cacheFormatLine << '\n'
-                    << cacheColumnsLine << '\n';
+                    << cacheColumnsLine() << '\n';
             needs_header = false;
         }
     }
@@ -744,36 +804,9 @@ ResultCache::load()
         ++line_number;
         if (line.empty() || line[0] == '#')
             continue;
-        std::istringstream iss(line);
         std::string key;
         RunRecord r;
-        bool parsed = std::getline(iss, key, ',') && !key.empty() &&
-                      std::getline(iss, r.system, ',') &&
-                      std::getline(iss, r.algorithm, ',') &&
-                      std::getline(iss, r.dataset, ',') &&
-                      std::getline(iss, r.status, ',');
-        if (parsed) {
-            iss >> r.iterations;
-            iss.ignore(1) >> r.seconds;
-            iss.ignore(1) >> r.gteps;
-            iss.ignore(1) >> r.memoryBytes;
-            iss.ignore(1) >> r.footprintBytes;
-            iss.ignore(1) >> r.bandwidthUtilization;
-            iss.ignore(1) >> r.energyJoules;
-            iss.ignore(1) >> r.schedulingOps;
-            iss.ignore(1) >> r.atomicStalls;
-            iss.ignore(1) >> r.updatesSkipped;
-            iss.ignore(1) >> r.vertexUpdates;
-            iss.ignore(1) >> r.edgesProcessed;
-            iss.ignore(1);
-            parsed = static_cast<bool>(iss) &&
-                     static_cast<bool>(std::getline(iss, r.configHash, ','));
-            iss >> r.wallLoadSeconds;
-            iss.ignore(1) >> r.wallSimSeconds;
-            iss.ignore(1) >> r.wallValidateSeconds;
-            parsed = parsed && static_cast<bool>(iss);
-        }
-        if (!parsed) {
+        if (!parseRecordLine(line, key, r)) {
             warn("skipping corrupt line %llu in result cache '%s'",
                  static_cast<unsigned long long>(line_number), cacheFile);
             continue;
@@ -793,7 +826,7 @@ ResultCache::compactLocked()
     {
         std::ofstream out(tmp_file);
         out << cacheFormatLine << '\n';
-        out << cacheColumnsLine << '\n';
+        out << cacheColumnsLine() << '\n';
         for (const auto &[key, r] : entries)
             writeRecordLine(out, key, r);
         if (!out) {
@@ -828,53 +861,35 @@ geometricMean(const std::vector<double> &values)
 }
 
 void
+writeRecordJson(common::JsonWriter &w, const RunRecord &record)
+{
+    w.beginObject();
+    // Wall-clock fields are provenance, not simulation results: they
+    // live in the manifest and cache journal, and including them here
+    // would break the byte-identical-across-GDS_JOBS guarantee.
+    auto member = [&w](const char *name, const auto &value,
+                       bool provenance = false) {
+        if (provenance)
+            return;
+        w.key(name);
+        if constexpr (kIsText<decltype(value)>)
+            w.string(value);
+        else
+            w.number(value);
+    };
+    RunRecord::fields(record, member);
+    w.endObject();
+}
+
+void
 dumpRecordsJson(const std::vector<RunRecord> &records, std::ostream &os)
 {
-    os << '[';
-    bool first = true;
-    for (const RunRecord &r : records) {
-        if (!first)
-            os << ',';
-        first = false;
-        os << '{';
-        auto str = [&](const char *name, const std::string &value,
-                       bool comma = true) {
-            stats::emitJsonString(os, name);
-            os << ':';
-            stats::emitJsonString(os, value);
-            if (comma)
-                os << ',';
-        };
-        auto num = [&](const char *name, double value, bool comma = true) {
-            stats::emitJsonString(os, name);
-            os << ':';
-            stats::emitJsonNumber(os, value);
-            if (comma)
-                os << ',';
-        };
-        str("system", r.system);
-        str("algorithm", r.algorithm);
-        str("dataset", r.dataset);
-        str("status", r.status);
-        num("iterations", r.iterations);
-        num("seconds", r.seconds);
-        num("gteps", r.gteps);
-        num("memoryBytes", r.memoryBytes);
-        num("footprintBytes", r.footprintBytes);
-        num("bandwidthUtilization", r.bandwidthUtilization);
-        num("energyJoules", r.energyJoules);
-        num("schedulingOps", r.schedulingOps);
-        num("atomicStalls", r.atomicStalls);
-        num("updatesSkipped", r.updatesSkipped);
-        num("vertexUpdates", r.vertexUpdates);
-        num("edgesProcessed", r.edgesProcessed);
-        // Wall-clock fields are provenance, not simulation results: they
-        // live in the manifest and cache journal, and including them here
-        // would break the byte-identical-across-GDS_JOBS guarantee.
-        str("configHash", r.configHash, false);
-        os << '}';
-    }
-    os << "]\n";
+    common::JsonWriter w(os);
+    w.beginArray();
+    for (const RunRecord &r : records)
+        writeRecordJson(w, r);
+    w.endArray();
+    os << '\n';
 }
 
 Table::Table(std::vector<std::string> columns) : header(std::move(columns))

@@ -23,6 +23,7 @@
 #include "algo/vcpm.hh"
 #include "baseline/graphicionado.hh"
 #include "baseline/gunrock_sim.hh"
+#include "common/jsonio.hh"
 #include "core/gds_accel.hh"
 #include "graph/datasets.hh"
 
@@ -83,6 +84,44 @@ struct RunRecord
     double wallValidateSeconds = 0.0;
 
     bool ok() const { return status == "ok"; }
+
+    /** Third visitor argument of the fields that describe the host run
+     *  rather than the simulation: the record JSON omits them, so it
+     *  stays byte-identical whatever GDS_JOBS. */
+    static constexpr bool kProvenance = true;
+
+    /**
+     * The one field list: every member once, in result-cache column
+     * order, as `v(name, member)` or `v(name, member, kProvenance)`. The
+     * cache journal, its columns line and the record JSON are all loops
+     * over it, so a new field takes one line here (plus a cache format
+     * bump).
+     */
+    template <class Self, class V>
+    static void
+    fields(Self &r, V &v)
+    {
+        v("system", r.system);
+        v("algorithm", r.algorithm);
+        v("dataset", r.dataset);
+        v("status", r.status);
+        v("iterations", r.iterations);
+        v("seconds", r.seconds);
+        v("gteps", r.gteps);
+        v("memoryBytes", r.memoryBytes);
+        v("footprintBytes", r.footprintBytes);
+        v("bandwidthUtilization", r.bandwidthUtilization);
+        v("energyJoules", r.energyJoules);
+        v("schedulingOps", r.schedulingOps);
+        v("atomicStalls", r.atomicStalls);
+        v("updatesSkipped", r.updatesSkipped);
+        v("vertexUpdates", r.vertexUpdates);
+        v("edgesProcessed", r.edgesProcessed);
+        v("configHash", r.configHash);
+        v("wallLoadSeconds", r.wallLoadSeconds, kProvenance);
+        v("wallSimSeconds", r.wallSimSeconds, kProvenance);
+        v("wallValidateSeconds", r.wallValidateSeconds, kProvenance);
+    }
 };
 
 /** Iteration cap policy: PR runs a fixed budget, others to convergence. */
@@ -335,6 +374,9 @@ double geometricMean(const std::vector<double> &values);
  */
 void dumpRecordsJson(const std::vector<RunRecord> &records,
                      std::ostream &os);
+
+/** Write one record as the JSON object dumpRecordsJson() emits for it. */
+void writeRecordJson(common::JsonWriter &w, const RunRecord &record);
 
 /**
  * Print a table: header row, one row per entry, fixed-width columns.

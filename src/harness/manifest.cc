@@ -4,9 +4,9 @@
 #include <sstream>
 
 #include "common/bitutil.hh"
+#include "common/jsonio.hh"
 #include "common/logging.hh"
 #include "graph/datasets.hh"
-#include "stats/json.hh"
 
 namespace gds::harness
 {
@@ -177,57 +177,31 @@ void
 Manifest::write(std::ostream &os) const
 {
     const std::lock_guard<std::mutex> lock(mu);
-    auto str = [&os](const char *fieldName, const std::string &value) {
-        stats::emitJsonString(os, fieldName);
-        os << ':';
-        stats::emitJsonString(os, value);
-    };
-    auto num = [&os](const char *fieldName, double value) {
-        stats::emitJsonString(os, fieldName);
-        os << ':';
-        stats::emitJsonNumber(os, value);
-    };
-    os << '{';
-    str("gitSha", buildGitSha());
-    os << ',';
-    num("scaleDivisor", graph::datasetScaleDivisor());
-    os << ',';
-    stats::emitJsonString(os, "cells");
-    os << ":[";
-    bool first = true;
+    common::JsonWriter w(os);
+    w.beginObject();
+    w.key("gitSha").string(buildGitSha());
+    w.key("scaleDivisor").number(graph::datasetScaleDivisor());
+    w.key("cells").beginArray();
     for (const ManifestCell &c : cells) {
-        if (!first)
-            os << ',';
-        first = false;
-        os << '{';
-        str("key", c.key);
-        os << ',';
-        str("system", c.system);
-        os << ',';
-        str("algorithm", c.algorithm);
-        os << ',';
-        str("dataset", c.dataset);
-        os << ',';
-        num("seed", static_cast<double>(c.seed));
-        os << ',';
-        str("configHash", c.configHash);
-        os << ',';
-        str("outcome", c.outcome);
-        os << ',';
-        stats::emitJsonString(os, "cached");
-        os << ':' << (c.cached ? "true" : "false") << ',';
-        num("simulatedSeconds", c.simulatedSeconds);
-        os << ',';
-        num("wallLoadSeconds", c.wallLoadSeconds);
-        os << ',';
-        num("wallSimSeconds", c.wallSimSeconds);
-        os << ',';
-        num("wallValidateSeconds", c.wallValidateSeconds);
-        os << ',';
-        num("peakRssBytes", c.peakRssBytes);
-        os << '}';
+        const RunRecord &r = c.record;
+        w.beginObject();
+        w.key("key").string(c.key);
+        w.key("system").string(r.system);
+        w.key("algorithm").string(r.algorithm);
+        w.key("dataset").string(r.dataset);
+        w.key("seed").number(static_cast<double>(c.seed));
+        w.key("configHash").string(r.configHash);
+        w.key("outcome").string(r.status);
+        w.key("cached").boolean(c.cached);
+        w.key("simulatedSeconds").number(r.seconds);
+        w.key("wallLoadSeconds").number(r.wallLoadSeconds);
+        w.key("wallSimSeconds").number(r.wallSimSeconds);
+        w.key("wallValidateSeconds").number(r.wallValidateSeconds);
+        w.key("peakRssBytes").number(c.peakRssBytes);
+        w.endObject();
     }
-    os << "]}\n";
+    w.endArray().endObject();
+    os << '\n';
 }
 
 bool

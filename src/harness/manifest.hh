@@ -21,6 +21,7 @@
 #include "baseline/graphicionado.hh"
 #include "baseline/gunrock_sim.hh"
 #include "core/config.hh"
+#include "harness/experiment.hh"
 
 namespace gds::harness
 {
@@ -47,17 +48,11 @@ const char *buildGitSha();
 struct ManifestCell
 {
     std::string key;        ///< result-cache key
-    std::string system;
-    std::string algorithm;
-    std::string dataset;
+    /** The cell's record: what ran, its config hash, outcome, simulated
+     *  seconds and wall-clock load/sim/validate split. */
+    RunRecord record;
     std::uint64_t seed = 0; ///< dataset generator seed
-    std::string configHash; ///< fingerprint of the effective config
-    std::string outcome;    ///< RunRecord::status
     bool cached = false;    ///< served from the result cache, not re-run
-    double simulatedSeconds = 0.0;
-    double wallLoadSeconds = 0.0;     ///< dataset load/generation
-    double wallSimSeconds = 0.0;      ///< cycle-level simulation
-    double wallValidateSeconds = 0.0; ///< post-run models + bookkeeping
     /** Process peak RSS in bytes when the cell finished (the memory
      *  footprint track, ROADMAP item 3); 0 when the probe is
      *  unavailable. Monotone across a run: the high-water mark as of

@@ -130,7 +130,6 @@ Tracer::wellNested(std::string *error) const
 void
 Tracer::write(std::ostream &os) const
 {
-    os.precision(17);
     os << "{\"traceEvents\":[";
     bool first = true;
     auto sep = [&] {
@@ -170,7 +169,7 @@ Tracer::write(std::ostream &os) const
             }
         } else if (e.phase == 'C') {
             os << ",\"args\":{\"value\":";
-            stats::emitJsonNumber(os, e.value);
+            stats::emitJsonNumber(os, e.value, common::kRoundTripDigits);
             os << '}';
         }
         os << '}';

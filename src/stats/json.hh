@@ -1,18 +1,23 @@
 /**
  * @file
  * JSON export of a statistics tree, for machine consumption of run
- * results (plotting scripts, CI dashboards).
+ * results (plotting scripts, CI dashboards). The JSON primitives live in
+ * common/jsonio.hh; emitJsonString/emitJsonNumber are re-exported here
+ * for the stats-side callers that have always spelled them stats::.
  */
 
 #pragma once
 
 #include <ostream>
-#include <string>
 
+#include "common/jsonio.hh"
 #include "stats/stats.hh"
 
 namespace gds::stats
 {
+
+using common::emitJsonNumber;
+using common::emitJsonString;
 
 /**
  * Serialize a group (and all children) as a JSON object:
@@ -20,22 +25,5 @@ namespace gds::stats
  * {bucketLabel: count} objects.
  */
 void dumpJson(const Group &group, std::ostream &os);
-
-/** Emit @p s as a quoted, escaped JSON string. */
-void emitJsonString(std::ostream &os, const std::string &s);
-
-/** Emit @p v as a JSON number (non-finite values become null). */
-void emitJsonNumber(std::ostream &os, double v);
-
-/**
- * Validate @p text as one complete RFC 8259 JSON value (a minimal
- * recursive-descent parser that builds nothing). Used by the telemetry
- * tests to prove traces and manifests load in real consumers, and cheap
- * enough to call on every dump in debug builds.
- *
- * @param error when non-null, receives a "byte N: what" message on failure
- * @return true iff @p text parses cleanly with no trailing garbage
- */
-bool validateJson(const std::string &text, std::string *error = nullptr);
 
 } // namespace gds::stats

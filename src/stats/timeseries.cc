@@ -53,7 +53,6 @@ TimeSeries::writeCsv(std::ostream &os) const
 void
 TimeSeries::writeJson(std::ostream &os) const
 {
-    os.precision(17);
     os << "{\"columns\":[";
     for (std::size_t c = 0; c < names.size(); ++c) {
         if (c != 0)
@@ -75,7 +74,7 @@ TimeSeries::writeJson(std::ostream &os) const
         for (std::size_t r = 0; r < series[c].size(); ++r) {
             if (r != 0)
                 os << ',';
-            emitJsonNumber(os, series[c][r]);
+            emitJsonNumber(os, series[c][r], common::kRoundTripDigits);
         }
         os << ']';
     }

@@ -6,7 +6,6 @@
 #include "common/jsonio.hh"
 #include "common/parse.hh"
 #include "graph/datasets.hh"
-#include "stats/json.hh"
 
 namespace gds::svc
 {
@@ -274,11 +273,12 @@ std::string
 errorLine(ErrorCode code, const std::string &message)
 {
     std::ostringstream os;
-    os << "{\"ok\":false,\"error\":";
-    stats::emitJsonString(os, errorCodeName(code));
-    os << ",\"message\":";
-    stats::emitJsonString(os, message);
-    os << '}';
+    common::JsonWriter(os)
+        .beginObject()
+        .key("ok").boolean(false)
+        .key("error").string(errorCodeName(code))
+        .key("message").string(message)
+        .endObject();
     return os.str();
 }
 
@@ -291,18 +291,10 @@ errorLine(const Status &status)
 std::string
 recordJson(const harness::RunRecord &record)
 {
-    // dumpRecordsJson emits an array (plus a trailing newline); a
-    // single-record call is "[{...}]\n", so the object is the middle
-    // slice. Reusing the harness serializer keeps daemon responses
-    // field-for-field identical to bench dumps.
     std::ostringstream os;
-    harness::dumpRecordsJson({record}, os);
-    std::string arr = os.str();
-    while (!arr.empty() && (arr.back() == '\n' || arr.back() == ' '))
-        arr.pop_back();
-    gds_assert(arr.size() >= 2 && arr.front() == '[' && arr.back() == ']',
-               "unexpected records array shape");
-    return arr.substr(1, arr.size() - 2);
+    common::JsonWriter w(os);
+    harness::writeRecordJson(w, record);
+    return os.str();
 }
 
 } // namespace gds::svc

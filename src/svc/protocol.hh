@@ -110,7 +110,7 @@ std::string errorLine(ErrorCode code, const std::string &message);
 /** errorLine() from a failure Status. */
 std::string errorLine(const Status &status);
 
-/** Serialize one RunRecord as a JSON object (reuses the harness dump). */
+/** One RunRecord as the JSON object harness::dumpRecordsJson emits. */
 std::string recordJson(const harness::RunRecord &record);
 
 } // namespace gds::svc

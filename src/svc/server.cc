@@ -7,7 +7,6 @@
 #include "common/log.hh"
 #include "common/logging.hh"
 #include "sim/simulator.hh"
-#include "stats/json.hh"
 
 namespace gds::svc
 {
@@ -20,17 +19,17 @@ std::string
 jobLine(const JobView &view)
 {
     std::ostringstream os;
-    os << "{\"ok\":true,\"job\":";
-    stats::emitJsonString(os, view.id);
-    os << ",\"state\":";
-    stats::emitJsonString(os, jobStateName(view.state));
-    os << ",\"cached\":" << (view.cached ? "true" : "false");
+    common::JsonWriter w(os);
+    w.beginObject();
+    w.key("ok").boolean(true);
+    w.key("job").string(view.id);
+    w.key("state").string(jobStateName(view.state));
+    w.key("cached").boolean(view.cached);
     if (view.state == JobState::Done || view.state == JobState::Failed) {
-        os << ",\"latency_seconds\":";
-        stats::emitJsonNumber(os, view.latencySeconds);
-        os << ",\"record\":" << recordJson(view.record);
+        w.key("latency_seconds").number(view.latencySeconds);
+        harness::writeRecordJson(w.key("record"), view.record);
     }
-    os << '}';
+    w.endObject();
     return os.str();
 }
 
@@ -39,11 +38,13 @@ std::string
 subscribeAck(const JobView &view)
 {
     std::ostringstream os;
-    os << "{\"ok\":true,\"job\":";
-    stats::emitJsonString(os, view.id);
-    os << ",\"state\":";
-    stats::emitJsonString(os, jobStateName(view.state));
-    os << ",\"subscribed\":true}";
+    common::JsonWriter(os)
+        .beginObject()
+        .key("ok").boolean(true)
+        .key("job").string(view.id)
+        .key("state").string(jobStateName(view.state))
+        .key("subscribed").boolean(true)
+        .endObject();
     return os.str();
 }
 

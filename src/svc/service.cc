@@ -8,7 +8,6 @@
 #include "common/logging.hh"
 #include "common/rss.hh"
 #include "sim/simulator.hh"
-#include "stats/json.hh"
 
 namespace gds::svc
 {
@@ -148,7 +147,7 @@ SimService::SimService(ServiceConfig service_config)
                        return static_cast<double>(common::peakRssBytes());
                    });
 
-    threads = std::make_unique<harness::ThreadPool>(config.workers);
+    threads = std::make_unique<common::ThreadPool>(config.workers);
 }
 
 SimService::~SimService()
@@ -183,14 +182,15 @@ std::string
 SimService::doneEventLine(const Job &job)
 {
     std::ostringstream os;
-    os << "{\"event\":\"done\",\"job\":";
-    stats::emitJsonString(os, job.id);
-    os << ",\"state\":";
-    stats::emitJsonString(os, jobStateName(job.state));
-    os << ",\"cached\":" << (job.cached ? "true" : "false")
-       << ",\"latency_seconds\":";
-    stats::emitJsonNumber(os, job.latencySeconds);
-    os << ",\"record\":" << recordJson(job.record) << '}';
+    common::JsonWriter w(os);
+    w.beginObject();
+    w.key("event").string("done");
+    w.key("job").string(job.id);
+    w.key("state").string(jobStateName(job.state));
+    w.key("cached").boolean(job.cached);
+    w.key("latency_seconds").number(job.latencySeconds);
+    harness::writeRecordJson(w.key("record"), job.record);
+    w.endObject();
     return os.str();
 }
 
@@ -288,11 +288,12 @@ SimService::runJob(const std::shared_ptr<Job> &job)
         job->startTime = start;
         ++runningNow;
         std::ostringstream os;
-        os << "{\"event\":\"start\",\"job\":";
-        stats::emitJsonString(os, job->id);
-        os << ",\"key\":";
-        stats::emitJsonString(os, job->key);
-        os << '}';
+        common::JsonWriter(os)
+            .beginObject()
+            .key("event").string("start")
+            .key("job").string(job->id)
+            .key("key").string(job->key)
+            .endObject();
         publishLocked(*job, os.str(), false);
     }
     histQueueWait->observe(elapsedSeconds(job->submitTime, start));
@@ -362,22 +363,20 @@ SimService::runJob(const std::shared_ptr<Job> &job)
                         cols_resolved = true;
                     }
                     std::ostringstream os;
-                    os << "{\"event\":\"progress\",\"job\":";
-                    stats::emitJsonString(os, job->id);
-                    os << ",\"cycle\":" << cycle;
-                    if (edges_col >= 0) {
-                        os << ",\"edges\":";
-                        stats::emitJsonNumber(
-                            os, row[static_cast<std::size_t>(edges_col)]);
-                    }
-                    if (frontier_col >= 0) {
-                        os << ",\"frontier\":";
-                        stats::emitJsonNumber(
-                            os,
+                    common::JsonWriter w(os);
+                    w.beginObject();
+                    w.key("event").string("progress");
+                    w.key("job").string(job->id);
+                    w.key("cycle").integer(cycle);
+                    if (edges_col >= 0)
+                        w.key("edges").number(
+                            row[static_cast<std::size_t>(edges_col)]);
+                    if (frontier_col >= 0)
+                        w.key("frontier").number(
                             row[static_cast<std::size_t>(frontier_col)]);
-                    }
-                    os << ",\"eta_cycles\":"
-                       << (budget > cycle ? budget - cycle : 0) << '}';
+                    w.key("eta_cycles")
+                        .integer(budget > cycle ? budget - cycle : 0);
+                    w.endObject();
                     const std::lock_guard<std::mutex> lock(mu);
                     publishLocked(*job, os.str(), false);
                 });
@@ -572,13 +571,12 @@ SimService::statszLine() const
 {
     const ServiceStats s = stats();
     std::ostringstream os;
-    auto num = [&](const char *name, double value) {
-        stats::emitJsonString(os, name);
-        os << ':';
-        stats::emitJsonNumber(os, value);
-        os << ',';
+    common::JsonWriter w(os);
+    auto num = [&w](const char *name, double value) {
+        w.key(name).number(value);
     };
-    os << "{\"ok\":true,";
+    w.beginObject();
+    w.key("ok").boolean(true);
     num("submitted", static_cast<double>(s.submitted));
     num("admitted", static_cast<double>(s.admitted));
     num("rejected", static_cast<double>(s.rejected));
@@ -593,23 +591,19 @@ SimService::statszLine() const
     num("queue_depth", static_cast<double>(s.queueDepth));
     num("running", static_cast<double>(s.running));
     num("workers", s.workers);
-    os << "\"draining\":" << (s.draining ? "true" : "false") << ',';
+    w.key("draining").boolean(s.draining);
     num("datasets_resident", static_cast<double>(s.datasetsResident));
     num("dataset_mapped_bytes",
         static_cast<double>(s.datasetMappedBytes));
     num("dataset_heap_bytes", static_cast<double>(s.datasetHeapBytes));
-    os << "\"dataset_keys\":[";
-    for (std::size_t i = 0; i < s.datasetKeys.size(); ++i) {
-        if (i)
-            os << ',';
-        stats::emitJsonString(os, s.datasetKeys[i]);
-    }
-    os << "],";
+    w.key("dataset_keys").beginArray();
+    for (const std::string &key : s.datasetKeys)
+        w.string(key);
+    w.endArray();
     num("latency_p50_seconds", s.latencyP50);
     num("latency_p90_seconds", s.latencyP90);
-    os << "\"latency_max_seconds\":";
-    stats::emitJsonNumber(os, s.latencyMax);
-    os << '}';
+    num("latency_max_seconds", s.latencyMax);
+    w.endObject();
     return os.str();
 }
 

@@ -3,7 +3,7 @@
  * The simulation service proper, socket-free so tests can drive it
  * in-process: a job registry in front of the experiment harness.
  * Submitted jobs are admitted into a bounded queue, scheduled onto a
- * harness::ThreadPool, share loaded graphs through the refcounted
+ * common::ThreadPool, share loaded graphs through the refcounted
  * harness::DatasetPool, and are served straight from the disk-backed
  * harness::ResultCache when an identical request (same key, see
  * JobSpec::key()) already ran — in this process or a previous one.
@@ -45,7 +45,7 @@
 
 #include "harness/dataset_pool.hh"
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
+#include "common/parallel.hh"
 #include "obs/trace.hh"
 #include "stats/metrics.hh"
 #include "svc/protocol.hh"
@@ -252,7 +252,7 @@ class SimService
     mutable std::mutex traceMu;
     obs::Tracer tracer{"gds_simd"};
 
-    std::unique_ptr<harness::ThreadPool> threads; ///< destroyed before pool
+    std::unique_ptr<common::ThreadPool> threads; ///< destroyed before pool
 
     mutable std::mutex mu;
     mutable std::condition_variable progressCv;

@@ -448,15 +448,29 @@ TEST_F(ResultCacheTest, SkipsCorruptLinesKeepsGoodOnes)
         harness::ResultCache cache;
         cache.store("good", record("ok"));
     }
-    // Append garbage: both must be skipped without losing "good".
+    // Append garbage: every bad line must be skipped without losing
+    // "good". The negative and overflowing iteration counts and the
+    // extra trailing columns each sit in an otherwise well-formed line,
+    // which the control line "fine" shows loads.
     {
         std::ofstream out(cacheName, std::ios::app);
         out << "mangled,line,without,enough,fields\n";
         out << "key2,Sys,BFS,test,ok,not_a_number,x,x,x,x,x,x,x,x,x,x,x\n";
+        out << "fine,Sys,BFS,test,ok,4,1,1,1,1,1,1,1,1,1,1,1,h,0,0,0\n";
+        out << "neg,Sys,BFS,test,ok,-1,1,1,1,1,1,1,1,1,1,1,1,h,0,0,0\n";
+        out << "wide,Sys,BFS,test,ok,4294967296,1,1,1,1,1,1,1,1,1,1,1,h,"
+               "0,0,0\n";
+        out << "extra,Sys,BFS,test,ok,4,1,1,1,1,1,1,1,1,1,1,1,h,0,0,0,"
+               "JUNK,MORE\n";
     }
     harness::ResultCache reloaded;
     EXPECT_TRUE(reloaded.lookup("good").has_value());
     EXPECT_FALSE(reloaded.lookup("key2").has_value());
+    ASSERT_TRUE(reloaded.lookup("fine").has_value());
+    EXPECT_EQ(reloaded.lookup("fine")->iterations, 4u);
+    EXPECT_FALSE(reloaded.lookup("neg").has_value());
+    EXPECT_FALSE(reloaded.lookup("wide").has_value());
+    EXPECT_FALSE(reloaded.lookup("extra").has_value());
 }
 
 TEST_F(ResultCacheTest, IgnoresCacheWithForeignFormatLine)

@@ -11,9 +11,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/jsonio.hh"
 #include "graph/generators.hh"
 #include "span_eq.hh"
 #include "harness/experiment.hh"
@@ -150,6 +153,156 @@ TEST_F(HarnessTest, CacheRoundTripsRecords)
     EXPECT_DOUBLE_EQ(found->gteps, 45.5);
     EXPECT_DOUBLE_EQ(found->bandwidthUtilization, 0.56);
     EXPECT_DOUBLE_EQ(found->edgesProcessed, 5678);
+}
+
+/**
+ * A record whose every field holds a distinct value that a 6-digit
+ * rendering would round: 1234567 iterations, then 1234568.1, 1234569.1,
+ * ... in field order.
+ */
+RunRecord
+distinctRecord()
+{
+    RunRecord r;
+    r.system = "sys-A";
+    r.algorithm = "alg-B";
+    r.dataset = "ds-C";
+    r.status = "ok";
+    r.configHash = "hash-D";
+    r.iterations = 1234567;
+    double *numbers[] = {
+        &r.seconds,         &r.gteps,          &r.memoryBytes,
+        &r.footprintBytes,  &r.bandwidthUtilization,
+        &r.energyJoules,    &r.schedulingOps,  &r.atomicStalls,
+        &r.updatesSkipped,  &r.vertexUpdates,  &r.edgesProcessed,
+        &r.wallLoadSeconds, &r.wallSimSeconds, &r.wallValidateSeconds};
+    for (int k = 0; k < 14; ++k)
+        *numbers[k] = 1234567.1 + (k + 1);
+    return r;
+}
+
+/** The format-3 journal the previous release's ResultCache wrote after
+ *  storing distinctRecord() under "fixture-key". */
+constexpr const char *kPreviousJournal =
+    "# gds-bench-cache format 3\n"
+    "# key,system,algorithm,dataset,status,iterations,seconds,gteps,"
+    "memoryBytes,footprintBytes,bandwidthUtilization,energyJoules,"
+    "schedulingOps,atomicStalls,updatesSkipped,vertexUpdates,"
+    "edgesProcessed,configHash,wallLoadSeconds,wallSimSeconds,"
+    "wallValidateSeconds\n"
+    "fixture-key,sys-A,alg-B,ds-C,ok,1234567,1234568.1000000001,"
+    "1234569.1000000001,1234570.1000000001,1234571.1000000001,"
+    "1234572.1000000001,1234573.1000000001,1234574.1000000001,"
+    "1234575.1000000001,1234576.1000000001,1234577.1000000001,"
+    "1234578.1000000001,hash-D,1234579.1000000001,1234580.1000000001,"
+    "1234581.1000000001\n";
+
+/** Every member compared by name, so a member missing from
+ *  RunRecord::fields fails here. */
+void
+expectSameRecord(const RunRecord &got, const RunRecord &want)
+{
+    EXPECT_EQ(got.system, want.system);
+    EXPECT_EQ(got.algorithm, want.algorithm);
+    EXPECT_EQ(got.dataset, want.dataset);
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.seconds, want.seconds);
+    EXPECT_EQ(got.gteps, want.gteps);
+    EXPECT_EQ(got.memoryBytes, want.memoryBytes);
+    EXPECT_EQ(got.footprintBytes, want.footprintBytes);
+    EXPECT_EQ(got.bandwidthUtilization, want.bandwidthUtilization);
+    EXPECT_EQ(got.energyJoules, want.energyJoules);
+    EXPECT_EQ(got.schedulingOps, want.schedulingOps);
+    EXPECT_EQ(got.atomicStalls, want.atomicStalls);
+    EXPECT_EQ(got.updatesSkipped, want.updatesSkipped);
+    EXPECT_EQ(got.vertexUpdates, want.vertexUpdates);
+    EXPECT_EQ(got.edgesProcessed, want.edgesProcessed);
+    EXPECT_EQ(got.configHash, want.configHash);
+    EXPECT_EQ(got.wallLoadSeconds, want.wallLoadSeconds);
+    EXPECT_EQ(got.wallSimSeconds, want.wallSimSeconds);
+    EXPECT_EQ(got.wallValidateSeconds, want.wallValidateSeconds);
+}
+
+std::string
+readFile(const char *path)
+{
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+TEST_F(HarnessTest, EveryFieldRoundTripsThroughCacheAndJson)
+{
+    const RunRecord r = distinctRecord();
+    {
+        ResultCache cache;
+        cache.store("k", r);
+    }
+    ResultCache reloaded;
+    const auto found = reloaded.lookup("k");
+    ASSERT_TRUE(found.has_value());
+    expectSameRecord(*found, r);
+
+    std::ostringstream os;
+    dumpRecordsJson({r}, os);
+    const auto parsed = common::parseJson(os.str());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    ASSERT_EQ(parsed.value().asArray().size(), 1u);
+    const common::JsonValue &obj = parsed.value().asArray()[0];
+    const auto text = [&obj](const char *name) {
+        const common::JsonValue *v = obj.find(name);
+        return v && v->isString() ? v->asString() : "<absent>";
+    };
+    const auto number = [&obj](const char *name) {
+        const common::JsonValue *v = obj.find(name);
+        return v && v->isNumber() ? v->asNumber()
+                                  : std::numeric_limits<double>::quiet_NaN();
+    };
+    EXPECT_EQ(text("system"), r.system);
+    EXPECT_EQ(text("algorithm"), r.algorithm);
+    EXPECT_EQ(text("dataset"), r.dataset);
+    EXPECT_EQ(text("status"), r.status);
+    EXPECT_EQ(number("iterations"), r.iterations);
+    EXPECT_EQ(number("seconds"), r.seconds);
+    EXPECT_EQ(number("gteps"), r.gteps);
+    EXPECT_EQ(number("memoryBytes"), r.memoryBytes);
+    EXPECT_EQ(number("footprintBytes"), r.footprintBytes);
+    EXPECT_EQ(number("bandwidthUtilization"), r.bandwidthUtilization);
+    EXPECT_EQ(number("energyJoules"), r.energyJoules);
+    EXPECT_EQ(number("schedulingOps"), r.schedulingOps);
+    EXPECT_EQ(number("atomicStalls"), r.atomicStalls);
+    EXPECT_EQ(number("updatesSkipped"), r.updatesSkipped);
+    EXPECT_EQ(number("vertexUpdates"), r.vertexUpdates);
+    EXPECT_EQ(number("edgesProcessed"), r.edgesProcessed);
+    EXPECT_EQ(text("configHash"), r.configHash);
+    // Provenance stays out of the record JSON.
+    EXPECT_EQ(obj.find("wallLoadSeconds"), nullptr);
+    EXPECT_EQ(obj.find("wallSimSeconds"), nullptr);
+    EXPECT_EQ(obj.find("wallValidateSeconds"), nullptr);
+    EXPECT_EQ(obj.asObject().size(), 17u);
+}
+
+TEST_F(HarnessTest, CacheLoadsJournalWrittenByThePreviousRelease)
+{
+    {
+        std::ofstream out("gds_bench_cache_v1.csv");
+        out << kPreviousJournal;
+    }
+    const ResultCache cache;
+    const auto found = cache.lookup("fixture-key");
+    ASSERT_TRUE(found.has_value());
+    expectSameRecord(*found, distinctRecord());
+}
+
+TEST_F(HarnessTest, CacheJournalBytesMatchThePreviousRelease)
+{
+    {
+        ResultCache cache;
+        cache.store("fixture-key", distinctRecord());
+    }
+    EXPECT_EQ(readFile("gds_bench_cache_v1.csv"), kPreviousJournal);
 }
 
 TEST_F(HarnessTest, CacheMissReturnsNullopt)

@@ -18,6 +18,7 @@
 
 #include "algo/vcpm.hh"
 #include "common/error.hh"
+#include "common/jsonio.hh"
 #include "core/gds_accel.hh"
 #include "graph/generators.hh"
 #include "harness/manifest.hh"
@@ -31,6 +32,14 @@ namespace gds
 {
 namespace
 {
+
+/** Empty when @p text parses as one JSON value, else the parse error. */
+std::string
+jsonError(const std::string &text)
+{
+    const auto parsed = common::parseJson(text);
+    return parsed.ok() ? std::string() : parsed.status().message();
+}
 
 // --- Tracer --------------------------------------------------------------
 
@@ -76,8 +85,7 @@ TEST(Tracer, OutputIsValidJsonWithEveryEventKind)
     t.end(id, 10);
     std::ostringstream os;
     t.write(os);
-    std::string error;
-    EXPECT_TRUE(stats::validateJson(os.str(), &error)) << error;
+    EXPECT_EQ(jsonError(os.str()), "");
     // Counter events are keyed by (pid, name) in the UI: the series name
     // must carry the track name.
     EXPECT_NE(os.str().find("hbm \\\"quoted\\\"\\npath.activity"),
@@ -223,8 +231,7 @@ TEST(TimeSeries, JsonExportIsValidAndColumnar)
     ts.addRow(100, {3.0, 4.0});
     std::ostringstream os;
     ts.writeJson(os);
-    std::string error;
-    EXPECT_TRUE(stats::validateJson(os.str(), &error)) << error;
+    EXPECT_EQ(jsonError(os.str()), "");
     EXPECT_NE(os.str().find("\"cycles\":[0,100]"), std::string::npos);
     EXPECT_NE(os.str().find("\"a\":[1,3]"), std::string::npos);
     EXPECT_NE(os.str().find("\"b\":[2.5,4]"), std::string::npos);
@@ -272,15 +279,15 @@ TEST(Manifest, WriteEmitsValidJsonWithOneEntryPerCell)
     harness::Manifest m;
     harness::ManifestCell cell;
     cell.key = "gds/bfs/LJ";
-    cell.system = "GraphDynS";
-    cell.algorithm = "BFS";
-    cell.dataset = "LJ";
+    cell.record.system = "GraphDynS";
+    cell.record.algorithm = "BFS";
+    cell.record.dataset = "LJ";
     cell.seed = 42;
-    cell.configHash = "0123456789abcdef";
-    cell.outcome = "ok";
+    cell.record.configHash = "0123456789abcdef";
+    cell.record.status = "ok";
     cell.cached = false;
-    cell.simulatedSeconds = 0.5;
-    cell.wallSimSeconds = 1.25;
+    cell.record.seconds = 0.5;
+    cell.record.wallSimSeconds = 1.25;
     m.add(cell);
     cell.key = "gds/bfs/OR";
     cell.cached = true;
@@ -290,14 +297,16 @@ TEST(Manifest, WriteEmitsValidJsonWithOneEntryPerCell)
     std::ostringstream os;
     m.write(os);
     const std::string json = os.str();
-    std::string error;
-    EXPECT_TRUE(stats::validateJson(json, &error)) << error;
+    EXPECT_EQ(jsonError(json), "");
     EXPECT_NE(json.find("\"gitSha\":"), std::string::npos);
     EXPECT_NE(json.find("\"scaleDivisor\":"), std::string::npos);
     EXPECT_NE(json.find("\"key\":\"gds/bfs/LJ\""), std::string::npos);
     EXPECT_NE(json.find("\"cached\":false"), std::string::npos);
     EXPECT_NE(json.find("\"cached\":true"), std::string::npos);
     EXPECT_NE(json.find("\"wallSimSeconds\":1.25"), std::string::npos);
+    // The record's status and simulated time keep their manifest names.
+    EXPECT_NE(json.find("\"outcome\":\"ok\""), std::string::npos);
+    EXPECT_NE(json.find("\"simulatedSeconds\":0.5"), std::string::npos);
 }
 
 // --- ScopedWallTimer -----------------------------------------------------
@@ -347,7 +356,7 @@ tracedBfsRun()
 
     std::ostringstream trace_os;
     tracer.write(trace_os);
-    EXPECT_TRUE(stats::validateJson(trace_os.str(), &error)) << error;
+    EXPECT_EQ(jsonError(trace_os.str()), "");
     std::ostringstream csv_os;
     sampler.writeCsv(csv_os);
     return {trace_os.str(), csv_os.str()};

@@ -29,7 +29,7 @@
 #include "core/gds_accel.hh"
 #include "graph/generators.hh"
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
+#include "common/parallel.hh"
 #include "sim/simulator.hh"
 #include "svc/server.hh"
 #include "svc/service.hh"
@@ -138,6 +138,24 @@ TEST(SvcProtocol, KeyExtendsOnlyForOverrides)
     // so daemon jobs share (and warm) the same cache entries.
     EXPECT_EQ(plain.key(),
               harness::cellKey("gds", algo::AlgorithmId::Bfs, "FR"));
+}
+
+TEST(SvcProtocol, RecordJsonIsTheDumpedArrayElement)
+{
+    harness::RunRecord r;
+    r.system = "GraphDynS";
+    r.algorithm = "PR";
+    r.dataset = "a\"b";
+    r.iterations = 1234567;
+    r.seconds = 1234568.1;
+    r.edgesProcessed = 1762631;
+    r.configHash = "0123456789abcdef";
+    r.wallSimSeconds = 2.5; // provenance: in neither rendering
+    std::ostringstream os;
+    harness::dumpRecordsJson({r}, os);
+    EXPECT_EQ(os.str(), "[" + svc::recordJson(r) + "]\n");
+    EXPECT_NE(os.str().find("\"seconds\":1234568.1,"), std::string::npos);
+    EXPECT_EQ(os.str().find("wallSimSeconds"), std::string::npos);
 }
 
 TEST(SvcProtocol, RejectsMalformedRequests)
@@ -416,7 +434,7 @@ TEST(SvcParse, EnvKnobsFallBackInsteadOfWrapping)
 
     // GDS_JOBS=-1 must not become ~4 billion workers.
     ::setenv("GDS_JOBS", "-1", 1);
-    const unsigned jobs = harness::jobCount();
+    const unsigned jobs = common::jobCount();
     EXPECT_GE(jobs, 1u);
     EXPECT_LE(jobs, 4096u);
     ::unsetenv("GDS_JOBS");

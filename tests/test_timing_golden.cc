@@ -131,28 +131,31 @@ TEST_P(TimingGolden, CyclesAndStatsArePinned)
 }
 
 // Captured from the model before the scatter-datapath host-performance
-// rework; every later change must reproduce them exactly.
+// rework; every later change must reproduce them exactly. The four PR
+// statsHash values were re-captured when JSON numbers became exact (the
+// old 6-digit rendering rounded PR's large counters); the same model with
+// only the number formatter swapped yields them, and no cycle moved.
 const Golden kGolden[] = {
     {"gds_pr_default", false, AlgorithmId::Pr, false,
-     11723u, 0xfd6609258e901353ULL},
+     11723u, 0xe25cd6fff8477276ULL},
     {"gds_bfs_default", false, AlgorithmId::Bfs, false,
      1534u, 0x609ea6db0461f1bfULL},
     {"gds_sssp_default", false, AlgorithmId::Sssp, false,
      3103u, 0x760f3f20f5af74e0ULL},
     {"gds_pr_sliced", false, AlgorithmId::Pr, true,
-     24986u, 0x93d4eecded09a1acULL},
+     24986u, 0x31f24d887042b9f1ULL},
     {"gds_bfs_sliced", false, AlgorithmId::Bfs, true,
      3814u, 0xb29fc4b2e54c34e9ULL},
     {"gds_sssp_sliced", false, AlgorithmId::Sssp, true,
      7528u, 0xf810bf4bd102315bULL},
     {"gi_pr_default", true, AlgorithmId::Pr, false,
-     34748u, 0xb7eda27079317e1dULL},
+     34748u, 0x7e87c9319bc27c4fULL},
     {"gi_bfs_default", true, AlgorithmId::Bfs, false,
      4806u, 0x96c63526f70a47ebULL},
     {"gi_sssp_default", true, AlgorithmId::Sssp, false,
      8866u, 0x73606033dfdd5805ULL},
     {"gi_pr_sliced", true, AlgorithmId::Pr, true,
-     63434u, 0xad64f962364d1b31ULL},
+     63434u, 0x5e5f44ab8ae99ebbULL},
     {"gi_bfs_sliced", true, AlgorithmId::Bfs, true,
      8309u, 0x865a9daf145e81e5ULL},
     {"gi_sssp_sliced", true, AlgorithmId::Sssp, true,
