@@ -53,10 +53,12 @@ class Crossbar : public sim::Component
     }
 
     /**
-     * Try to route one flit to @p output this cycle.
+     * Try to route one flit to @p output this cycle. Forced inline: the
+     * owners call it once per flit from their route loops, and the range
+     * check's panic path alone would otherwise keep it out of line.
      * @return true if the output port was free (the flit is granted).
      */
-    bool
+    [[gnu::always_inline]] bool
     tryRoute(unsigned output)
     {
         gds_assert(output < granted.size(), "output port %u out of range",
@@ -65,14 +67,8 @@ class Crossbar : public sim::Component
             ++statConflicts;
             return false;
         }
-        if (fault && fault->stallOutput()) {
-            ++statFaultStalls;
-            if (obs::Tracer *t = obs::activeTracer()) {
-                t->instant(t->track(tracePath()), "fault:stall",
-                           debug::traceCycle());
-            }
+        if (fault && faultStalls())
             return false;
-        }
         granted[output] = true;
         ++statFlits;
         return true;
@@ -130,6 +126,24 @@ class Crossbar : public sim::Component
     }
 
   private:
+    /**
+     * Ask the injector whether a free output glitches this cycle. Kept
+     * out of line, so inlining tryRoute() copies only the grant check
+     * into the owners' per-flit route loops.
+     */
+    [[gnu::cold, gnu::noinline]] bool
+    faultStalls()
+    {
+        if (!fault->stallOutput())
+            return false;
+        ++statFaultStalls;
+        if (obs::Tracer *t = obs::activeTracer()) {
+            t->instant(t->track(tracePath()), "fault:stall",
+                       debug::traceCycle());
+        }
+        return true;
+    }
+
     std::vector<bool> granted;
     // gds-ckpt: skip(fault) non-owning injector hook, re-attached by the
     // harness after restore (fault campaigns are not checkpointable)

@@ -15,16 +15,21 @@
  *
  * Requesters own a Port; responses (request tags) appear in the port's
  * response queue once every transaction of the request has completed.
+ *
+ * Host cost is O(1) per transaction and nothing per idle channel: a tick
+ * visits only channels with queued transactions whose issue gate has
+ * passed, fires refreshes from a cursor, and retires one timing-wheel
+ * bucket of completions.
  */
 
 #pragma once
 
 #include <deque>
-#include <queue>
 #include <vector>
 
 #include "sim/component.hh"
 #include "sim/fault.hh"
+#include "sim/queues.hh"
 
 namespace gds::mem
 {
@@ -145,10 +150,13 @@ class Hbm : public sim::Component
      * Checkpoint every live timing structure: per-channel queues, bank
      * rows, bus/activate/refresh clocks, the request slab (ports travel
      * as pointer-registry references — register every HbmPort on the
-     * Serializer/Deserializer before calling), the free list, and both
-     * completion heaps copied verbatim so equal-time pops replay in the
-     * exact pre-checkpoint order. Geometry and timing come from the
-     * constructor's config and are not serialized.
+     * Serializer/Deserializer before calling), the free list, the
+     * pending transaction completions as a (cycle, push order) list, and
+     * the request-finish heap. Restore rebuilds the completion wheel from
+     * that list, so same-cycle completions retire in the pre-checkpoint
+     * order; the busy-channel mask, issue gates and refresh cursor are
+     * re-derived. Geometry and timing come from the constructor's config
+     * and are not serialized.
      */
     void saveState(sim::Serializer &s) const override;
     void restoreState(sim::Deserializer &d) override;
@@ -247,12 +255,24 @@ class Hbm : public sim::Component
 
     struct Channel
     {
-        std::deque<Transaction> queue;
+        Channel(unsigned queue_depth, unsigned banks_per_channel)
+            : queue(queue_depth), banks(banks_per_channel)
+        {}
+
+        sim::BoundedQueue<Transaction> queue;
         std::vector<Bank> banks;
         Cycle busFreeAt = 0;
         Cycle nextActivateAt = 0; ///< tRRD gate
-        Cycle nextRefreshAt;
+        Cycle nextRefreshAt = 0;
         unsigned refreshBank = 0; ///< round-robin per-bank refresh index
+        /**
+         * Earliest cycle anything in the FR-FCFS window could issue, set
+         * when a scan finds nothing issuable; tick() skips the channel
+         * until then. Refreshes only delay issue, so it stays a lower
+         * bound; a transaction entering the window resets it. Derived
+         * state, not serialized: restore leaves it 0 (scan next tick).
+         */
+        Cycle issueGate = 0;
 
         template <typename Self, typename Ar>
         static void
@@ -267,6 +287,7 @@ class Hbm : public sim::Component
     {
         Cycle at;
         std::uint32_t requestIndex;
+        /** Min-heap order of requestFinishes (by time only). */
         bool operator>(const Completion &o) const { return at > o.at; }
 
         template <typename Self, typename Ar>
@@ -295,6 +316,37 @@ class Hbm : public sim::Component
     void serviceChannel(unsigned ch);
     void finishCompletions();
 
+    /**
+     * Fire every channel refresh scheduled at or before @p last, in
+     * schedule order, each starting at its scheduled cycle. A tick
+     * passes its own cycle: refreshes never fall behind the clock, so
+     * each one due then is scheduled exactly then.
+     */
+    void fireRefreshes(Cycle last);
+
+    /** Push a request-finish event onto the requestFinishes heap. */
+    void pushFinish(Cycle at, std::uint32_t request_index);
+
+    /** Queue a transaction completion at cycle @p at (>= now). */
+    void scheduleCompletion(Cycle at, std::uint32_t request_index);
+
+    /** Double the wheel until it spans @p ahead cycles past now. */
+    void growWheel(Cycle ahead);
+
+    /** Pending completions in (cycle, push order): the checkpoint image
+     *  of the wheel. */
+    std::vector<Completion> pendingCompletions() const;
+
+    /** Rebuild the wheel and re-derive busy mask, issue gates and the
+     *  refresh cursor after fields() restored everything else. */
+    void rebuildAfterRestore(const std::vector<Completion> &pending);
+
+    void
+    markBusy(unsigned ch)
+    {
+        busyChannels[ch / 64] |= std::uint64_t{1} << (ch % 64);
+    }
+
     // gds-ckpt: skip(cfg) construction-time geometry/timing config; the
     // restore path verifies the config hash instead of serializing it
     HbmConfig cfg;
@@ -314,21 +366,43 @@ class Hbm : public sim::Component
     std::vector<Channel> channels;
     std::vector<Request> requests;       ///< slab of live requests
     std::vector<std::uint32_t> freeList; ///< recycled request slots
-    std::priority_queue<Completion, std::vector<Completion>,
-                        std::greater<Completion>>
-        completions;
     /**
-     * Externally visible completion events: one entry per fully-issued
-     * request, stamped with its last transaction's completion time (the
-     * cycle its port response appears). Intermediate transaction
-     * completions are internal bookkeeping the fast-forward path replays
-     * in bulk, so only these bound the idle horizon. Entries are pruned
-     * by time once they mature (a delayed-fault redelivery pushes a fresh
-     * entry at the deferred time).
+     * Transaction completions, one bucket per cycle: bucket
+     * `at & (size - 1)` holds the request index of every transaction
+     * completing at cycle `at`, in push (issue) order. Every pending
+     * completion lies in [now, now + size), so a bucket holds one cycle;
+     * a push that many cycles ahead or more doubles the wheel first. The
+     * pending count is inflightTx - queuedTxTotal.
      */
-    std::priority_queue<Completion, std::vector<Completion>,
-                        std::greater<Completion>>
-        requestFinishes;
+    // gds-ckpt: skip(wheel) travels as the (cycle, push order) list that
+    // fields() builds with pendingCompletions() and restore rebuilds from
+    std::vector<std::vector<std::uint32_t>> wheel;
+    // gds-ckpt: skip(retiring) per-tick scratch: the bucket being retired,
+    // swapped out of the wheel and empty between ticks
+    std::vector<std::uint32_t> retiring;
+    /**
+     * Externally visible completion events, a min-heap by time: one entry
+     * per fully-issued request, stamped with its last transaction's
+     * completion time (the cycle its port response appears). Intermediate
+     * transaction completions are internal bookkeeping the fast-forward
+     * path replays in bulk, so only these bound the idle horizon. Entries
+     * are pruned by time once they mature (a delayed-fault redelivery
+     * pushes a fresh entry at the deferred time).
+     */
+    std::vector<Completion> requestFinishes;
+    /** One bit per channel with queued transactions; tick() and
+     *  nextEventCycle() walk the set bits in ascending channel order. */
+    // gds-ckpt: skip(busyChannels) derived from the channel queues on
+    // restore
+    std::vector<std::uint64_t> busyChannels;
+    /**
+     * Channel whose refresh is due next. Every channel refreshes every
+     * tREFI / banksPerChannel cycles from a start staggered in channel
+     * order, so refreshes come due in cyclic channel order forever.
+     */
+    // gds-ckpt: skip(refreshCursor) derived from the channels' refresh
+    // clocks on restore
+    unsigned refreshCursor = 0;
     // gds-ckpt: skip(demandScratch) per-call scratch, overwritten before
     // every use in access()
     std::vector<unsigned> demandScratch; ///< per-channel admission counts

@@ -77,6 +77,31 @@ class BoundedQueue
         return value;
     }
 
+    /** Element @p i places behind the head (0 is the front). */
+    const T &
+    operator[](std::size_t i) const
+    {
+        gds_assert(i < count, "index %zu of a %zu-element queue", i, count);
+        return slots[(head + i) & mask];
+    }
+
+    /**
+     * Remove element @p i, keeping FIFO order. The i elements ahead of it
+     * each move one slot back and the head advances, so removing from
+     * near the front (a scheduler's pick inside a lookahead window) costs
+     * O(i), not O(size).
+     */
+    void
+    eraseAt(std::size_t i)
+    {
+        gds_assert(i < count, "erase of index %zu in a %zu-element queue",
+                   i, count);
+        for (std::size_t j = i; j > 0; --j)
+            slots[(head + j) & mask] = std::move(slots[(head + j - 1) & mask]);
+        head = (head + 1) & mask;
+        --count;
+    }
+
     /**
      * Checkpoint fields; capacity is configuration, only contents move.
      * The bytes are the element count then the elements in FIFO order,

@@ -5,11 +5,18 @@
  * bandwidth ceilings, refresh, backpressure and statistics.
  */
 
+#include <algorithm>
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/bitutil.hh"
 #include "common/rng.hh"
 #include "mem/hbm.hh"
+#include "sim/checkpoint.hh"
+#include "sim/fault.hh"
 
 namespace gds::mem
 {
@@ -406,6 +413,244 @@ TEST(Hbm, WritesAndReadsShareBandwidthFairly)
     const double writes = f.hbm.statsGroup().scalar("writeBytes").value();
     EXPECT_GT(reads, 0.0);
     EXPECT_NEAR(reads, writes, reads * 0.05);
+}
+
+} // namespace
+} // namespace gds::mem
+
+namespace gds::mem
+{
+namespace
+{
+
+/**
+ * Transaction-level golden run: three ports drive a standalone Hbm with
+ * a seeded mix of streaming and random reads and writes of 1-40
+ * transactions (some wider than the channel count), retrying refused
+ * accesses, with idle phases crossed by skipCycles(nextEventCycle() - 1)
+ * the way the Simulator fast-forwards. Returns an FNV-1a hash over each
+ * port's (completion cycle, tag) pairs, sorted within a cycle, and the
+ * device's timing statistics.
+ */
+std::uint64_t
+goldenRun(const HbmConfig &cfg, std::uint64_t seed)
+{
+    constexpr unsigned kPorts = 3;
+    constexpr Cycle kCycles = 60000;
+    struct Pending
+    {
+        Addr addr = 0;
+        unsigned bytes = 0;
+        bool isWrite = false;
+        std::uint64_t tag = 0;
+    };
+
+    Hbm hbm(cfg, nullptr);
+    HbmPort ports[kPorts];
+    std::vector<std::pair<Cycle, std::uint64_t>> seen[kPorts];
+    Pending pending[kPorts];
+    Addr stream[kPorts] = {0, 1ULL << 26, 1ULL << 27};
+    std::uint64_t nextTag = 1;
+    Rng rng(seed);
+
+    const auto collect = [&] {
+        for (unsigned p = 0; p < kPorts; ++p) {
+            while (ports[p].hasResponse())
+                seen[p].emplace_back(hbm.elapsed(), ports[p].popResponse());
+        }
+    };
+
+    Cycle phaseEnd = 0;
+    bool idle = true;
+    while (hbm.elapsed() < kCycles) {
+        if (hbm.elapsed() >= phaseEnd) {
+            idle = !idle;
+            phaseEnd = hbm.elapsed() + 200 + rng.below(idle ? 3000 : 2000);
+        }
+        if (idle) {
+            const Cycle horizon = hbm.nextEventCycle();
+            if (horizon > 1) {
+                const Cycle left = phaseEnd - hbm.elapsed();
+                hbm.skipCycles(std::min(horizon - 1, left));
+            }
+        } else {
+            for (unsigned p = 0; p < kPorts; ++p) {
+                Pending &req = pending[p];
+                if (req.bytes == 0 && rng.below(4) != 0) {
+                    const unsigned tx = 1 + static_cast<unsigned>(
+                                                rng.below(40));
+                    const unsigned skew =
+                        static_cast<unsigned>(rng.below(8)) * 4;
+                    req.bytes = tx * cfg.txBytes - skew;
+                    if (rng.below(2) == 0) {
+                        req.addr = stream[p];
+                        stream[p] += tx * cfg.txBytes;
+                    } else {
+                        req.addr = alignDown(rng.below(1ULL << 28), 4);
+                    }
+                    req.isWrite = rng.below(10) < 3;
+                    req.tag = nextTag++;
+                }
+                if (req.bytes != 0 &&
+                    hbm.access(req.addr, req.bytes, req.isWrite, req.tag,
+                               &ports[p]))
+                    req.bytes = 0;
+            }
+        }
+        hbm.tick();
+        collect();
+    }
+    while (hbm.busy()) {
+        hbm.tick();
+        collect();
+    }
+
+    std::uint64_t hash = fnv1a64(nullptr, 0);
+    for (auto &pairs : seen) {
+        std::sort(pairs.begin(), pairs.end());
+        hash = fnv1a64(pairs.data(), pairs.size() * sizeof(pairs[0]), hash);
+    }
+    for (const char *name : {"rowHits", "rowMisses", "refreshes",
+                             "occupancySum", "latencySum", "transactions"}) {
+        const double v = hbm.statsGroup().scalar(name).value();
+        hash = fnv1a64(&v, sizeof v, hash);
+    }
+    return hash;
+}
+
+TEST(HbmGolden, DefaultGeometry)
+{
+    EXPECT_EQ(goldenRun(HbmConfig{}, 11), 0xa6e90d9b699f02bbULL);
+}
+
+TEST(HbmGolden, NonPowerOfTwoGeometry)
+{
+    HbmConfig cfg;
+    cfg.numChannels = 24;
+    cfg.banksPerChannel = 12;
+    EXPECT_EQ(goldenRun(cfg, 12), 0xd53e4ddbf57955a1ULL);
+}
+
+TEST(HbmGolden, FarMemoryTiming)
+{
+    HbmConfig cfg;
+    cfg.tCl *= 64;
+    cfg.tRcd *= 64;
+    cfg.tRp *= 64;
+    EXPECT_EQ(goldenRun(cfg, 13), 0x5b3e8772accda20eULL);
+}
+
+TEST(HbmCheckpoint, RestoreResumesCompletionsPastTheWheelSpan)
+{
+    // Far-memory timing plus 5000-cycle fault delays leave completions
+    // thousands of cycles ahead at the checkpoint, so the wheel has
+    // grown. Several requests issue per cycle, so many finish in the
+    // same cycle, where retire order decides the fault draws and the
+    // port's response order. A fresh Hbm restored from the payload (its
+    // wheel starts at the initial span) must deliver the remaining
+    // responses at the same cycles, in the same order, with the same
+    // statistics.
+    HbmConfig cfg;
+    cfg.tCl *= 64;
+    cfg.tRcd *= 64;
+    cfg.tRp *= 64;
+    sim::FaultPlan plan;
+    plan.seed = 21;
+    plan.delayResponseProb = 0.3;
+    plan.delayCycles = 5000;
+
+    Hbm a(cfg, nullptr);
+    sim::FaultInjector faultA(plan);
+    a.setFaultInjector(&faultA);
+    HbmPort portA;
+    Rng rng(17);
+    std::uint64_t tag = 0;
+    while (a.elapsed() < 4000) {
+        for (int k = 0; k < 3; ++k) {
+            const Addr addr = alignDown(rng.below(1ULL << 26), 32);
+            const unsigned tx = 1 + static_cast<unsigned>(
+                                        rng.below(rng.below(8) == 0 ? 48 : 4));
+            if (!a.access(addr, 32 * tx, tag % 4 == 0, tag, &portA))
+                break;
+            ++tag;
+        }
+        a.tick();
+    }
+    ASSERT_TRUE(a.busy());
+
+    sim::Serializer s;
+    s.registerPointer(&portA);
+    a.saveState(s);
+    s(faultA, portA);
+
+    Hbm b(cfg, nullptr);
+    sim::FaultInjector faultB(plan);
+    b.setFaultInjector(&faultB);
+    HbmPort portB;
+    sim::Deserializer d(s.bytes());
+    d.registerPointer(&portB);
+    b.restoreState(d);
+    d(faultB, portB);
+    d.expectEnd();
+
+    const Cycle saved_at = a.elapsed();
+    const auto finish = [](Hbm &hbm, HbmPort &port) {
+        std::vector<std::pair<Cycle, std::uint64_t>> seen;
+        while (hbm.busy() || port.hasResponse()) {
+            while (port.hasResponse())
+                seen.emplace_back(hbm.elapsed(), port.popResponse());
+            hbm.tick();
+        }
+        return seen;
+    };
+    const auto restA = finish(a, portA);
+    const auto restB = finish(b, portB);
+    ASSERT_FALSE(restA.empty());
+    EXPECT_GT(restA.back().first - saved_at, Cycle{4096});
+    EXPECT_EQ(restA, restB);
+    EXPECT_EQ(a.elapsed(), b.elapsed());
+    for (const char *name :
+         {"readBytes", "writeBytes", "rowHits", "rowMisses", "refreshes",
+          "dataBusBusy", "transactions", "occupancySum", "latencySum",
+          "requests", "faultDelayed"}) {
+        SCOPED_TRACE(name);
+        EXPECT_EQ(a.statsGroup().scalar(name).value(),
+                  b.statsGroup().scalar(name).value());
+    }
+    EXPECT_GT(a.statsGroup().scalar("faultDelayed").value(), 0.0);
+}
+
+TEST(HbmCheckpoint, RestoreRejectsOutOfRangeCompletion)
+{
+    // One cold 32 B read issued at cycle 0 completes at tRCD + tCL +
+    // tBurst, so the pending-completion list is the 20 bytes (count 1,
+    // that cycle, request 0). Moving the cycle far past the clock must
+    // fail the restore with a typed error instead of sizing the wheel.
+    Hbm a(HbmConfig{}, nullptr);
+    HbmPort port;
+    ASSERT_TRUE(a.access(0, 32, false, 99, &port));
+    a.tick();
+    sim::Serializer s;
+    s.registerPointer(&port);
+    a.saveState(s);
+
+    const auto &cfg = a.config();
+    const std::uint64_t entry[2] = {1, cfg.tRcd + cfg.tCl + cfg.tBurst};
+    const std::uint32_t index = 0;
+    std::vector<std::uint8_t> needle(20);
+    std::memcpy(needle.data(), entry, 16);
+    std::memcpy(needle.data() + 16, &index, 4);
+    std::vector<std::uint8_t> payload = s.bytes();
+    const auto at = std::search(payload.begin(), payload.end(),
+                                needle.begin(), needle.end());
+    ASSERT_NE(at, payload.end());
+    const std::uint64_t far = a.elapsed() + (std::uint64_t{1} << 40);
+    std::memcpy(&*at + 8, &far, 8);
+
+    Hbm b(HbmConfig{}, nullptr);
+    sim::Deserializer d(payload);
+    d.registerPointer(&port);
+    EXPECT_THROW(b.restoreState(d), CheckpointError);
 }
 
 } // namespace

@@ -401,6 +401,33 @@ TEST(BoundedQueue, BackpressureAtCapacityNotSlotCount)
     EXPECT_FALSE(q.canPush());
 }
 
+TEST(BoundedQueue, EraseAtKeepsFifoOrderAcrossTheWrap)
+{
+    // Capacity 6 rounds up to 8 ring slots. Each round refills, erases
+    // one element at a rotating index and pops a varying number, so the
+    // head walks every slot and erases land on both sides of the wrap
+    // point. A std::deque holds the expected contents.
+    BoundedQueue<int> q(6);
+    std::deque<int> expected;
+    int next = 0;
+    for (int round = 0; round < 48; ++round) {
+        while (q.canPush()) {
+            q.push(next);
+            expected.push_back(next++);
+        }
+        const std::size_t i = static_cast<std::size_t>(round) % q.size();
+        q.eraseAt(i);
+        expected.erase(expected.begin() + static_cast<std::ptrdiff_t>(i));
+        for (int k = 0; k < round % 4; ++k) {
+            EXPECT_EQ(q.pop(), expected.front());
+            expected.pop_front();
+        }
+        ASSERT_EQ(q.size(), expected.size());
+        for (std::size_t j = 0; j < expected.size(); ++j)
+            EXPECT_EQ(q[j], expected[j]);
+    }
+}
+
 TEST(BoundedQueue, CheckpointMatchesDequeImageAndRoundTrips)
 {
     // Rotate the head off slot 0 first so the saved image must be
