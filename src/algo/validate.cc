@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace gds::algo
 {

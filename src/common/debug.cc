@@ -2,9 +2,10 @@
 
 #include <atomic>
 #include <cstdarg>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
+
+#include "common/log.hh"
+#include "common/parse.hh"
 
 namespace gds::debug
 {
@@ -54,8 +55,7 @@ parseEnvOnce()
     const std::lock_guard<std::mutex> lock(parseMutex);
     if (parsed.load(std::memory_order_relaxed))
         return;
-    const char *env = std::getenv("GDS_DEBUG");
-    parse(env ? env : "");
+    parse(common::parseEnvStr("GDS_DEBUG", ""));
 }
 
 } // namespace
@@ -144,22 +144,21 @@ namespace detail
 void
 vprint(Flag flag, const char *fmt, ...)
 {
-    char body[1024];
     va_list args;
     va_start(args, fmt);
-    std::vsnprintf(body, sizeof(body), fmt, args);
+    const std::string body = gds::detail::vformatList(fmt, args);
     va_end(args);
 
     // gem5-style attribution: "<cycle>: <component>: <Flag>: <text>".
-    // One fprintf call keeps a line contiguous under mild concurrency.
     const char *component =
         contextComponent != nullptr ? contextComponent : "global";
-    std::fprintf(stderr, "%10llu: %s: %-9s: %s\n",
-                 static_cast<unsigned long long>(contextCycle), component,
-                 flagName(flag), body);
+    gds::detail::emitRawLine(gds::detail::vformat(
+        "%10llu: %s: %-9s: %s", static_cast<unsigned long long>(contextCycle),
+        component, flagName(flag), body.c_str()));
 
     if (lineSink != nullptr)
-        lineSink(lineSinkObj, flag, contextCycle, contextComponent, body);
+        lineSink(lineSinkObj, flag, contextCycle, contextComponent,
+                 body.c_str());
 }
 
 } // namespace detail

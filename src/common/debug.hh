@@ -11,7 +11,6 @@
 
 #pragma once
 
-#include <cstdio>
 #include <string>
 
 #include "common/types.hh"

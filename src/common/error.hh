@@ -2,7 +2,7 @@
  * @file
  * Typed error handling for the simulator.
  *
- * Three tiers, complementing logging.hh:
+ * Three tiers, complementing the panic()/warn() macros of common/log:
  *  - panic()/gds_assert() remain reserved for genuine internal invariant
  *    violations (simulator bugs);
  *  - Status / Result<T> report recoverable conditions through return
@@ -20,7 +20,7 @@
 #include <string>
 #include <utility>
 
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace gds
 {

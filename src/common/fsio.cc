@@ -8,7 +8,7 @@
 #include <filesystem>
 #include <system_error>
 
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace gds
 {

@@ -2,10 +2,79 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <vector>
 
 #include "common/jsonio.hh"
 #include "common/parse.hh"
+
+namespace gds
+{
+namespace detail
+{
+
+namespace
+{
+
+/** Serializes stderr emission so concurrent workers never interleave
+ *  lines (function-local static: safe before/after main). */
+std::mutex &
+emitMutex()
+{
+    static std::mutex m;
+    return m;
+}
+
+} // namespace
+
+std::string
+vformatList(const char *fmt, va_list args)
+{
+    va_list sizing;
+    va_copy(sizing, args);
+    const int needed = std::vsnprintf(nullptr, 0, fmt, sizing);
+    va_end(sizing);
+    if (needed < 0)
+        return std::string(fmt);
+    std::vector<char> buf(static_cast<std::size_t>(needed) + 1);
+    std::vsnprintf(buf.data(), buf.size(), fmt, args);
+    return std::string(buf.data(), static_cast<std::size_t>(needed));
+}
+
+std::string
+vformat(const char *fmt, ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    std::string out = vformatList(fmt, args);
+    va_end(args);
+    return out;
+}
+
+void
+emitRawLine(const std::string &line)
+{
+    const std::lock_guard<std::mutex> lock(emitMutex());
+    std::fprintf(stderr, "%s\n", line.c_str());
+}
+
+void
+terminatePanic(const std::string &msg, const char *file, int line)
+{
+    emitRawLine(vformat("panic: %s (%s:%d)", msg.c_str(), file, line));
+    std::abort();
+}
+
+void
+terminateFatal(const std::string &msg)
+{
+    emitRawLine("fatal: " + msg);
+    std::exit(1);
+}
+
+} // namespace detail
+} // namespace gds
 
 namespace gds::log
 {
@@ -151,19 +220,8 @@ writef(Level level, const std::string &subsys, const Fields &fields,
         return;
     va_list args;
     va_start(args, fmt);
-    va_list args_copy;
-    va_copy(args_copy, args);
-    int needed = std::vsnprintf(nullptr, 0, fmt, args);
+    const std::string msg = detail::vformatList(fmt, args);
     va_end(args);
-    std::string msg;
-    if (needed < 0) {
-        msg = fmt;
-    } else {
-        std::vector<char> buf(static_cast<std::size_t>(needed) + 1);
-        std::vsnprintf(buf.data(), buf.size(), fmt, args_copy);
-        msg.assign(buf.data(), static_cast<std::size_t>(needed));
-    }
-    va_end(args_copy);
     write(level, subsys, fields, msg);
 }
 

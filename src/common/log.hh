@@ -1,42 +1,93 @@
 /**
  * @file
- * Structured, leveled logging for the service and harness layers.
+ * The project's one logging module: every line it writes to stderr goes
+ * through here.
  *
- * Every line the project emits on stderr funnels through one
- * mutex-serialized chokepoint (common/logging's emit path), so concurrent
- * workers never interleave partial lines. This layer adds, on top of that
- * chokepoint:
+ * Front-ends, all ending in the same mutex-serialized writer
+ * (detail::emitRawLine), so concurrent workers never interleave partial
+ * lines:
  *
- *  - severity levels (debug < info < warn < error) with a process-wide
- *    threshold read once from GDS_LOG_LEVEL (default "info");
- *  - two output formats selected by GDS_LOG_FORMAT: "human" (the
- *    traditional `warn: message (key=value)` lines) and "json" (one JSON
- *    object per line, machine-ingestable by log shippers);
- *  - a per-subsystem tag ("svc", "harness", "daemon", ...) so a fleet of
- *    daemons can be filtered by layer; and
- *  - structured correlation fields — most importantly the per-job "job"
- *    (jobId) and "configHash" fields the simulation service attaches, so
- *    one job's queue/load/sim/validate lifecycle can be grepped out of a
- *    busy daemon's log.
+ *  - gem5-flavoured status/error macros: panic() flags an internal
+ *    simulator bug and aborts, fatal() flags a user/configuration error
+ *    and exits, warn()/inform() report without stopping, and gds_assert()
+ *    panics unless an invariant holds;
+ *  - leveled, structured lines (write / writef and the per-level
+ *    helpers below) that carry a per-subsystem tag ("svc", "harness",
+ *    "daemon", ...) and ordered correlation fields — most importantly the
+ *    per-job "job" (jobId) and "configHash" fields the simulation service
+ *    attaches, so one job's lifecycle can be grepped out of a busy
+ *    daemon's log. warn()/inform() are the untagged, field-less case;
+ *  - DPRINTF trace lines (common/debug), which own their flag gating and
+ *    cycle/component attribution and emit through emitRawLine.
  *
- * The legacy warn()/inform() macros (common/logging.hh) are not going
- * away: their backend now routes through this layer, so every existing
- * call site inherits level filtering and the JSON format for free. New
- * code in the service/harness layers should prefer the field-carrying
- * helpers below.
+ * Leveled lines pass a process-wide threshold read once from
+ * GDS_LOG_LEVEL (debug < info < warn < error, default "info") and render
+ * in the format chosen by GDS_LOG_FORMAT: "human" (the traditional
+ * `warn: message (key=value)` lines) or "json" (one JSON object per line,
+ * machine-ingestable by log shippers). panic/fatal and DPRINTF lines are
+ * never filtered and always human.
  *
- * Both knobs are parsed through common/parse (GDS_LOG_LEVEL /
- * GDS_LOG_FORMAT are read via parseEnvStr, honoring the
+ * Both knobs are parsed through common/parse (parseEnvStr, honoring the
  * env-knob-discipline lint rule); an unknown value warns once and falls
  * back to the documented default.
  */
 
 #pragma once
 
+#include <cstdarg>
 #include <string>
 #include <vector>
 
-#include "common/logging.hh"
+namespace gds
+{
+
+namespace detail
+{
+
+[[noreturn]] void terminatePanic(const std::string &msg,
+                                 const char *file, int line);
+[[noreturn]] void terminateFatal(const std::string &msg);
+
+/** Emit one already-formatted line on stderr, verbatim, under the one
+ *  emission mutex. The only stderr writer in the project. */
+void emitRawLine(const std::string &line);
+
+/** printf-style formatter returning a std::string. */
+std::string vformat(const char *fmt, ...)
+    __attribute__((format(printf, 1, 2)));
+
+/** vformat() over a va_list, which it consumes (like vsnprintf). */
+std::string vformatList(const char *fmt, va_list args)
+    __attribute__((format(printf, 1, 0)));
+
+} // namespace detail
+
+/** Abort with a message: something happened that is a simulator bug. */
+#define panic(...)                                                          \
+    ::gds::detail::terminatePanic(::gds::detail::vformat(__VA_ARGS__),      \
+                                  __FILE__, __LINE__)
+
+/** Exit with a message: the user asked for something unsupported/invalid. */
+#define fatal(...)                                                          \
+    ::gds::detail::terminateFatal(::gds::detail::vformat(__VA_ARGS__))
+
+/** Report a suspicious-but-survivable condition. */
+#define warn(...)                                                           \
+    ::gds::log::writef(::gds::log::Level::Warn, "", {}, __VA_ARGS__)
+
+/** Report normal operating status. */
+#define inform(...)                                                         \
+    ::gds::log::writef(::gds::log::Level::Info, "", {}, __VA_ARGS__)
+
+/** panic() unless the invariant holds. Always compiled in. */
+#define gds_assert(cond, ...)                                               \
+    do {                                                                    \
+        if (!(cond))                                                        \
+            panic("assertion '%s' failed: %s", #cond,                       \
+                  ::gds::detail::vformat(__VA_ARGS__).c_str());             \
+    } while (0)
+
+} // namespace gds
 
 namespace gds::log
 {

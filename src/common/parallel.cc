@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
+#include "common/log.hh"
 #include "common/parse.hh"
 
 namespace gds::common

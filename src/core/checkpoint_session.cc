@@ -2,7 +2,7 @@
 
 #include <optional>
 
-#include "common/logging.hh"
+#include "common/log.hh"
 #include "obs/sampler.hh"
 #include "obs/trace.hh"
 #include "sim/checkpoint.hh"

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "common/error.hh"
-#include "common/logging.hh"
+#include "common/log.hh"
 #include "common/mapped_file.hh"
 #include "common/types.hh"
 

@@ -16,6 +16,7 @@
 #include <type_traits>
 
 #include "common/fsio.hh"
+#include "common/log.hh"
 #include "common/parallel.hh"
 #include "common/parse.hh"
 #include "common/rss.hh"
@@ -27,15 +28,6 @@
 
 namespace gds::harness
 {
-
-namespace
-{
-
-/** One mutex-serialized "[harness] ..." stderr line (workers interleave). */
-#define harnessLine(...)                                                    \
-    ::gds::detail::emit("[harness] ", ::gds::detail::vformat(__VA_ARGS__))
-
-} // namespace
 
 std::string
 systemName(SystemId id)
@@ -508,8 +500,8 @@ evaluationMatrix(ResultCache &cache)
         // watchdog verdict) into a status!="ok" record, so one broken
         // cell never kills a whole figure regeneration.
         records[i] = cache.getOrRun(key, [&] {
-            harnessLine("%s %s %s", system.c_str(),
-                        algo::algorithmName(c.id).c_str(), dataset.c_str());
+            log::infof("harness", {}, "%s %s %s", system.c_str(),
+                       algo::algorithmName(c.id).c_str(), dataset.c_str());
             return runCell(system, c.id, dataset, [&] {
                 double load_seconds = 0.0;
                 DatasetPool::GraphPtr g;
@@ -538,8 +530,8 @@ evaluationMatrix(ResultCache &cache)
             done.fetch_add(1, std::memory_order_relaxed) + 1;
         const unsigned active =
             running.fetch_sub(1, std::memory_order_relaxed) - 1;
-        harnessLine("%zu/%zu cells, %u running", completed, cells.size(),
-                    active);
+        log::infof("harness", {}, "%zu/%zu cells, %u running", completed,
+                   cells.size(), active);
     };
 
     common::parallelFor(cells.size(), common::jobCount(), run_one);

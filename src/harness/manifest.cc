@@ -5,7 +5,7 @@
 
 #include "common/bitutil.hh"
 #include "common/jsonio.hh"
-#include "common/logging.hh"
+#include "common/log.hh"
 #include "graph/datasets.hh"
 
 namespace gds::harness

@@ -3,7 +3,7 @@
 #include <fstream>
 
 #include "common/error.hh"
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace gds::obs
 {

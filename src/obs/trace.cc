@@ -4,7 +4,7 @@
 #include <map>
 
 #include "common/debug.hh"
-#include "common/logging.hh"
+#include "common/log.hh"
 #include "stats/json.hh"
 
 namespace gds::obs

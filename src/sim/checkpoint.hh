@@ -42,7 +42,7 @@
 #include <vector>
 
 #include "common/error.hh"
-#include "common/logging.hh"
+#include "common/log.hh"
 #include "common/types.hh"
 #include "sim/component.hh"
 #include "stats/stats.hh"

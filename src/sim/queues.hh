@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "common/error.hh"
-#include "common/logging.hh"
+#include "common/log.hh"
 #include "common/types.hh"
 
 namespace gds::sim

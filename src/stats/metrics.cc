@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "common/error.hh"
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace gds::stats
 {

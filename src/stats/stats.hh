@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "common/error.hh"
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace gds::stats
 {

@@ -5,7 +5,6 @@
 
 #include "common/jsonio.hh"
 #include "common/log.hh"
-#include "common/logging.hh"
 #include "sim/simulator.hh"
 
 namespace gds::svc

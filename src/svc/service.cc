@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/log.hh"
-#include "common/logging.hh"
 #include "common/rss.hh"
 #include "sim/simulator.hh"
 

@@ -8,6 +8,5 @@ reportFailure()
 {
     // gds-lint: allow(no-raw-stderr) fixture exercising the wrapped
     // justification form of an own-line suppression
-    // gds-lint: allow(no-raw-cerr-logging) both rules cover this stream
     std::cerr << "failed\n";
 }

@@ -9,7 +9,7 @@
 #include <set>
 
 #include "common/bitutil.hh"
-#include "common/logging.hh"
+#include "common/log.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 
@@ -131,6 +131,18 @@ TEST(Logging, FormatterProducesPrintfOutput)
     EXPECT_EQ(detail::vformat("plain"), "plain");
 }
 
+TEST(Logging, MacrosAndHarnessLinesPrintExactBytes)
+{
+    testing::internal::CaptureStderr();
+    warn("queue full");
+    inform("x=%d", 5);
+    log::infof("harness", {}, "loading %s", "RM14");
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "warn: queue full\n"
+              "info: x=5\n"
+              "info: [harness] loading RM14\n");
+}
+
 TEST(Logging, AssertPassesOnTrueCondition)
 {
     // Should not abort.
@@ -141,6 +153,18 @@ TEST(Logging, AssertPassesOnTrueCondition)
 TEST(LoggingDeath, PanicAborts)
 {
     EXPECT_DEATH({ panic("boom %d", 3); }, "boom 3");
+}
+
+TEST(LoggingDeath, PanicLineCarriesSourceLocation)
+{
+    EXPECT_DEATH({ panic("boom %d", 3); },
+                 "panic: boom 3 \\(.*test_common\\.cc:[0-9]+\\)");
+}
+
+TEST(LoggingDeath, FatalExitsWithPrefixedLine)
+{
+    EXPECT_EXIT({ fatal("bad input %d", 7); },
+                testing::ExitedWithCode(1), "fatal: bad input 7");
 }
 
 TEST(LoggingDeath, AssertAbortsOnFalse)

@@ -164,6 +164,25 @@ TEST(Debug, LineSinkReceivesAttributedLines)
     setTraceCycle(0);
 }
 
+TEST(Debug, LongLinesReachStderrAndSinkWhole)
+{
+    // Watchdog snapshots run to kilobytes; no fixed buffer may clip them.
+    const std::string body =
+        "snapshot:\n" + std::string(3000, 'x') + "|END";
+    SinkCapture cap;
+    setActiveFlags("Watchdog");
+    setTraceCycle(0);
+    setLineSink(&captureSink, &cap);
+    testing::internal::CaptureStderr();
+    DPRINTF(Watchdog, "snapshot:\n%s|END", std::string(3000, 'x').c_str());
+    const std::string out = testing::internal::GetCapturedStderr();
+    setLineSink(nullptr, nullptr);
+    setActiveFlags("");
+    EXPECT_EQ(out, "         0: global: Watchdog : " + body + "\n");
+    ASSERT_EQ(cap.calls, 1);
+    EXPECT_EQ(cap.text, body);
+}
+
 TEST(Debug, DetachedLineSinkStopsReceiving)
 {
     SinkCapture cap;

@@ -53,7 +53,6 @@ TEST(LintRules, KnownRuleSetIsStable)
         "checkpoint-hooks",
         "checkpoint-field-coverage",
         "env-knob-discipline",
-        "no-raw-cerr-logging",
     };
     EXPECT_EQ(knownRules(), expected);
 }
@@ -81,12 +80,11 @@ TEST(LintRules, NakedAssertSuppressed)
 
 TEST(LintRules, RawStderrFlagged)
 {
-    // The std::cerr stream on line 9 violates both R2 and R11; the raw
-    // stderr handle on line 10 only R2.
+    // Both the std::cerr stream (line 9) and the raw stderr handle
+    // (line 10) bypass the one serialized writer.
     const LintResult r = lintFixture("src/graph/bad_stderr.cc");
     EXPECT_EQ(signatures(r),
-              (std::vector<std::string>{"no-raw-cerr-logging@9",
-                                        "no-raw-stderr@9",
+              (std::vector<std::string>{"no-raw-stderr@9",
                                         "no-raw-stderr@10"}));
 }
 
@@ -95,22 +93,25 @@ TEST(LintRules, RawStderrSuppressedByWrappedOwnLineDirective)
     EXPECT_TRUE(lintFixture("src/graph/ok_stderr.cc").clean());
 }
 
-// --- R11: no-raw-cerr-logging --------------------------------------------
-
-TEST(LintRules, RawCerrLoggingFlaggedInsideR2CarveOut)
+TEST(LintRules, RawStderrFlaggedInCommonOutsideLogCc)
 {
-    // The fixture lives under src/common/logging…, where R2 is scoped
-    // out — only R11 fires, proving the rules compose rather than alias.
-    const LintResult r = lintFixture("src/common/logging_bad_cerr.cc");
-    EXPECT_EQ(signatures(r),
-              (std::vector<std::string>{"no-raw-cerr-logging@10"}));
-    EXPECT_NE(r.diagnostics[0].message.find("mutex-serialized"),
+    // The carve-out is src/common/log.cc alone: the rest of the common
+    // layer, debug.cc included, reports through it like everyone else.
+    const LintResult r = lintFixture("src/common/bad_cerr.cc");
+    ASSERT_EQ(signatures(r),
+              (std::vector<std::string>{"no-raw-stderr@10"}));
+    EXPECT_NE(r.diagnostics[0].message.find("serialized emission"),
               std::string::npos);
+    const std::string body = "void f() { std::fputs(\"x\", stderr); }\n";
+    EXPECT_TRUE(lintBuffer("log.cc", "src/common/log.cc", body).empty());
+    EXPECT_FALSE(lintBuffer("log.hh", "src/common/log.hh", body).empty());
+    EXPECT_FALSE(
+        lintBuffer("debug.cc", "src/common/debug.cc", body).empty());
 }
 
-TEST(LintRules, RawCerrLoggingSuppressed)
+TEST(LintRules, RawStderrSuppressedInCommon)
 {
-    EXPECT_TRUE(lintFixture("src/common/logging_ok_cerr.cc").clean());
+    EXPECT_TRUE(lintFixture("src/common/ok_cerr.cc").clean());
 }
 
 // --- R3: no-unseeded-rng -------------------------------------------------
@@ -461,13 +462,15 @@ TEST(LintRules, NonGdsGetenvAndSuppressedReadAreClean)
     EXPECT_TRUE(lintFixture("src/core/ok_getenv.cc").clean());
 }
 
-TEST(LintRules, EnvKnobExemptInsideParseAndDebug)
+TEST(LintRules, EnvKnobExemptOnlyInsideParse)
 {
+    // GDS_DEBUG is read through parseEnvStr like every other knob, so
+    // debug.cc no longer shares the carve-out.
     const std::string body = "#include <cstdlib>\n"
                              "bool f() { return std::getenv(\"GDS_X\"); }\n";
     EXPECT_TRUE(
         lintBuffer("parse.cc", "src/common/parse.cc", body).empty());
-    EXPECT_TRUE(
+    EXPECT_FALSE(
         lintBuffer("debug.cc", "src/common/debug.cc", body).empty());
     EXPECT_FALSE(
         lintBuffer("other.cc", "src/common/other.cc", body).empty());
@@ -568,7 +571,7 @@ TEST(LintDriver, JsonSummaryCountsRules)
     writeJsonSummary(r, os);
     const std::string json = os.str();
     EXPECT_NE(json.find("\"files_scanned\": 23"), std::string::npos);
-    EXPECT_NE(json.find("\"violations\": 26"), std::string::npos);
+    EXPECT_NE(json.find("\"violations\": 25"), std::string::npos);
     EXPECT_NE(json.find("\"tool_errors\": 0"), std::string::npos);
     EXPECT_NE(json.find("\"no-naked-assert\": 2"), std::string::npos);
     EXPECT_NE(json.find("\"bad-suppression\": 6"), std::string::npos);
@@ -578,7 +581,8 @@ TEST(LintDriver, JsonSummaryCountsRules)
               std::string::npos);
     EXPECT_EQ(json.find("save-restore-symmetry"), std::string::npos);
     EXPECT_NE(json.find("\"env-knob-discipline\": 1"), std::string::npos);
-    EXPECT_NE(json.find("\"no-raw-cerr-logging\": 2"), std::string::npos);
+    EXPECT_NE(json.find("\"no-raw-stderr\": 3"), std::string::npos);
+    EXPECT_EQ(json.find("no-raw-cerr-logging"), std::string::npos);
 }
 
 TEST(LintDriver, SarifLogHasToolRulesAndResults)
@@ -604,7 +608,7 @@ TEST(LintDriver, FixtureTreeExitsOne)
 {
     const LintResult r = lintPaths({fixtureRoot}, fixtureRoot);
     EXPECT_EQ(r.filesScanned, 23u);
-    EXPECT_EQ(r.diagnostics.size(), 26u);
+    EXPECT_EQ(r.diagnostics.size(), 25u);
     EXPECT_EQ(exitCode(r), 1);
 }
 

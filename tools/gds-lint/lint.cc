@@ -242,7 +242,7 @@ ruleDescription(const std::string &rule)
                "SimError or use gds_assert in core model code";
     if (rule == "no-raw-stderr")
         return "raw stderr bypasses serialized emission; report through "
-               "common/logging or common/debug";
+               "common/log or DPRINTF";
     if (rule == "no-unseeded-rng")
         return "unseeded randomness breaks run-to-run determinism; seed "
                "explicitly via gds::Rng";
@@ -265,10 +265,6 @@ ruleDescription(const std::string &rule)
     if (rule == "env-knob-discipline")
         return "GDS_* environment knobs are read through the "
                "common/parse helpers, never raw std::getenv";
-    if (rule == "no-raw-cerr-logging")
-        return "streaming to std::cerr can shear lines under "
-               "concurrency; log through common/log so emission stays "
-               "mutex-serialized";
     if (rule == "bad-suppression")
         return "a gds-lint/gds-ckpt directive that does not parse, names "
                "an unknown rule or field, lacks a justification, or is "

@@ -82,16 +82,15 @@ void
 ruleRawStderr(const LexedFile &f, const std::string &rel,
               std::vector<Diagnostic> &out)
 {
-    if (startsWith(rel, "src/common/logging") ||
-        startsWith(rel, "src/common/debug"))
+    if (rel == "src/common/log.cc")
         return;
     for (const Token &t : f.tokens) {
         if (isIdent(t, "cerr") || isIdent(t, "clog") ||
             isIdent(t, "stderr")) {
             out.push_back({f.path, t.line, "no-raw-stderr",
                            "raw " + t.text + " bypasses serialized "
-                           "emission; report through common/logging "
-                           "(warn/inform) or common/debug (GDS_DPRINTF)",
+                           "emission; report through common/log "
+                           "(warn/inform/log::write) or DPRINTF",
                            false});
         }
     }
@@ -381,10 +380,8 @@ void
 ruleEnvKnob(const LexedFile &f, const std::string &rel,
             std::vector<Diagnostic> &out)
 {
-    // The two sanctioned homes of raw getenv: the strict parse helpers
-    // themselves, and the GDS_DEBUG bootstrap that runs before they load.
-    if (startsWith(rel, "src/common/parse") ||
-        startsWith(rel, "src/common/debug"))
+    // The one sanctioned home of raw getenv: the strict parse helpers.
+    if (startsWith(rel, "src/common/parse"))
         return;
     const auto &toks = f.tokens;
     for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
@@ -403,32 +400,6 @@ ruleEnvKnob(const LexedFile &f, const std::string &rel,
     }
 }
 
-// --- R11: no raw cerr logging ---------------------------------------------
-
-void
-ruleRawCerrLogging(const LexedFile &f, const std::string &rel,
-                   std::vector<Diagnostic> &out)
-{
-    // Narrower than R2: even R2's src/common/logging carve-out may not
-    // stream to std::cerr — iostream writes are not atomic per line, so
-    // concurrent daemon threads would shear log lines. Everything funnels
-    // through detail::emitRawLine() (one fprintf under one mutex); only
-    // the structured logger and the debug bootstrap own the stream.
-    if (rel == "src/common/log.cc" || startsWith(rel, "src/common/debug"))
-        return;
-    const auto &toks = f.tokens;
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-        if (isIdent(toks[i], "cerr") && isPunct(toks[i + 1], "<<")) {
-            out.push_back({f.path, toks[i].line, "no-raw-cerr-logging",
-                           "streaming to std::cerr can shear lines under "
-                           "concurrency; log through common/log "
-                           "(log::write / log::warnf) so emission stays "
-                           "mutex-serialized",
-                           false});
-        }
-    }
-}
-
 } // namespace
 
 const std::vector<std::string> &
@@ -444,7 +415,6 @@ knownRules()
         "checkpoint-hooks",
         "checkpoint-field-coverage",
         "env-knob-discipline",
-        "no-raw-cerr-logging",
     };
     return rules;
 }
@@ -461,7 +431,6 @@ runFileRules(const LexedFile &file, const std::string &rel_path)
     ruleComponentHooks(file, found);
     ruleCheckpointHooks(file, found);
     ruleEnvKnob(file, rel_path, found);
-    ruleRawCerrLogging(file, rel_path, found);
 
     // Malformed directives and unknown rule names are violations too:
     // a suppression that silently fails to apply would be worse.

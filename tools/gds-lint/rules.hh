@@ -9,9 +9,9 @@
  *                      user-facing layers (src/algo, src/graph, src/stats,
  *                      src/energy) — those paths must throw typed SimErrors.
  *  - no-raw-stderr     R2: `std::cerr`/`std::clog`/`stderr` only inside
- *                      src/common/logging and src/common/debug; everything
- *                      else reports through warn()/inform()/GDS_DPRINTF so
- *                      emission stays mutex-serialized.
+ *                      src/common/log.cc, the one mutex-serialized stderr
+ *                      writer; everything else reports through common/log
+ *                      (warn/inform/log::write) or DPRINTF.
  *  - no-unseeded-rng   R3: `rand()`, `srand()`, `std::random_device`, and
  *                      arglessly-constructed standard engines are banned
  *                      outside src/common/rng.hh; all randomness must be
@@ -38,18 +38,10 @@
  *                      model.hh).
  *  - env-knob-discipline
  *                      R10: `std::getenv("GDS_…")` only inside
- *                      src/common/parse.cc and src/common/debug.cc; every
- *                      other knob goes through the common/parse helpers
+ *                      src/common/parse.cc; every knob goes through the
+ *                      common/parse helpers
  *                      (parseEnvU64 / parseEnvF64 / parseEnvStr / envFlag)
  *                      so parsing stays strict and defaults documented.
- *  - no-raw-cerr-logging
- *                      R11: streaming with `std::cerr <<` is banned
- *                      everywhere except src/common/log.cc and
- *                      src/common/debug — narrower than R2: even inside
- *                      R2's src/common/logging carve-out, iostream writes
- *                      bypass the emitRawLine() chokepoint and can shear
- *                      under concurrency; log through common/log
- *                      (log::write / warnf) instead.
  *  - bad-suppression   meta: a gds-lint/gds-ckpt directive that does not
  *                      parse, names an unknown rule or field, lacks a
  *                      justification, or is stale.
