@@ -49,44 +49,8 @@ constexpr unsigned maxRequestBytes = 512;
 constexpr unsigned applyBatchVerts = 128; ///< props per sweep request
 constexpr unsigned auRecordBatch = 8;     ///< active records per store
 
-// Stream scheduling masks: one bit per stream, 64 streams per word.
-constexpr unsigned kMaskWordBits = 64;
-
-void
-assignBit(std::vector<std::uint64_t> &mask, unsigned i, bool on)
-{
-    const std::uint64_t bit = std::uint64_t{1} << (i % kMaskWordBits);
-    if (on)
-        mask[i / kMaskWordBits] |= bit;
-    else
-        mask[i / kMaskWordBits] &= ~bit;
-}
-
-/** Lowest set bit at or above @p from, or mask.size() * 64 when none. */
-unsigned
-nextSetBit(const std::vector<std::uint64_t> &mask, unsigned from)
-{
-    const auto none = static_cast<unsigned>(mask.size() * kMaskWordBits);
-    std::size_t w = from / kMaskWordBits;
-    if (w >= mask.size())
-        return none;
-    std::uint64_t bits =
-        mask[w] & (~std::uint64_t{0} << (from % kMaskWordBits));
-    while (bits == 0) {
-        if (++w == mask.size())
-            return none;
-        bits = mask[w];
-    }
-    return static_cast<unsigned>(w * kMaskWordBits) +
-           static_cast<unsigned>(std::countr_zero(bits));
-}
-
-bool
-anyBit(const std::vector<std::uint64_t> &mask)
-{
-    return std::any_of(mask.begin(), mask.end(),
-                       [](std::uint64_t word) { return word != 0; });
-}
+/** Longest RAW window the wake ring is sized for. */
+constexpr Cycle kMaxAtomicPipelineDepth = 1u << 16;
 
 } // namespace
 
@@ -118,6 +82,13 @@ GraphicionadoAccel::GraphicionadoAccel(const GraphicionadoConfig &config,
 {
     if (weighted && !fullGraph.hasWeights())
         throw ConfigError(algo.name() + " needs a weighted graph");
+    if (cfg.numStreams == 0 || cfg.streamQueueRecords == 0)
+        throw ConfigError("numStreams and streamQueueRecords must be positive");
+    if (cfg.atomicPipelineDepth > kMaxAtomicPipelineDepth)
+        throw ConfigError(gds::detail::vformat(
+            "atomicPipelineDepth %llu exceeds %llu cycles",
+            static_cast<unsigned long long>(cfg.atomicPipelineDepth),
+            static_cast<unsigned long long>(kMaxAtomicPipelineDepth)));
 
     const VertexId v_count = fullGraph.numVertices();
     const VertexId capacity = cfg.sliceCapacity();
@@ -139,11 +110,15 @@ GraphicionadoAccel::GraphicionadoAccel(const GraphicionadoConfig &config,
         v_count, edge_cursor, fmt, hasConstProp, sliceCount > 1);
     hbm = std::make_unique<mem::Hbm>(cfg.hbm, this);
 
-    streams.resize(cfg.numStreams);
-    const std::size_t mask_words =
-        ceilDiv<std::size_t>(cfg.numStreams, kMaskWordBits);
-    streamsHeadReady.assign(mask_words, 0);
-    streamsNeedingFetch.assign(mask_words, 0);
+    streams.assign(cfg.numStreams, Stream(cfg.streamQueueRecords));
+    heads.assign(cfg.numStreams, Head{});
+    streamsHeadReady = makeBitMask(cfg.numStreams);
+    streamsNeedingFetch = makeBitMask(cfg.numStreams);
+    streamsAsleep = makeBitMask(cfg.numStreams);
+    // Wakes fall 1..atomicPipelineDepth cycles ahead, so that many slots
+    // plus the current one never alias; a power of two indexes by mask.
+    wakeRing.assign(std::bit_ceil(cfg.atomicPipelineDepth + 1),
+                    makeBitMask(cfg.numStreams));
 }
 
 GraphicionadoAccel::~GraphicionadoAccel() = default;
@@ -372,12 +347,20 @@ GraphicionadoAccel::startScatter()
     sc.batchReady.assign(sc.batchesTotal, 0);
     sc.fetch.assign(sc.recordsTotal, RecordFetch{});
 
-    for (Stream &stream : streams) {
+    for (Stream &stream : streams)
         stream.records.clear();
-        stream.edgeCursor = 0;
-    }
-    std::fill(streamsHeadReady.begin(), streamsHeadReady.end(), 0);
-    std::fill(streamsNeedingFetch.begin(), streamsNeedingFetch.end(), 0);
+    heads.assign(cfg.numStreams, Head{});
+    clearStreamSchedule();
+}
+
+void
+GraphicionadoAccel::clearStreamSchedule()
+{
+    for (BitMask *mask : {&streamsHeadReady, &streamsNeedingFetch,
+                          &streamsAsleep})
+        std::fill(mask->begin(), mask->end(), 0);
+    for (BitMask &slot : wakeRing)
+        std::fill(slot.begin(), slot.end(), 0);
 }
 
 void
@@ -387,11 +370,17 @@ GraphicionadoAccel::refreshStream(unsigned s)
     bool head_ready = false;
     if (!stream.records.empty()) {
         const std::uint64_t head = stream.records.front();
-        head_ready = sc.fetch[head].ready ||
-                     sliceGraph(curSlice).outDegree(
-                         activeCur[curSlice][head].vid) == 0;
+        const ActiveRecord &r = activeCur[curSlice][head];
+        const graph::Csr &sg = sliceGraph(curSlice);
+        head_ready = sc.fetch[head].ready || sg.outDegree(r.vid) == 0;
+        Head &h = heads[s];
+        if (head_ready && h.next == h.end) {
+            const EdgeId first = sg.offsetOf(r.vid);
+            h = Head{first, first + sg.outDegree(r.vid), r.prop};
+        }
     }
-    assignBit(streamsHeadReady, s, head_ready);
+    // An asleep stream's head is ready but cannot act before it wakes.
+    assignBit(streamsHeadReady, s, head_ready && !testBit(streamsAsleep, s));
     const std::size_t lookahead = std::min<std::size_t>(
         stream.records.size(), cfg.streamLookahead);
     bool needs_fetch = false;
@@ -400,6 +389,26 @@ GraphicionadoAccel::refreshStream(unsigned s)
         needs_fetch = !f.ready && !f.allIssued;
     }
     assignBit(streamsNeedingFetch, s, needs_fetch);
+}
+
+void
+GraphicionadoAccel::sleepStream(unsigned s, Cycle wake)
+{
+    assignBit(streamsHeadReady, s, false);
+    assignBit(streamsAsleep, s, true);
+    assignBit(wakeRing[wake & (wakeRing.size() - 1)], s, true);
+}
+
+std::uint32_t
+GraphicionadoAccel::headCursor(unsigned s) const
+{
+    // Only a ready (or asleep) head has reduced edges; its register then
+    // holds that record.
+    if (!testBit(streamsHeadReady, s) && !testBit(streamsAsleep, s))
+        return 0;
+    const VertexId vid = activeCur[curSlice][streams[s].records.front()].vid;
+    return static_cast<std::uint32_t>(heads[s].next -
+                                      sliceGraph(curSlice).offsetOf(vid));
 }
 
 bool
@@ -415,52 +424,66 @@ GraphicionadoAccel::tickScatter()
     const graph::Csr &sg = sliceGraph(curSlice);
     const auto &records = activeCur[curSlice];
 
+    // --- Wake the streams whose RAW window closes this cycle. Every
+    // stream still asleep stalls this cycle, exactly as a naive re-check
+    // would find. ---
+    BitMask &due = wakeRing[now & (wakeRing.size() - 1)];
+    std::uint64_t asleep = 0;
+    for (std::size_t w = 0; w < due.size(); ++w) {
+        streamsHeadReady[w] |= due[w];
+        streamsAsleep[w] &= ~due[w];
+        due[w] = 0;
+        asleep += static_cast<std::uint64_t>(std::popcount(streamsAsleep[w]));
+    }
+    if (asleep != 0)
+        statAtomicStalls += static_cast<double>(asleep);
+
     // --- Streams: one edge per cycle, stalling on RAW conflicts. Only
     // streams whose head record can act are visited (a head still waiting
     // for its edge data does nothing), in ascending stream order: the
-    // reduce order PR's float sums depend on. ---
-    for (unsigned s = nextSetBit(streamsHeadReady, 0); s < cfg.numStreams;
-         s = nextSetBit(streamsHeadReady, s + 1)) {
-        Stream &stream = streams[s];
-        const std::uint64_t rec = stream.records.front();
-        const ActiveRecord &r = records[rec];
-        const std::uint64_t degree = sg.outDegree(r.vid);
-        if (degree == 0) {
-            stream.records.pop_front();
-            stream.edgeCursor = 0;
-            ++sc.recordsDone;
-            refreshStream(s);
-            continue;
-        }
-        gds_assert(sc.fetch[rec].ready, "stream head scheduled unready");
-
-        // The on-chip edge is read from the slice's CSR view.
-        const EdgeId e = sg.offsetOf(r.vid) + stream.edgeCursor;
-        const VertexId dst = sg.edgeDest(e);
-        // Atomic enforcement: stall while a conflicting update is inside
-        // the reduce pipeline.
-        if (now - lastReduceAt[dst] < cfg.atomicPipelineDepth &&
-            lastReduceAt[dst] != 0) {
-            ++statAtomicStalls;
-            continue;
-        }
-        const PropValue res = algo.processEdge(
-            r.prop, weighted ? sg.edgeWeight(e) : Weight{1});
-        tProp[dst] = algo.reduce(tProp[dst], res);
-        lastReduceAt[dst] = now;
-        ++statReduceOps;
-        ++statEdgesProcessed;
-        statStreamEdges[s] += 1;
-        if (collectPeLoads)
-            streamLoadThisIteration[s] += 1;
-        ++sc.edgesReduced;
-        progressed(now);
-        if (++stream.edgeCursor == degree) {
-            stream.records.pop_front();
-            stream.edgeCursor = 0;
+    // reduce order PR's float sums depend on. A visit changes only its own
+    // stream's bits, so each mask word is read once. Each visit reads the
+    // head register and the edge's destination state only. ---
+    std::uint64_t reduced = 0;
+    for (std::size_t w = 0; w < streamsHeadReady.size(); ++w) {
+        for (std::uint64_t bits = streamsHeadReady[w]; bits != 0;
+             bits &= bits - 1) {
+            const unsigned s = static_cast<unsigned>(w * kMaskWordBits) +
+                               static_cast<unsigned>(std::countr_zero(bits));
+            Head &h = heads[s];
+            if (h.next != h.end) {
+                // The on-chip edge is read from the slice's CSR view.
+                const VertexId dst = sg.edgeDest(h.next);
+                // Atomic enforcement: stall while a conflicting update is
+                // inside the reduce pipeline.
+                const Cycle last = lastReduceAt[dst];
+                if (now - last < cfg.atomicPipelineDepth && last != 0) {
+                    ++statAtomicStalls;
+                    sleepStream(s, last + cfg.atomicPipelineDepth);
+                    continue;
+                }
+                const PropValue res = algo.processEdge(
+                    h.prop, weighted ? sg.edgeWeight(h.next) : Weight{1});
+                tProp[dst] = algo.reduce(tProp[dst], res);
+                lastReduceAt[dst] = now;
+                ++reduced;
+                progressed(now);
+                statStreamEdges[s] += 1;
+                if (collectPeLoads)
+                    streamLoadThisIteration[s] += 1;
+                if (++h.next != h.end)
+                    continue;
+            }
+            // The head record has no edge left: retire it.
+            streams[s].records.pop();
             ++sc.recordsDone;
             refreshStream(s);
         }
+    }
+    if (reduced != 0) {
+        statReduceOps += static_cast<double>(reduced);
+        statEdgesProcessed += static_cast<double>(reduced);
+        sc.edgesReduced += reduced;
     }
 
     // --- Per-stream edge prefetch (offsets are on chip, so fetches start
@@ -538,7 +561,7 @@ GraphicionadoAccel::tickScatter()
         Stream &stream = streams[s];
         if (stream.records.size() >= cfg.streamQueueRecords)
             break; // head-of-line block: the imbalance bottleneck
-        stream.records.push_back(k);
+        stream.records.push(k);
         refreshStream(s);
         ++sc.commitCursor;
         ++committed;
@@ -799,9 +822,10 @@ GraphicionadoAccel::scatterQuiescent() const
         return false;
 
     // Streams: a head record with edge data (or none to fetch) acts next
-    // tick -- reducing, RAW-stalling, or retiring. Only "waiting for edge
-    // data" is a pure wait, and those heads have no ready bit.
-    if (anyBit(streamsHeadReady))
+    // tick -- reducing, RAW-stalling, or retiring -- and an asleep stream
+    // counts a stall every tick. Only "waiting for edge data" is a pure
+    // wait, and those heads have neither bit.
+    if (anyBit(streamsHeadReady) || anyBit(streamsAsleep))
         return false;
     // Edge prefetch: with in-flight budget available, any lookahead record
     // still needing its fetch either issues a request or (degree 0) is
@@ -907,8 +931,17 @@ GraphicionadoAccel::fields(Self &self, Ar &ar)
 
     ar(self.prop, self.tProp, self.cProp, self.lastReduceAt, self.activeCur,
        self.activeNext, self.activatedThisIteration);
-    for (auto &stream : self.streams)
-        ar(stream.records, stream.edgeCursor);
+    for (unsigned s = 0; s < self.streams.size(); ++s) {
+        // The head's progress travels as an edge cursor into its record.
+        // On restore the cursor is parked in the head register, which
+        // restoreState() then rebuilds.
+        std::uint32_t cursor = 0;
+        if constexpr (!Ar::kRestoring)
+            cursor = self.headCursor(s);
+        ar(self.streams[s].records, cursor);
+        if constexpr (Ar::kRestoring)
+            self.heads[s] = Head{cursor, 0, 0};
+    }
 
     auto &scatter = self.sc;
     ar(scatter.recordsTotal, scatter.expectedEdges, scatter.batchesTotal,
@@ -943,9 +976,21 @@ GraphicionadoAccel::restoreState(sim::Deserializer &d)
     d.registerPointer(&wport);
     fields(*this, d);
 
-    // The scheduling masks are derived state, never serialized.
-    for (unsigned s = 0; s < cfg.numStreams; ++s)
-        refreshStream(s);
+    // Head registers, scheduling masks and the wake ring are derived
+    // state, never serialized. No stream comes back asleep: a ready head
+    // still inside its RAW window stalls on the first tick and is parked
+    // again, counting the one stall the asleep count would have.
+    clearStreamSchedule();
+    for (unsigned s = 0; s < cfg.numStreams; ++s) {
+        const EdgeId cursor = heads[s].next; // parked there by fields()
+        heads[s] = Head{};
+        refreshStream(s); // loads a ready head at its first edge
+        gds_require(cursor == 0 || heads[s].next + cursor < heads[s].end,
+                    CheckpointError,
+                    "stream %u edge cursor %llu past its head record", s,
+                    static_cast<unsigned long long>(cursor));
+        heads[s].next += cursor;
+    }
 }
 
 } // namespace gds::baseline

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "algo/vcpm.hh"
+#include "common/bitutil.hh"
 #include "core/gds_accel.hh" // RunOptions / RunResult
 #include "core/memmap.hh"
 #include "graph/slicer.hh"
@@ -91,8 +92,9 @@ class GraphicionadoAccel : public sim::Component
      * 1 unless the current cycle is provably a pure wait (no response
      * pending, every stream blocked on edge data, no issuable request);
      * then the HBM's own horizon. A ready stream head counts as active
-     * even when it would RAW-stall: those stalls resolve by time, not
-     * memory, and are stepped naively.
+     * even when it would RAW-stall, and so does a stream asleep on a RAW
+     * window: each stepped cycle counts its stall, and its wake cycle is
+     * not an HBM event, so those cycles are stepped, never skipped.
      */
     Cycle nextEventCycle() const override;
 
@@ -163,11 +165,25 @@ class GraphicionadoAccel : public sim::Component
         }
     };
 
-    /** One processing stream (pipeline). */
+    /** One processing stream (pipeline): its backlog of record indices. */
     struct Stream
     {
-        std::deque<std::uint64_t> records; ///< assigned record indices
-        std::uint32_t edgeCursor = 0;      ///< progress in head record
+        sim::BoundedQueue<std::uint64_t> records;
+
+        explicit Stream(unsigned capacity) : records(capacity) {}
+    };
+
+    /**
+     * Head register of one stream: the head record's remaining edge range
+     * in the slice CSR and its property, loaded when the record becomes
+     * the ready head. next == end means no edge is left: a degree-0 head,
+     * or a finished record whose successor is not ready yet.
+     */
+    struct Head
+    {
+        EdgeId next = 0;
+        EdgeId end = 0;
+        PropValue prop = 0;
     };
 
     enum class Phase
@@ -190,9 +206,21 @@ class GraphicionadoAccel : public sim::Component
     bool scatterQuiescent() const;
     bool applyQuiescent() const;
 
-    /** Re-derive stream @p s's bits in the scheduling masks; called after
+    /** Re-derive stream @p s's bits in the scheduling masks, loading its
+     *  head register when a new record became the ready head; called after
      *  every push, pop, fetch issue and fetch completion on that stream. */
     void refreshStream(unsigned s);
+
+    /** Clear the scheduling masks and the wake ring. */
+    void clearStreamSchedule();
+
+    /** Park RAW-stalled stream @p s until cycle @p wake, when the update
+     *  it conflicts with leaves the reduce pipeline. */
+    void sleepStream(unsigned s, Cycle wake);
+
+    /** Stream @p s's progress in its head record (the checkpointed edge
+     *  cursor). */
+    std::uint32_t headCursor(unsigned s) const;
 
     // Tracer hooks (one branch each when tracing is off).
     void traceBegin(std::string event);
@@ -274,19 +302,38 @@ class GraphicionadoAccel : public sim::Component
     };
 
     std::vector<Stream> streams;
+    /** Checkpointed as each stream's edge cursor (headCursor()); the
+     *  registers are reloaded from it at the end of restoreState(). */
+    std::vector<Head> heads;
     /**
      * Scheduling masks, one bit per stream: the scatter tick and its
      * quiescence predicate visit only set bits, in ascending stream order,
      * so their cost follows the active streams rather than numStreams.
      */
     // gds-ckpt: skip(streamsHeadReady) derived from the stream queues and
-    // fetch states (head record has its edges on chip, or none); rebuilt
-    // at the end of restoreState()
-    std::vector<std::uint64_t> streamsHeadReady;
+    // fetch states (head record has its edges on chip, or none, and the
+    // stream is not asleep); rebuilt at the end of restoreState()
+    BitMask streamsHeadReady;
     // gds-ckpt: skip(streamsNeedingFetch) derived from the stream queues
     // and fetch states (lookahead records neither ready nor fully issued);
     // rebuilt at the end of restoreState()
-    std::vector<std::uint64_t> streamsNeedingFetch;
+    BitMask streamsNeedingFetch;
+    /**
+     * RAW-stalled streams. A stream stalling on dst cannot act before
+     * lastReduceAt[dst] + atomicPipelineDepth: no other stream reduces dst
+     * earlier and its head does not change. It sleeps in the wake-ring
+     * slot of that cycle instead of being re-checked every cycle; each
+     * scatter tick first wakes its slot, then counts one stall per stream
+     * still asleep, as the naive loop would.
+     */
+    // gds-ckpt: skip(streamsAsleep) derived: a head parked inside its RAW
+    // window; restoreState() leaves it empty and the first tick re-parks
+    // every ready head still inside its window, with the same stall count
+    BitMask streamsAsleep;
+    // gds-ckpt: skip(wakeRing) derived with streamsAsleep: one mask per
+    // cycle of the next atomicPipelineDepth + 1 (rounded up to a power of
+    // two); cleared with it in restoreState()
+    std::vector<BitMask> wakeRing;
     ScatterState sc;
     ApplyState ap;
     Phase phase = Phase::Finished;

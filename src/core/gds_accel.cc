@@ -113,6 +113,7 @@ GdsAccel::GdsAccel(const GdsConfig &config, const graph::Csr &g,
                          cfg.vbLatency);
     for (unsigned i = 0; i < cfg.numUes; ++i)
         ues.emplace_back(cfg.ueQueueDepth);
+    uesNonEmpty = makeBitMask(cfg.numUes);
 }
 
 GdsAccel::~GdsAccel() = default;
@@ -657,6 +658,10 @@ GdsAccel::restoreState(sim::Deserializer &d)
     d.registerPointer(&eportRead);
     d.registerPointer(&auPortWrite);
     fields(*this, d);
+
+    // The UE occupancy mask is derived state, never serialized.
+    for (unsigned u = 0; u < cfg.numUes; ++u)
+        assignBit(uesNonEmpty, u, !ues[u].inbox.empty());
 }
 
 void

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "algo/vcpm.hh"
+#include "common/bitutil.hh"
 #include "core/config.hh"
 #include "core/memmap.hh"
 #include "graph/slicer.hh"
@@ -511,6 +512,15 @@ class GdsAccel : public sim::Component
     std::uint64_t scEdgesQueued = 0;   ///< sum of PE edgeQueue sizes
     std::uint64_t scFlitsBuffered = 0; ///< sum of PE pendingFlits sizes
     std::uint64_t ueFlitsQueued = 0;   ///< sum of UE inbox sizes
+    /**
+     * UEs whose inbox holds a flit, one bit per UE: tickUes() visits only
+     * these, in ascending UE order. The route loop sets a UE's bit on
+     * every push; a UE clears it when its inbox drains, so a UE stalled on
+     * a RAW conflict keeps it.
+     */
+    // gds-ckpt: skip(uesNonEmpty) derived from the UE inboxes; rebuilt at
+    // the end of restoreState()
+    BitMask uesNonEmpty;
     ScatterState sc;
     ApplyState ap;
     Phase phase = Phase::Finished;

@@ -499,6 +499,7 @@ GdsAccel::tickPesScatter()
             if (routed < cfg.nSimt && ues[ue].inbox.canPush() &&
                 xbar->tryRoute(ue)) {
                 ues[ue].inbox.push(flit);
+                assignBit(uesNonEmpty, ue, true);
                 ++routed;
             } else {
                 flits[kept++] = flit;
@@ -558,33 +559,41 @@ GdsAccel::tickUes()
 {
     if (ueFlitsQueued == 0)
         return;
-    for (Ue &ue : ues) {
-        if (ue.inbox.empty())
-            continue;
-        const ResultFlit &flit = ue.inbox.front();
+    // Only UEs with a queued flit, in ascending order. Reducing never
+    // pushes into an inbox, so each mask word can be read once up front.
+    for (std::size_t w = 0; w < uesNonEmpty.size(); ++w) {
+        for (std::uint64_t bits = uesNonEmpty[w]; bits != 0;
+             bits &= bits - 1) {
+            const unsigned u = static_cast<unsigned>(w * kMaskWordBits) +
+                               static_cast<unsigned>(std::countr_zero(bits));
+            Ue &ue = ues[u];
+            const ResultFlit &flit = ue.inbox.front();
 
-        if (!cfg.zeroStallAtomics) {
-            // Graphicionado-style: stall while a conflicting update is
-            // still inside the 3-stage read/execute/write pipeline.
-            bool conflict = false;
-            for (unsigned k = 0; k < 2; ++k) {
-                if (ue.pipeAddr[k] == flit.dst &&
-                    now - ue.pipeCycle[k] < 3)
-                    conflict = true;
+            if (!cfg.zeroStallAtomics) {
+                // Graphicionado-style: stall while a conflicting update
+                // is still inside the 3-stage read/execute/write pipeline.
+                bool conflict = false;
+                for (unsigned k = 0; k < 2; ++k) {
+                    if (ue.pipeAddr[k] == flit.dst &&
+                        now - ue.pipeCycle[k] < 3)
+                        conflict = true;
+                }
+                if (conflict) {
+                    ++statAtomicStalls;
+                    continue;
+                }
+                ue.pipeAddr[1] = ue.pipeAddr[0];
+                ue.pipeCycle[1] = ue.pipeCycle[0];
+                ue.pipeAddr[0] = flit.dst;
+                ue.pipeCycle[0] = now;
             }
-            if (conflict) {
-                ++statAtomicStalls;
-                continue;
-            }
-            ue.pipeAddr[1] = ue.pipeAddr[0];
-            ue.pipeCycle[1] = ue.pipeCycle[0];
-            ue.pipeAddr[0] = flit.dst;
-            ue.pipeCycle[0] = now;
+
+            reduceFlit(flit);
+            ue.inbox.pop();
+            --ueFlitsQueued;
+            if (ue.inbox.empty())
+                assignBit(uesNonEmpty, u, false);
         }
-
-        reduceFlit(flit);
-        ue.inbox.pop();
-        --ueFlitsQueued;
     }
 }
 

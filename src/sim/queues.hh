@@ -102,6 +102,14 @@ class BoundedQueue
         --count;
     }
 
+    /** Drop every element; slots keep stale values until overwritten. */
+    void
+    clear()
+    {
+        head = 0;
+        count = 0;
+    }
+
     /**
      * Checkpoint fields; capacity is configuration, only contents move.
      * The bytes are the element count then the elements in FIFO order,

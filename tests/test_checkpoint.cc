@@ -230,6 +230,32 @@ TEST_F(CheckpointTest, ResumeIsBitExactAcrossTheMatrix)
     }
 }
 
+/**
+ * Checkpoint exactly at cycle @p cut (a periodic checkpoint lands on it
+ * and the budget stops the run one cycle later), resume, and require the
+ * uninterrupted run's artifacts.
+ */
+void
+expectResumeAtCycleIsExact(const Scenario &sc, const graph::Csr &g,
+                           algo::AlgorithmId id, Cycle cut,
+                           const RunArtifacts &ref, const std::string &base)
+{
+    core::CheckpointOptions ck;
+    ck.dir = "ckpt";
+    ck.basename = base;
+    ck.interval = cut;
+    const RunArtifacts stopped = runScenario(sc, g, id, ck, cut + 1);
+    ASSERT_FALSE(stopped.result.completed());
+    const sim::CheckpointStore store("ckpt", ck.basename);
+    const auto loaded = store.loadLatest();
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->meta.cycle, cut);
+
+    ck.resume = true;
+    ck.interval = 0;
+    expectExactMatch(runScenario(sc, g, id, ck), ref);
+}
+
 TEST_F(CheckpointTest, ResumeMidSecondSliceScatterIsBitExact)
 {
     // Checkpoint exactly at a cycle where the second slice's scatter has
@@ -259,24 +285,58 @@ TEST_F(CheckpointTest, ResumeMidSecondSliceScatterIsBitExact)
                 cut = budget;
         }
         ASSERT_NE(cut, 0u) << "no mid-slice-1 scatter state found";
-
-        // A periodic checkpoint lands exactly on the cut cycle; the budget
-        // stops the run one cycle later.
-        core::CheckpointOptions ck;
-        ck.dir = "ckpt";
-        ck.basename = sc.tag() + "_mid";
-        ck.interval = cut;
-        const RunArtifacts stopped = runScenario(sc, g, id, ck, cut + 1);
-        ASSERT_FALSE(stopped.result.completed());
-        const sim::CheckpointStore store("ckpt", ck.basename);
-        const auto loaded = store.loadLatest();
-        ASSERT_TRUE(loaded.has_value());
-        EXPECT_EQ(loaded->meta.cycle, cut);
-
-        ck.resume = true;
-        ck.interval = 0;
-        expectExactMatch(runScenario(sc, g, id, ck), ref);
+        expectResumeAtCycleIsExact(sc, g, id, cut, ref, sc.tag() + "_mid");
     }
+}
+
+TEST_F(CheckpointTest, ResumeWithRawStalledStreamsIsBitExact)
+{
+    // Cut Graphicionado PR where streams RAW-stall in the last tick before
+    // the checkpoint and in the first one after it: streams parked until
+    // their RAW window closes must resume with their head registers
+    // mid-record and keep counting one stall per cycle.
+    const graph::Csr g = testGraph();
+    const algo::AlgorithmId id = algo::AlgorithmId::Pr;
+    Scenario sc;
+    sc.graphicionado = true;
+    const RunArtifacts ref = runScenario(sc, g, id, {});
+    ASSERT_TRUE(ref.result.completed());
+    ASSERT_GT(ref.result.atomicStalls, 0u);
+
+    const auto stalls_at = [&](Cycle budget) {
+        return runScenario(sc, g, id, {}, budget).result.atomicStalls;
+    };
+    Cycle cut = 0;
+    for (Cycle b = 2; b + 1 < ref.result.cycles && cut == 0; b += 5) {
+        const std::uint64_t at = stalls_at(b);
+        if (stalls_at(b - 1) < at && at < stalls_at(b + 1))
+            cut = b;
+    }
+    ASSERT_NE(cut, 0u) << "no cycle with RAW stalls on both sides found";
+    expectResumeAtCycleIsExact(sc, g, id, cut, ref, "raw_stalled");
+}
+
+TEST_F(CheckpointTest, ResumeWithQueuedUeFlitsIsBitExact)
+{
+    // Cut GraphDynS PR in scatter while UE inboxes hold flits: the resumed
+    // run must rebuild which UEs have work before its first reduce.
+    const graph::Csr g = testGraph();
+    const algo::AlgorithmId id = algo::AlgorithmId::Pr;
+    const Scenario sc;
+    const RunArtifacts ref = runScenario(sc, g, id, {});
+    ASSERT_TRUE(ref.result.completed());
+
+    Cycle cut = 0;
+    for (Cycle k = 1; k < 256 && cut == 0; ++k) {
+        const Cycle budget = ref.result.cycles * k / 256;
+        const std::string st =
+            runScenario(sc, g, id, {}, budget).finalState;
+        if (st.find("phase=scatter") != std::string::npos &&
+            st.find(" ue=0]") == std::string::npos)
+            cut = budget;
+    }
+    ASSERT_NE(cut, 0u) << "no scatter state with queued UE flits found";
+    expectResumeAtCycleIsExact(sc, g, id, cut, ref, "ue_queued");
 }
 
 // --- Identity and corruption handling -------------------------------------
@@ -396,6 +456,43 @@ TEST(CheckpointCounts, HugeCountsThrowTypedErrors)
         sim::Deserializer d(s.bytes());
         EXPECT_THROW(d(nested), CheckpointError);
     }
+}
+
+TEST(CheckpointCounts, OverfullStreamQueueIsRejected)
+{
+    // A Graphicionado stream queue is hardware of streamQueueRecords
+    // entries: a checkpoint holding more than that is refused with a
+    // typed error, not loaded as an impossible state. One stream takes
+    // every record, so its queue fills past 64 within a few hundred
+    // cycles.
+    const graph::Csr g = testGraph();
+    auto a = algo::makeAlgorithm(algo::AlgorithmId::Pr);
+    baseline::GraphicionadoConfig cfg;
+    cfg.numStreams = 1;
+    cfg.streamQueueRecords = 128;
+    std::vector<std::uint8_t> payload;
+    for (Cycle budget = 64; budget <= 4096 && payload.empty();
+         budget += 64) {
+        baseline::GraphicionadoAccel accel(cfg, g, *a);
+        core::RunOptions o;
+        o.source = algo::defaultSource(g);
+        o.cycleBudget = budget;
+        accel.run(o);
+        const std::string st = accel.debugState();
+        const auto at = st.find("streams=");
+        ASSERT_NE(at, std::string::npos);
+        if (std::stoul(st.substr(at + 8)) > 64) {
+            sim::Serializer s;
+            accel.saveState(s);
+            payload = s.bytes();
+        }
+    }
+    ASSERT_FALSE(payload.empty()) << "the stream queue never passed 64";
+
+    cfg.streamQueueRecords = 64;
+    baseline::GraphicionadoAccel small(cfg, g, *a);
+    sim::Deserializer d(payload);
+    EXPECT_THROW(small.restoreState(d), CheckpointError);
 }
 
 // --- Payload determinism --------------------------------------------------

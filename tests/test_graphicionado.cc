@@ -110,6 +110,22 @@ TEST(Graphicionado, AtomicStallsOccurOnSkewedGraphs)
     EXPECT_GT(r.atomicStalls, 0u);
 }
 
+TEST(Graphicionado, InconsistentConfigsThrowConfigError)
+{
+    const auto g = testGraph(64, 256, 5);
+    auto pr = algo::makeAlgorithm(AlgorithmId::Pr);
+    GraphicionadoConfig no_queue;
+    no_queue.streamQueueRecords = 0;
+    EXPECT_THROW(GraphicionadoAccel(no_queue, g, *pr), ConfigError);
+    GraphicionadoConfig no_streams;
+    no_streams.numStreams = 0;
+    EXPECT_THROW(GraphicionadoAccel(no_streams, g, *pr), ConfigError);
+    // The RAW wake ring holds one slot per cycle of the window.
+    GraphicionadoConfig huge_window;
+    huge_window.atomicPipelineDepth = Cycle{1} << 40;
+    EXPECT_THROW(GraphicionadoAccel(huge_window, g, *pr), ConfigError);
+}
+
 TEST(Graphicionado, NeverSkipsUpdates)
 {
     const auto g = testGraph(2000, 16000, 87);

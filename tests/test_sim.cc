@@ -386,6 +386,23 @@ TEST(BoundedQueue, RingWrapsAroundWithNonPowerOfTwoCapacity)
     EXPECT_EQ(next_out, next_in);
 }
 
+TEST(BoundedQueue, ClearEmptiesAWrappedRing)
+{
+    BoundedQueue<int> q(3);
+    for (int i = 0; i < 3; ++i)
+        q.push(i);
+    q.pop(); // the head leaves slot 0, so the ring wraps below
+    q.push(3);
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.size(), 0u);
+    for (int i = 10; i < 13; ++i)
+        q.push(i);
+    EXPECT_FALSE(q.canPush());
+    EXPECT_EQ(q.pop(), 10);
+    EXPECT_EQ(q.front(), 11);
+}
+
 TEST(BoundedQueue, BackpressureAtCapacityNotSlotCount)
 {
     BoundedQueue<int> q(5);

@@ -1,9 +1,10 @@
 /**
  * @file
  * Golden timing pins: the simulated cycle count and an FNV-1a hash of the
- * end-of-run stats JSON of both accelerator models, for PR, BFS and
- * weighted SSSP on one RMAT graph, at the default configuration and at a
- * forced multi-slice one.
+ * end-of-run stats JSON of both accelerator models, for PR, BFS, CC and
+ * weighted SSSP on one RMAT graph, at the default configuration, at a
+ * forced multi-slice one, with GraphDynS's stalling (non-zero-stall) UE
+ * atomics, and at two Graphicionado RAW-window depths.
  *
  * The fast-forward equivalence suite compares two modes of one build, so
  * it cannot notice a change that shifts both modes alike; these pins can.
@@ -33,13 +34,23 @@ namespace
 
 using algo::AlgorithmId;
 
+/** How a pinned run's configuration departs from the defaults. */
+enum class Variant
+{
+    Default,
+    Sliced,       ///< on-chip storage for 256 vertices: four slices
+    StallAtomics, ///< GraphDynS UEs stall on RAW conflicts
+    Depth1,       ///< Graphicionado RAW window of one cycle
+    Depth5,       ///< Graphicionado RAW window of five cycles
+};
+
 /** One pinned run and its expected outcome. */
 struct Golden
 {
     const char *name;
     bool graphicionado;
     AlgorithmId algorithm;
-    bool sliced;
+    Variant variant;
     Cycle cycles;
     std::uint64_t statsHash;
 };
@@ -89,15 +100,21 @@ runGolden(const Golden &c)
     if (c.graphicionado) {
         baseline::GraphicionadoConfig cfg;
         cfg.maxIterations = max_iterations;
-        if (c.sliced)
+        if (c.variant == Variant::Sliced)
             cfg.onChipBytes = 256 * bytesPerWord; // 256-vertex slices
+        if (c.variant == Variant::Depth1)
+            cfg.atomicPipelineDepth = 1;
+        if (c.variant == Variant::Depth5)
+            cfg.atomicPipelineDepth = 5;
         baseline::GraphicionadoAccel accel(cfg, g, *algorithm);
         return observe(accel, g);
     }
     core::GdsConfig cfg;
     cfg.maxIterations = max_iterations;
-    if (c.sliced)
+    if (c.variant == Variant::Sliced)
         cfg.vbBytesPerUe = 8; // 128 UEs x 8 B / 4 B = 256-vertex slices
+    if (c.variant == Variant::StallAtomics)
+        cfg.zeroStallAtomics = false;
     core::GdsAccel accel(cfg, g, *algorithm);
     return observe(accel, g);
 }
@@ -117,7 +134,7 @@ TEST_P(TimingGolden, CyclesAndStatsArePinned)
     const Golden &c = GetParam();
     const Observed o = runGolden(c);
     ASSERT_TRUE(o.completed);
-    if (c.sliced)
+    if (c.variant == Variant::Sliced)
         EXPECT_EQ(o.slices, 4u);
     else
         EXPECT_EQ(o.slices, 1u);
@@ -134,32 +151,45 @@ TEST_P(TimingGolden, CyclesAndStatsArePinned)
 // rework; every later change must reproduce them exactly. The four PR
 // statsHash values were re-captured when JSON numbers became exact (the
 // old 6-digit rendering rounded PR's large counters); the same model with
-// only the number formatter swapped yields them, and no cycle moved.
+// only the number formatter swapped yields them, and no cycle moved. The
+// last five rows (CC, stalling UEs, RAW-window depths) were captured from
+// the model before the stream head registers, sleeping RAW-stalled streams
+// and the UE occupancy mask.
 const Golden kGolden[] = {
-    {"gds_pr_default", false, AlgorithmId::Pr, false,
+    {"gds_pr_default", false, AlgorithmId::Pr, Variant::Default,
      11723u, 0xe25cd6fff8477276ULL},
-    {"gds_bfs_default", false, AlgorithmId::Bfs, false,
+    {"gds_bfs_default", false, AlgorithmId::Bfs, Variant::Default,
      1534u, 0x609ea6db0461f1bfULL},
-    {"gds_sssp_default", false, AlgorithmId::Sssp, false,
+    {"gds_sssp_default", false, AlgorithmId::Sssp, Variant::Default,
      3103u, 0x760f3f20f5af74e0ULL},
-    {"gds_pr_sliced", false, AlgorithmId::Pr, true,
+    {"gds_pr_sliced", false, AlgorithmId::Pr, Variant::Sliced,
      24986u, 0x31f24d887042b9f1ULL},
-    {"gds_bfs_sliced", false, AlgorithmId::Bfs, true,
+    {"gds_bfs_sliced", false, AlgorithmId::Bfs, Variant::Sliced,
      3814u, 0xb29fc4b2e54c34e9ULL},
-    {"gds_sssp_sliced", false, AlgorithmId::Sssp, true,
+    {"gds_sssp_sliced", false, AlgorithmId::Sssp, Variant::Sliced,
      7528u, 0xf810bf4bd102315bULL},
-    {"gi_pr_default", true, AlgorithmId::Pr, false,
+    {"gi_pr_default", true, AlgorithmId::Pr, Variant::Default,
      34748u, 0x7e87c9319bc27c4fULL},
-    {"gi_bfs_default", true, AlgorithmId::Bfs, false,
+    {"gi_bfs_default", true, AlgorithmId::Bfs, Variant::Default,
      4806u, 0x96c63526f70a47ebULL},
-    {"gi_sssp_default", true, AlgorithmId::Sssp, false,
+    {"gi_sssp_default", true, AlgorithmId::Sssp, Variant::Default,
      8866u, 0x73606033dfdd5805ULL},
-    {"gi_pr_sliced", true, AlgorithmId::Pr, true,
+    {"gi_pr_sliced", true, AlgorithmId::Pr, Variant::Sliced,
      63434u, 0x5e5f44ab8ae99ebbULL},
-    {"gi_bfs_sliced", true, AlgorithmId::Bfs, true,
+    {"gi_bfs_sliced", true, AlgorithmId::Bfs, Variant::Sliced,
      8309u, 0x865a9daf145e81e5ULL},
-    {"gi_sssp_sliced", true, AlgorithmId::Sssp, true,
+    {"gi_sssp_sliced", true, AlgorithmId::Sssp, Variant::Sliced,
      16172u, 0xa39c287c01de664eULL},
+    {"gds_cc_default", false, AlgorithmId::Cc, Variant::Default,
+     3822u, 0xfc2b103890ea42acULL},
+    {"gi_cc_default", true, AlgorithmId::Cc, Variant::Default,
+     11001u, 0x96c75e9691e3e8b5ULL},
+    {"gds_pr_stall_atomics", false, AlgorithmId::Pr, Variant::StallAtomics,
+     31745u, 0xcd4f303d9a9dca73ULL},
+    {"gi_pr_depth1", true, AlgorithmId::Pr, Variant::Depth1,
+     16111u, 0x9b9f16ee918a1a0bULL},
+    {"gi_pr_depth5", true, AlgorithmId::Pr, Variant::Depth5,
+     54512u, 0x63cfbcd981817713ULL},
 };
 
 INSTANTIATE_TEST_SUITE_P(Runs, TimingGolden, ::testing::ValuesIn(kGolden),
