@@ -44,6 +44,7 @@
 #include <cstring>
 #include <iostream>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -339,11 +340,23 @@ main(int argc, char **argv)
                         : "; checkpoint written (rerun with --resume)");
     };
 
-    if (all || opts.system == "gds") {
-        core::GdsConfig cfg = opts.gdsConfig;
-        cfg.maxIterations = iters;
+    // GraphDynS and Graphicionado run through the same accelerator
+    // frame; only construction and the energy model differ.
+    for (const std::string tag : {"gds", "graphicionado"}) {
+        if (!all && opts.system != tag)
+            continue;
+        const bool gds = tag == "gds";
+        core::GdsConfig gds_cfg = opts.gdsConfig;
+        gds_cfg.maxIterations = iters;
+        baseline::GraphicionadoConfig gi_cfg;
+        gi_cfg.maxIterations = iters;
         auto a = algo::makeAlgorithm(algorithm_id);
-        core::GdsAccel accel(cfg, g, *a);
+        std::unique_ptr<core::VcpmAccel> accel;
+        if (gds)
+            accel = std::make_unique<core::GdsAccel>(gds_cfg, g, *a);
+        else
+            accel = std::make_unique<baseline::GraphicionadoAccel>(gi_cfg,
+                                                                   g, *a);
         core::RunOptions run;
         run.source = source;
         obs::Sampler sampler;
@@ -352,53 +365,30 @@ main(int argc, char **argv)
             run.sampler = &sampler;
         }
         run.traceCounterInterval = counter_interval;
-        run.checkpoint = checkpoint_for("gds");
+        run.checkpoint = checkpoint_for(tag.c_str());
         run.killAtCycle = opts.killAtCycle;
-        const auto r = accel.run(run);
+        const auto r = accel->run(run);
         last_traced_cycle = std::max(last_traced_cycle, r.cycles);
-        const auto e =
-            energy_model.gdsEnergy(cfg, r.cycles, r.memoryBytes);
-        printCommon("GraphDynS", static_cast<double>(r.cycles) * 1e-9,
-                    r.gteps(), static_cast<double>(r.memoryBytes),
-                    r.bandwidthUtilization, e.totalJ());
+        const double energy_j =
+            gds ? energy_model.gdsEnergy(gds_cfg, r.cycles, r.memoryBytes)
+                      .totalJ()
+                : energy_model
+                      .graphicionadoEnergy(gi_cfg, r.cycles, r.memoryBytes)
+                      .totalJ();
+        printCommon(gds ? "GraphDynS" : "Graphicionado",
+                    static_cast<double>(r.cycles) * 1e-9, r.gteps(),
+                    static_cast<double>(r.memoryBytes),
+                    r.bandwidthUtilization, energy_j);
         std::printf("  iterations=%u slices=%u applies-skipped=%llu "
                     "atomic-stalls=%llu\n",
-                    r.iterations, accel.numSlices(),
+                    r.iterations, accel->numSlices(),
                     static_cast<unsigned long long>(r.updatesSkipped),
                     static_cast<unsigned long long>(r.atomicStalls));
         note_interrupted(r);
         if (opts.sampleInterval != 0)
-            dump_samples(sampler, "gds");
+            dump_samples(sampler, tag.c_str());
         if (opts.dumpStats)
-            accel.statsGroup().dump(std::cout);
-    }
-    if (all || opts.system == "graphicionado") {
-        baseline::GraphicionadoConfig cfg;
-        cfg.maxIterations = iters;
-        auto a = algo::makeAlgorithm(algorithm_id);
-        baseline::GraphicionadoAccel accel(cfg, g, *a);
-        core::RunOptions run;
-        run.source = source;
-        obs::Sampler sampler;
-        if (opts.sampleInterval != 0) {
-            sampler.setInterval(opts.sampleInterval);
-            run.sampler = &sampler;
-        }
-        run.traceCounterInterval = counter_interval;
-        run.checkpoint = checkpoint_for("graphicionado");
-        run.killAtCycle = opts.killAtCycle;
-        const auto r = accel.run(run);
-        last_traced_cycle = std::max(last_traced_cycle, r.cycles);
-        const auto e = energy_model.graphicionadoEnergy(cfg, r.cycles,
-                                                        r.memoryBytes);
-        printCommon("Graphicionado", static_cast<double>(r.cycles) * 1e-9,
-                    r.gteps(), static_cast<double>(r.memoryBytes),
-                    r.bandwidthUtilization, e.totalJ());
-        note_interrupted(r);
-        if (opts.sampleInterval != 0)
-            dump_samples(sampler, "graphicionado");
-        if (opts.dumpStats)
-            accel.statsGroup().dump(std::cout);
+            accel->statsGroup().dump(std::cout);
     }
     if (all || opts.system == "gunrock") {
         baseline::GunrockConfig cfg;

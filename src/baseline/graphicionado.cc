@@ -2,55 +2,35 @@
 
 #include <algorithm>
 #include <bit>
-#include <csignal>
-#include <cstdlib>
-#include <optional>
-#include <sstream>
+#include <ostream>
 
 #include "common/bitutil.hh"
-#include "common/parse.hh"
-#include "core/checkpoint_session.hh"
+#include "core/detail.hh"
 #include "sim/checkpoint.hh"
 
 namespace gds::baseline
 {
 
+using core::detail::makeTag;
+using core::detail::maxRequestBytes;
+using core::detail::tagKind;
+using core::detail::tagPayload;
+
 namespace
 {
 
-enum class Tag : std::uint64_t
-{
-    RecordBatch = 1,
-    TPropFill,
-    EdgeFetch,
-    ApplyBatch,
-    Store,
-};
-
-constexpr std::uint64_t
-makeTag(Tag kind, std::uint64_t payload)
-{
-    return (static_cast<std::uint64_t>(kind) << 56) | payload;
-}
-
-constexpr Tag
-tagKind(std::uint64_t tag)
-{
-    return static_cast<Tag>(tag >> 56);
-}
-
-constexpr std::uint64_t
-tagPayload(std::uint64_t tag)
-{
-    return tag & ((1ULL << 56) - 1);
-}
-
-constexpr unsigned maxRequestBytes = 512;
 constexpr unsigned applyBatchVerts = 128; ///< props per sweep request
 constexpr unsigned auRecordBatch = 8;     ///< active records per store
 
-/** Longest RAW window the wake ring is sized for. */
-constexpr Cycle kMaxAtomicPipelineDepth = 1u << 16;
+/** The frame's shape of a validated Graphicionado configuration. */
+core::VcpmAccel::Shape
+giShape(const GraphicionadoConfig &c)
+{
+    if (const char *violation = configContractViolation(c))
+        throw ConfigError(violation);
+    // Edge records carry src_vid (+4 B); active records are (vid, prop).
+    return {c.sliceCapacity(), 8u, 8u, c.maxIterations, c.numStreams, c.hbm};
+}
 
 } // namespace
 
@@ -58,21 +38,9 @@ GraphicionadoAccel::GraphicionadoAccel(const GraphicionadoConfig &config,
                                        const graph::Csr &g,
                                        algo::VcpmAlgorithm &algorithm,
                                        sim::Component *parent)
-    : sim::Component("graphicionado", parent),
+    : core::VcpmAccel("graphicionado", g, algorithm, giShape(config),
+                      parent),
       cfg(config),
-      fullGraph(g),
-      algo(algorithm),
-      weighted(algorithm.usesWeights()),
-      hasConstProp(algorithm.usesConstProp()),
-      statIterations(&statsGroup(), "iterations", "iterations executed"),
-      statScatterCycles(&statsGroup(), "scatterCycles",
-                        "cycles in the processing (scatter) phase"),
-      statApplyCycles(&statsGroup(), "applyCycles",
-                      "cycles in the apply phase"),
-      statEdgesProcessed(&statsGroup(), "edgesProcessed",
-                         "edges processed by the streams"),
-      statVertexUpdates(&statsGroup(), "vertexUpdates",
-                        "vertices whose property changed in Apply"),
       statAtomicStalls(&statsGroup(), "atomicStalls",
                        "stream stalls from RAW conflicts"),
       statApplyOps(&statsGroup(), "applyOps", "Apply kernel executions"),
@@ -80,36 +48,6 @@ GraphicionadoAccel::GraphicionadoAccel(const GraphicionadoConfig &config,
       statStreamEdges(&statsGroup(), "streamEdges",
                       "edges processed per stream", config.numStreams)
 {
-    if (weighted && !fullGraph.hasWeights())
-        throw ConfigError(algo.name() + " needs a weighted graph");
-    if (cfg.numStreams == 0 || cfg.streamQueueRecords == 0)
-        throw ConfigError("numStreams and streamQueueRecords must be positive");
-    if (cfg.atomicPipelineDepth > kMaxAtomicPipelineDepth)
-        throw ConfigError(gds::detail::vformat(
-            "atomicPipelineDepth %llu exceeds %llu cycles",
-            static_cast<unsigned long long>(cfg.atomicPipelineDepth),
-            static_cast<unsigned long long>(kMaxAtomicPipelineDepth)));
-
-    const VertexId v_count = fullGraph.numVertices();
-    const VertexId capacity = cfg.sliceCapacity();
-    sliceCount = graph::numSlices(v_count, capacity);
-    if (sliceCount > 1)
-        slices = graph::sliceByDestination(fullGraph, capacity);
-
-    sliceEdgeStart.resize(sliceCount, 0);
-    EdgeId edge_cursor = 0;
-    for (unsigned s = 0; s < sliceCount; ++s) {
-        sliceEdgeStart[s] = edge_cursor;
-        edge_cursor += sliceGraph(s).numEdges();
-    }
-
-    // Graphicionado record formats: edges carry src_vid (+4 B), active
-    // records are (vid, prop) = 8 B.
-    const core::RecordFormat fmt{weighted ? 12u : 8u, 8u, 0u};
-    layout = std::make_unique<core::MemoryLayout>(
-        v_count, edge_cursor, fmt, hasConstProp, sliceCount > 1);
-    hbm = std::make_unique<mem::Hbm>(cfg.hbm, this);
-
     streams.assign(cfg.numStreams, Stream(cfg.streamQueueRecords));
     heads.assign(cfg.numStreams, Head{});
     streamsHeadReady = makeBitMask(cfg.numStreams);
@@ -121,207 +59,28 @@ GraphicionadoAccel::GraphicionadoAccel(const GraphicionadoConfig &config,
                     makeBitMask(cfg.numStreams));
 }
 
-GraphicionadoAccel::~GraphicionadoAccel() = default;
-
-const graph::Csr &
-GraphicionadoAccel::sliceGraph(unsigned s) const
+void
+GraphicionadoAccel::prepareRun()
 {
-    return sliceCount == 1 ? fullGraph : slices[s].subgraph;
-}
-
-VertexId
-GraphicionadoAccel::sliceBegin(unsigned s) const
-{
-    return sliceCount == 1 ? 0 : slices[s].dstBegin;
-}
-
-VertexId
-GraphicionadoAccel::sliceEnd(unsigned s) const
-{
-    return sliceCount == 1 ? fullGraph.numVertices() : slices[s].dstEnd;
+    lastReduceAt.assign(fullGraph.numVertices(), 0);
 }
 
 void
-GraphicionadoAccel::buildInitialActives(VertexId source)
+GraphicionadoAccel::fillResult(core::RunResult &result) const
 {
-    activeCur.assign(sliceCount, {});
-    activeNext.assign(sliceCount, {});
-    auto add = [this](VertexId v) {
-        for (unsigned s = 0; s < sliceCount; ++s)
-            activeCur[s].push_back(ActiveRecord{v, prop[v]});
-    };
-    if (algo.allInitiallyActive()) {
-        for (VertexId v = 0; v < fullGraph.numVertices(); ++v)
-            add(v);
-    } else {
-        add(source);
-    }
-}
-
-core::RunResult
-GraphicionadoAccel::run(const core::RunOptions &options)
-{
-    const VertexId v_count = fullGraph.numVertices();
-    if (v_count == 0)
-        throw ConfigError("cannot run on an empty graph");
-    if (options.source >= v_count)
-        throw ConfigError(gds::detail::vformat(
-            "source %u out of range (V=%u)", options.source, v_count));
-
-    algo.bind(fullGraph);
-
-    prop.resize(v_count);
-    tProp.resize(v_count);
-    for (VertexId v = 0; v < v_count; ++v) {
-        prop[v] = algo.initialProp(v, fullGraph, options.source);
-        tProp[v] = algo.tPropIdentity(v, fullGraph, options.source);
-    }
-    if (hasConstProp) {
-        cProp.resize(v_count);
-        for (VertexId v = 0; v < v_count; ++v)
-            cProp[v] = algo.constProp(v, fullGraph);
-    }
-    lastReduceAt.assign(v_count, 0);
-
-    buildInitialActives(options.source);
-    collectPeLoads = options.collectPeLoads;
-    streamLoadTrace.clear();
-    streamLoadThisIteration.assign(cfg.numStreams, 0);
-
-    iteration = 0;
-    activeBuf = 0;
-    startIteration();
-
-    runStart = now;
-
-    // Supervised execution (same protocol as GdsAccel::run): completion,
-    // deadlock, livelock and budget exhaustion are distinguished by the
-    // Simulator watchdog instead of an assert.
-    sim::Simulator driver;
-    driver.add(this);
-    if (options.sampler) {
-        if (options.sampler->probeCount() == 0)
-            registerProbes(*options.sampler);
-        driver.setSampler(options.sampler);
-    }
-    driver.setTracer(obs::activeTracer(), options.traceCounterInterval);
-    sim::RunLimits limits;
-    limits.maxCycles =
-        options.cycleBudget != 0 ? options.cycleBudget : 50'000'000'000ULL;
-    if (options.stallCycles != 0)
-        limits.stallCycles = options.stallCycles;
-    limits.fastForward =
-        options.fastForward && !common::envFlag("GDS_NO_FASTFORWARD");
-
-    std::optional<sim::FaultInjector> injector;
-    if (options.faults.any()) {
-        injector.emplace(options.faults); // throws ConfigError if invalid
-        hbm->setFaultInjector(&*injector);
-    }
-
-    const auto finished = [&] {
-        if (options.killAtCycle != 0 &&
-            now - runStart >= options.killAtCycle)
-            std::raise(SIGKILL);
-        return phase == Phase::Finished;
-    };
-    const sim::RunReport report = core::runCheckpointed(
-        "graphicionado", algo.name(), fullGraph, options, *this, now,
-        injector ? &*injector : nullptr, driver,
-        [&](const sim::RunHooks &hooks) {
-            return driver.run(finished, limits, hooks);
-        });
-
-    hbm->setFaultInjector(nullptr);
-
-    core::RunResult result;
-    result.report = report;
-    result.properties = prop;
-    result.iterations = iteration;
-    result.cycles = now - runStart;
-    result.edgesProcessed =
-        static_cast<std::uint64_t>(statEdgesProcessed.value());
-    result.vertexUpdates =
-        static_cast<std::uint64_t>(statVertexUpdates.value());
-    result.updatesSkipped = 0; // the full sweep never skips
-    result.memoryBytes = static_cast<std::uint64_t>(hbm->totalBytes());
-    result.footprintBytes = layout->footprintBytes();
-    result.bandwidthUtilization = hbm->bandwidthUtilization();
     result.atomicStalls =
         static_cast<std::uint64_t>(statAtomicStalls.value());
-    result.peLoads = streamLoadTrace;
-    return result;
 }
 
 void
-GraphicionadoAccel::registerProbes(obs::Sampler &sampler) const
+GraphicionadoAccel::registerDatapathProbes(obs::Sampler &sampler) const
 {
-    sampler.add("hbm.readBytes", [this] { return hbm->readBytes(); });
-    sampler.add("hbm.writeBytes", [this] { return hbm->writeBytes(); });
     sampler.add("stream.backlog", [this] {
         std::size_t total = 0;
         for (const Stream &s : streams)
             total += s.records.size();
         return static_cast<double>(total);
     });
-    sampler.add("frontier.records", [this] {
-        return activeCur.empty()
-                   ? 0.0
-                   : static_cast<double>(activeCur[0].size());
-    });
-    sampler.addScalar("edgesProcessed", statEdgesProcessed);
-}
-
-void
-GraphicionadoAccel::traceBegin(std::string event)
-{
-    if (obs::Tracer *t = obs::activeTracer())
-        t->begin(t->track(tracePath()), std::move(event), now);
-}
-
-void
-GraphicionadoAccel::traceEnd()
-{
-    if (obs::Tracer *t = obs::activeTracer())
-        t->end(t->track(tracePath()), now);
-}
-
-void
-GraphicionadoAccel::startIteration()
-{
-    activatedThisIteration = 0;
-    curSlice = 0;
-    bool any_active = false;
-    for (const auto &list : activeCur)
-        any_active |= !list.empty();
-    if (!any_active || iteration >= cfg.maxIterations) {
-        phase = Phase::Finished;
-        return;
-    }
-    startScatter();
-}
-
-void
-GraphicionadoAccel::finishSlice()
-{
-    traceEnd(); // "apply"
-    ++curSlice;
-    if (curSlice < sliceCount) {
-        startScatter();
-        return;
-    }
-    traceEnd(); // "iteration:N"
-    ++iteration;
-    ++statIterations;
-    if (collectPeLoads) {
-        streamLoadTrace.push_back(streamLoadThisIteration);
-        streamLoadThisIteration.assign(cfg.numStreams, 0);
-    }
-    activeCur.swap(activeNext);
-    for (auto &list : activeNext)
-        list.clear();
-    activeBuf ^= 1;
-    startIteration();
 }
 
 // ---------------------------------------------------------------------
@@ -331,16 +90,10 @@ GraphicionadoAccel::finishSlice()
 void
 GraphicionadoAccel::startScatter()
 {
-    if (curSlice == 0)
-        traceBegin("iteration:" + std::to_string(iteration));
-    traceBegin("scatter");
-    phase = Phase::ScatterPhase;
-    const auto &records = activeCur[curSlice];
-
     sc = ScatterState{};
-    sc.recordsTotal = records.size();
+    sc.recordsTotal = active.size();
     const graph::Csr &sg = sliceGraph(curSlice);
-    for (const ActiveRecord &r : records)
+    for (const ActiveRecord &r : active)
         sc.expectedEdges += sg.outDegree(r.vid);
     sc.batchesTotal = ceilDiv<std::uint64_t>(sc.recordsTotal,
                                              cfg.vprefBatch);
@@ -370,7 +123,7 @@ GraphicionadoAccel::refreshStream(unsigned s)
     bool head_ready = false;
     if (!stream.records.empty()) {
         const std::uint64_t head = stream.records.front();
-        const ActiveRecord &r = activeCur[curSlice][head];
+        const ActiveRecord &r = active[head];
         const graph::Csr &sg = sliceGraph(curSlice);
         head_ready = sc.fetch[head].ready || sg.outDegree(r.vid) == 0;
         Head &h = heads[s];
@@ -406,7 +159,7 @@ GraphicionadoAccel::headCursor(unsigned s) const
     // holds that record.
     if (!testBit(streamsHeadReady, s) && !testBit(streamsAsleep, s))
         return 0;
-    const VertexId vid = activeCur[curSlice][streams[s].records.front()].vid;
+    const VertexId vid = active[streams[s].records.front()].vid;
     return static_cast<std::uint32_t>(heads[s].next -
                                       sliceGraph(curSlice).offsetOf(vid));
 }
@@ -422,7 +175,6 @@ void
 GraphicionadoAccel::tickScatter()
 {
     const graph::Csr &sg = sliceGraph(curSlice);
-    const auto &records = activeCur[curSlice];
 
     // --- Wake the streams whose RAW window closes this cycle. Every
     // stream still asleep stalls this cycle, exactly as a naive re-check
@@ -469,8 +221,8 @@ GraphicionadoAccel::tickScatter()
                 ++reduced;
                 progressed(now);
                 statStreamEdges[s] += 1;
-                if (collectPeLoads)
-                    streamLoadThisIteration[s] += 1;
+                if (collectLoads)
+                    loadThisIteration[s] += 1;
                 if (++h.next != h.end)
                     continue;
             }
@@ -504,11 +256,11 @@ GraphicionadoAccel::tickScatter()
             RecordFetch &f = sc.fetch[rec];
             if (f.ready || f.allIssued)
                 continue;
-            if (eport.inflight() >= cfg.edgeMaxInflight) {
+            if (edgePort.inflight() >= cfg.edgeMaxInflight) {
                 mem_blocked = true;
                 break;
             }
-            const ActiveRecord &r = records[rec];
+            const ActiveRecord &r = active[rec];
             const std::uint64_t degree = sg.outDegree(r.vid);
             if (degree == 0) {
                 f.ready = true;
@@ -523,7 +275,7 @@ GraphicionadoAccel::tickScatter()
                 std::min<std::uint64_t>(total - f.bytesIssued,
                                         maxRequestBytes));
             if (!hbm->access(begin + f.bytesIssued, chunk, false,
-                             makeTag(Tag::EdgeFetch, rec), &eport)) {
+                             makeTag(Tag::EdgeFetch, rec), &edgePort)) {
                 mem_blocked = true;
                 break;
             }
@@ -538,7 +290,7 @@ GraphicionadoAccel::tickScatter()
 
     // --- Vpref: stream active records, hash-assign to streams. ---
     while (sc.batchesIssued < sc.batchesTotal &&
-           vport.inflight() < cfg.vprefMaxInflight) {
+           recordPort.inflight() < cfg.vprefMaxInflight) {
         const std::uint64_t b = sc.batchesIssued;
         const std::uint64_t first = b * cfg.vprefBatch;
         const std::uint64_t count = std::min<std::uint64_t>(
@@ -547,7 +299,7 @@ GraphicionadoAccel::tickScatter()
         if (!hbm->access(addr,
                          static_cast<unsigned>(
                              count * layout->fmt.activeRecordBytes),
-                         false, makeTag(Tag::RecordBatch, b), &vport))
+                         false, makeTag(Tag::RecordBatch, b), &recordPort))
             break;
         ++sc.batchesIssued;
     }
@@ -557,7 +309,7 @@ GraphicionadoAccel::tickScatter()
         const std::uint64_t k = sc.commitCursor;
         if (!sc.batchReady[k / cfg.vprefBatch])
             break;
-        const unsigned s = records[k].vid % cfg.numStreams; // hash placement
+        const unsigned s = active[k].vid % cfg.numStreams; // hash placement
         Stream &stream = streams[s];
         if (stream.records.size() >= cfg.streamQueueRecords)
             break; // head-of-line block: the imbalance bottleneck
@@ -575,9 +327,6 @@ GraphicionadoAccel::tickScatter()
 void
 GraphicionadoAccel::startApply()
 {
-    traceEnd(); // "scatter"
-    traceBegin("apply");
-    phase = Phase::ApplyPhase;
     ap = ApplyState{};
     ap.sweepBegin = sliceBegin(curSlice);
     ap.sweepEnd = sliceEnd(curSlice);
@@ -594,7 +343,7 @@ GraphicionadoAccel::applyDone() const
 {
     return ap.appliedCount == ap.sweepEnd - ap.sweepBegin &&
            ap.pendingApplies.empty() && ap.writes.empty() &&
-           ap.pendingAuRecords == 0 && wport.inflight() == 0;
+           ap.pendingAuRecords == 0 && storePort.inflight() == 0;
 }
 
 void
@@ -609,11 +358,9 @@ GraphicionadoAccel::tickApply()
         const PropValue apply_res = algo.apply(prop[v], tProp[v], cp);
         if (algo.changed(prop[v], apply_res)) {
             prop[v] = apply_res;
-            ++activatedThisIteration;
             ++statVertexUpdates;
-            for (unsigned s = 0; s < sliceCount; ++s)
-                activeNext[s].push_back(ActiveRecord{v, apply_res});
-            ap.pendingAuRecords += sliceCount;
+            activate(v, apply_res);
+            ap.pendingAuRecords += sliceCount; // one record per slice
             // Intermittent, uncoalesced property store (4 B -> one 32 B
             // transaction): the update-irregularity cost GraphDynS
             // removes by write coalescing.
@@ -639,7 +386,7 @@ GraphicionadoAccel::tickApply()
         const unsigned bytes = static_cast<unsigned>(
             n * layout->fmt.activeRecordBytes);
         if (!hbm->access(ap.auWriteCursor, bytes, true,
-                         makeTag(Tag::Store, 0), &wport))
+                         makeTag(Tag::Store, 0), &storePort))
             break;
         ap.auWriteCursor += bytes;
         ap.pendingAuRecords -= n;
@@ -647,7 +394,7 @@ GraphicionadoAccel::tickApply()
     while (!ap.writes.empty()) {
         const auto [addr, bytes] = ap.writes.front();
         if (!hbm->access(addr, bytes, true, makeTag(Tag::Store, 1),
-                         &wport))
+                         &storePort))
             break;
         ap.writes.pop_front();
     }
@@ -655,7 +402,7 @@ GraphicionadoAccel::tickApply()
     // --- Sweep prefetch: stream every vertex's property (and cProp). ---
     const std::uint8_t parts_needed = hasConstProp ? 2 : 1;
     while (ap.batchesIssued < ap.batchesTotal &&
-           vport.inflight() < cfg.applyMaxInflight) {
+           recordPort.inflight() < cfg.applyMaxInflight) {
         const std::uint64_t b = ap.batchesIssued;
         const VertexId first = ap.sweepBegin +
                                static_cast<VertexId>(b * applyBatchVerts);
@@ -666,7 +413,7 @@ GraphicionadoAccel::tickApply()
             const Addr addr = parts == 0 ? layout->propAddr(first)
                                          : layout->cPropAddr(first);
             if (!hbm->access(addr, count * bytesPerWord, false,
-                             makeTag(Tag::ApplyBatch, b), &vport))
+                             makeTag(Tag::ApplyBatch, b), &recordPort))
                 break;
             ++parts;
             ++ap.batchPending[b];
@@ -695,13 +442,8 @@ GraphicionadoAccel::tickApply()
 // ---------------------------------------------------------------------
 
 bool
-GraphicionadoAccel::busy() const
+GraphicionadoAccel::datapathBusy() const
 {
-    if (vport.inflight() > 0 || eport.inflight() > 0 ||
-        wport.inflight() > 0)
-        return true;
-    if (vport.hasResponse() || eport.hasResponse() || wport.hasResponse())
-        return true;
     for (const Stream &stream : streams) {
         if (!stream.records.empty())
             return true;
@@ -710,26 +452,9 @@ GraphicionadoAccel::busy() const
            ap.pendingAuRecords > 0;
 }
 
-std::string
-GraphicionadoAccel::debugState() const
+void
+GraphicionadoAccel::datapathState(std::ostream &os) const
 {
-    std::ostringstream os;
-    os << "phase=";
-    switch (phase) {
-      case Phase::ScatterPhase:
-        os << "scatter";
-        break;
-      case Phase::ApplyPhase:
-        os << "apply";
-        break;
-      case Phase::Finished:
-        os << "finished";
-        break;
-    }
-    os << " iter=" << iteration << " slice=" << curSlice << "/" << sliceCount
-       << " cycle=" << now;
-    os << " inflight[v=" << vport.inflight() << " e=" << eport.inflight()
-       << " w=" << wport.inflight() << "]";
     if (phase == Phase::ScatterPhase) {
         os << " scatter[done=" << sc.recordsDone << "/" << sc.recordsTotal
            << " reduced=" << sc.edgesReduced << "/" << sc.expectedEdges
@@ -744,16 +469,15 @@ GraphicionadoAccel::debugState() const
     for (const Stream &stream : streams)
         stream_q += stream.records.size();
     os << " queues[streams=" << stream_q << "]";
-    return os.str();
 }
 
 void
-GraphicionadoAccel::tick()
+GraphicionadoAccel::drainResponses()
 {
-    while (vport.hasResponse()) {
-        const std::uint64_t tag = vport.popResponse();
+    while (recordPort.hasResponse()) {
+        const std::uint64_t tag = recordPort.popResponse();
         const std::uint64_t payload = tagPayload(tag);
-        switch (tagKind(tag)) {
+        switch (tagKind<Tag>(tag)) {
           case Tag::RecordBatch:
             sc.batchReady[payload] = 1;
             break;
@@ -761,16 +485,14 @@ GraphicionadoAccel::tick()
             gds_assert(ap.batchPending[payload] > 0, "stray apply batch");
             --ap.batchPending[payload];
             break;
-          case Tag::TPropFill:
-            break;
           default:
-            panic("unexpected tag on the Graphicionado vport");
+            panic("unexpected tag on the Graphicionado record port");
         }
     }
-    while (eport.hasResponse()) {
-        const std::uint64_t tag = eport.popResponse();
+    while (edgePort.hasResponse()) {
+        const std::uint64_t tag = edgePort.popResponse();
         const std::uint64_t rec = tagPayload(tag);
-        gds_assert(tagKind(tag) == Tag::EdgeFetch, "bad eport tag");
+        gds_assert(tagKind<Tag>(tag) == Tag::EdgeFetch, "bad edge-port tag");
         RecordFetch &f = sc.fetch[rec];
         gds_assert(f.parts > 0, "stray edge response");
         --f.parts;
@@ -778,45 +500,14 @@ GraphicionadoAccel::tick()
         // flips readiness, which may make the record's stream head ready.
         if (f.allIssued && f.parts == 0 && !f.ready) {
             f.ready = true;
-            refreshStream(activeCur[curSlice][rec].vid % cfg.numStreams);
+            refreshStream(active[rec].vid % cfg.numStreams);
         }
     }
-    while (wport.hasResponse())
-        wport.popResponse();
-
-    switch (phase) {
-      case Phase::ScatterPhase:
-        ++statScatterCycles;
-        tickScatter();
-        if (scatterDone())
-            startApply();
-        break;
-      case Phase::ApplyPhase:
-        ++statApplyCycles;
-        tickApply();
-        if (applyDone())
-            finishSlice();
-        break;
-      case Phase::Finished:
-        break;
-    }
-
-    if (debug::anyEnabled()) {
-        // Re-scope attribution: the HBM is ticked from inside our tick,
-        // but its DPRINTF lines should carry its own path.
-        const debug::ScopedTraceComponent scope(hbm->tracePath());
-        hbm->tick();
-    } else {
-        hbm->tick();
-    }
-    ++now;
 }
 
 bool
 GraphicionadoAccel::scatterQuiescent() const
 {
-    const auto &records = activeCur[curSlice];
-
     // A drained phase transitions at the end of its next tick.
     if (scatterDone())
         return false;
@@ -830,18 +521,18 @@ GraphicionadoAccel::scatterQuiescent() const
     // Edge prefetch: with in-flight budget available, any lookahead record
     // still needing its fetch either issues a request or (degree 0) is
     // marked ready on the spot.
-    if (eport.inflight() < cfg.edgeMaxInflight &&
+    if (edgePort.inflight() < cfg.edgeMaxInflight &&
         anyBit(streamsNeedingFetch))
         return false;
     // Vpref: an issuable record batch, or a commit neither blocked on
     // batch data nor on a full stream queue.
     if (sc.batchesIssued < sc.batchesTotal &&
-        vport.inflight() < cfg.vprefMaxInflight)
+        recordPort.inflight() < cfg.vprefMaxInflight)
         return false;
     if (sc.commitCursor < sc.recordsTotal) {
         const std::uint64_t k = sc.commitCursor;
         if (sc.batchReady[k / cfg.vprefBatch] &&
-            streams[records[k].vid % cfg.numStreams].records.size() <
+            streams[active[k].vid % cfg.numStreams].records.size() <
                 cfg.streamQueueRecords)
             return false;
     }
@@ -863,7 +554,7 @@ GraphicionadoAccel::applyQuiescent() const
         return false;
     // Sweep prefetch: an open window always attempts an access.
     if (ap.batchesIssued < ap.batchesTotal &&
-        vport.inflight() < cfg.applyMaxInflight)
+        recordPort.inflight() < cfg.applyMaxInflight)
         return false;
     // Commit: the next batch being fully fetched commits vertices.
     if (ap.commitCursor < ap.sweepEnd) {
@@ -877,44 +568,6 @@ GraphicionadoAccel::applyQuiescent() const
     return true;
 }
 
-Cycle
-GraphicionadoAccel::nextEventCycle() const
-{
-    if (vport.hasResponse() || eport.hasResponse() || wport.hasResponse())
-        return 1;
-    switch (phase) {
-      case Phase::ScatterPhase:
-        if (!scatterQuiescent())
-            return 1;
-        break;
-      case Phase::ApplyPhase:
-        if (!applyQuiescent())
-            return 1;
-        break;
-      case Phase::Finished:
-        break;
-    }
-    const Cycle horizon = hbm->nextEventCycle();
-    return horizon < 1 ? Cycle{1} : horizon;
-}
-
-void
-GraphicionadoAccel::skipCycles(Cycle cycles)
-{
-    switch (phase) {
-      case Phase::ScatterPhase:
-        statScatterCycles += static_cast<double>(cycles);
-        break;
-      case Phase::ApplyPhase:
-        statApplyCycles += static_cast<double>(cycles);
-        break;
-      case Phase::Finished:
-        break;
-    }
-    hbm->skipCycles(cycles);
-    now += cycles;
-}
-
 namespace
 {
 
@@ -926,15 +579,12 @@ template <typename Self, typename Ar>
 void
 GraphicionadoAccel::fields(Self &self, Ar &ar)
 {
-    sim::Component::fields(self, ar);
     ar(sim::Marker{kBaselineMarker});
-
-    ar(self.prop, self.tProp, self.cProp, self.lastReduceAt, self.activeCur,
-       self.activeNext, self.activatedThisIteration);
+    ar(self.lastReduceAt);
     for (unsigned s = 0; s < self.streams.size(); ++s) {
         // The head's progress travels as an edge cursor into its record.
         // On restore the cursor is parked in the head register, which
-        // restoreState() then rebuilds.
+        // restoreDatapath() then rebuilds.
         std::uint32_t cursor = 0;
         if constexpr (!Ar::kRestoring)
             cursor = self.headCursor(s);
@@ -952,28 +602,17 @@ GraphicionadoAccel::fields(Self &self, Ar &ar)
        apply.batchesIssued, apply.batchIssuedParts, apply.batchPending,
        apply.commitCursor, apply.appliedCount, apply.pendingApplies,
        apply.pendingAuRecords, apply.auWriteCursor, apply.writes);
-
-    ar(self.phase, self.curSlice, self.iteration, self.activeBuf, self.now,
-       self.runStart, self.collectPeLoads, self.streamLoadThisIteration,
-       self.streamLoadTrace);
-    ar(self.vport, self.eport, self.wport, *self.hbm);
 }
 
 void
-GraphicionadoAccel::saveState(sim::Serializer &s) const
+GraphicionadoAccel::saveDatapath(sim::Serializer &s) const
 {
-    s.registerPointer(&vport);
-    s.registerPointer(&eport);
-    s.registerPointer(&wport);
     fields(*this, s);
 }
 
 void
-GraphicionadoAccel::restoreState(sim::Deserializer &d)
+GraphicionadoAccel::restoreDatapath(sim::Deserializer &d)
 {
-    d.registerPointer(&vport);
-    d.registerPointer(&eport);
-    d.registerPointer(&wport);
     fields(*this, d);
 
     // Head registers, scheduling masks and the wake ring are derived

@@ -25,19 +25,17 @@
 #pragma once
 
 #include <deque>
-#include <memory>
 #include <vector>
 
-#include "algo/vcpm.hh"
 #include "common/bitutil.hh"
-#include "core/gds_accel.hh" // RunOptions / RunResult
-#include "core/memmap.hh"
-#include "graph/slicer.hh"
-#include "mem/hbm.hh"
+#include "core/vcpm_accel.hh"
 #include "sim/queues.hh"
 
 namespace gds::baseline
 {
+
+/** Longest RAW window the stream wake ring is sized for. */
+inline constexpr Cycle kMaxAtomicPipelineDepth = Cycle{1} << 16;
 
 /** Graphicionado configuration (Table 3 column 2). */
 struct GraphicionadoConfig
@@ -66,87 +64,63 @@ struct GraphicionadoConfig
     }
 };
 
-/** The Graphicionado accelerator model. */
-class GraphicionadoAccel : public sim::Component
+/**
+ * First violated Graphicionado configuration contract, or nullptr. Zero
+ * streams, queue depths, batch sizes or in-flight windows divide by zero
+ * or never issue; the RAW wake ring holds one slot per cycle of the
+ * window. GraphicionadoAccel's constructor throws ConfigError on a
+ * violation. maxIterations and atomicPipelineDepth may be 0.
+ */
+constexpr const char *
+configContractViolation(const GraphicionadoConfig &c)
+{
+    if (c.numStreams == 0)
+        return "numStreams must be nonzero";
+    if (c.onChipBytes < bytesPerWord)
+        return "onChipBytes must hold at least one property word";
+    if (c.atomicPipelineDepth > kMaxAtomicPipelineDepth)
+        return "atomicPipelineDepth must not exceed 65536 cycles";
+    if (c.vprefBatch == 0)
+        return "vprefBatch must be nonzero";
+    if (c.vprefMaxInflight == 0)
+        return "vprefMaxInflight must be nonzero";
+    if (c.streamLookahead == 0)
+        return "streamLookahead must be nonzero";
+    if (c.streamQueueRecords == 0)
+        return "streamQueueRecords must be nonzero";
+    if (c.edgeMaxInflight == 0)
+        return "edgeMaxInflight must be nonzero";
+    if (c.applyMaxInflight == 0)
+        return "applyMaxInflight must be nonzero";
+    return mem::hbmContractViolation(c.hbm);
+}
+
+static_assert(configContractViolation(GraphicionadoConfig{}) == nullptr,
+              "default GraphicionadoConfig violates its own contracts");
+
+/** The Graphicionado accelerator model: its datapath on the VcpmAccel
+ *  frame. */
+class GraphicionadoAccel final : public core::VcpmAccel
 {
   public:
-    /** @throws ConfigError when the configuration is inconsistent. */
+    /** @throws ConfigError when the configuration breaks a contract of
+     *  configContractViolation(). */
     GraphicionadoAccel(const GraphicionadoConfig &config,
                        const graph::Csr &g, algo::VcpmAlgorithm &algorithm,
                        sim::Component *parent = nullptr);
-    ~GraphicionadoAccel() override;
 
-    /**
-     * Execute to convergence (or the iteration cap) under watchdog
-     * supervision; RunResult::report carries the verdict.
-     *
-     * @throws ConfigError on an invalid source or fault plan
-     */
-    core::RunResult run(const core::RunOptions &options = {});
-
-    void tick() override;
-    bool busy() const override;
-    std::string debugState() const override;
-
-    /**
-     * 1 unless the current cycle is provably a pure wait (no response
-     * pending, every stream blocked on edge data, no issuable request);
-     * then the HBM's own horizon. A ready stream head counts as active
-     * even when it would RAW-stall, and so does a stream asleep on a RAW
-     * window: each stepped cycle counts its stall, and its wake cycle is
-     * not an HBM event, so those cycles are stepped, never skipped.
-     */
-    Cycle nextEventCycle() const override;
-
-    /**
-     * Replay @p cycles pure-wait ticks in bulk: phase cycle counters and
-     * the HBM (refresh schedule included) advance exactly as @p cycles
-     * naive tick() calls would have left them.
-     */
-    void skipCycles(Cycle cycles) override;
-
-    bool supportsFastForward() const override { return true; }
-
-    /**
-     * Checkpoint the complete baseline: property arrays, frontier
-     * buffers, per-stream backlogs, both phase-state blocks, the ports
-     * and the HBM. Same contract as GdsAccel::saveState().
-     */
-    void saveState(sim::Serializer &s) const override;
-    void restoreState(sim::Deserializer &d) override;
-
-    /** The one checkpoint field list behind saveState()/restoreState(). */
+    /** The datapath's checkpoint field list (the frame lists its own). */
     template <typename Self, typename Ar>
     static void fields(Self &self, Ar &ar);
 
-    /** Activity = edges processed by the streams (counter-track unit). */
-    std::uint64_t
-    activityCounter() const override
-    {
-        return static_cast<std::uint64_t>(statEdgesProcessed.value());
-    }
-
-    /** Default interval-probe set (HBM bytes, stream backlog, frontier);
-     *  run() registers it when RunOptions::sampler has no probes. */
-    void registerProbes(obs::Sampler &sampler) const;
-
-    const mem::Hbm &hbmDevice() const { return *hbm; }
-    std::uint64_t footprintBytes() const { return layout->footprintBytes(); }
-    unsigned numSlices() const { return sliceCount; }
-
   private:
-    /** Active record: vid + prop (8 B in memory). */
-    struct ActiveRecord
+    /** HBM request tag kinds (see core/detail.hh for the codec). */
+    enum class Tag : std::uint64_t
     {
-        VertexId vid;
-        PropValue prop;
-
-        template <typename Self, typename Ar>
-        static void
-        fields(Self &r, Ar &ar)
-        {
-            ar(r.vid, r.prop);
-        }
+        RecordBatch = 1, ///< active-record stream (payload: batch index)
+        EdgeFetch,       ///< edge data (payload: record index)
+        ApplyBatch,      ///< sweep prefetch (payload: batch index)
+        Store,           ///< active-record or property store
     };
 
     /** Per-record edge fetch state. */
@@ -186,25 +160,24 @@ class GraphicionadoAccel : public sim::Component
         PropValue prop = 0;
     };
 
-    enum class Phase
-    {
-        ScatterPhase,
-        ApplyPhase,
-        Finished,
-    };
+    // Frame hooks.
+    void prepareRun() override;
+    void drainResponses() override;
+    void fillResult(core::RunResult &result) const override;
+    bool datapathBusy() const override;
+    void datapathState(std::ostream &os) const override;
+    void registerDatapathProbes(obs::Sampler &sampler) const override;
+    void saveDatapath(sim::Serializer &s) const override;
+    void restoreDatapath(sim::Deserializer &d) override;
 
-    void startIteration();
-    void startScatter();
-    void tickScatter();
-    bool scatterDone() const;
-    void startApply();
-    void tickApply();
-    bool applyDone() const;
-    void finishSlice();
-
-    // Fast-forward quiescence predicates (mirror the phase tick paths).
-    bool scatterQuiescent() const;
-    bool applyQuiescent() const;
+    void startScatter() override;
+    void tickScatter() override;
+    bool scatterDone() const override;
+    bool scatterQuiescent() const override;
+    void startApply() override;
+    void tickApply() override;
+    bool applyDone() const override;
+    bool applyQuiescent() const override;
 
     /** Re-derive stream @p s's bits in the scheduling masks, loading its
      *  head register when a new record became the ready head; called after
@@ -222,53 +195,10 @@ class GraphicionadoAccel : public sim::Component
      *  cursor). */
     std::uint32_t headCursor(unsigned s) const;
 
-    // Tracer hooks (one branch each when tracing is off).
-    void traceBegin(std::string event);
-    void traceEnd();
-
-    const graph::Csr &sliceGraph(unsigned s) const;
-    VertexId sliceBegin(unsigned s) const;
-    VertexId sliceEnd(unsigned s) const;
-    void buildInitialActives(VertexId source);
-
     // gds-ckpt: skip(cfg) construction-time configuration; resume verifies
     // the config hash instead of serializing it
     GraphicionadoConfig cfg;
-    // gds-ckpt: skip(fullGraph) non-owning reference to the immutable input
-    // graph the caller rebinds on resume
-    const graph::Csr &fullGraph;
-    // gds-ckpt: skip(algo) non-owning reference to the stateless algorithm
-    // kernel the caller rebinds on resume
-    algo::VcpmAlgorithm &algo;
-    // gds-ckpt: skip(weighted) derived from the algorithm kernel in the
-    // constructor
-    bool weighted;
-    // gds-ckpt: skip(hasConstProp) derived from the algorithm kernel in the
-    // constructor
-    bool hasConstProp;
-
-    // gds-ckpt: skip(sliceCount) derived from cfg and the graph in the
-    // constructor
-    unsigned sliceCount = 1;
-    // gds-ckpt: skip(slices) deterministic re-partition of the immutable
-    // input graph, rebuilt in the constructor
-    std::vector<graph::Slice> slices;
-    // gds-ckpt: skip(sliceEdgeStart) derived from slices in the constructor
-    std::vector<EdgeId> sliceEdgeStart;
-
-    // gds-ckpt: skip(layout) address map derived from cfg and the graph in
-    // the constructor
-    std::unique_ptr<core::MemoryLayout> layout;
-    std::unique_ptr<mem::Hbm> hbm;
-
-    // Functional state.
-    std::vector<PropValue> prop;
-    std::vector<PropValue> tProp;
-    std::vector<PropValue> cProp;
     std::vector<Cycle> lastReduceAt; ///< per-vertex RAW window tracking
-    std::vector<std::vector<ActiveRecord>> activeCur;
-    std::vector<std::vector<ActiveRecord>> activeNext;
-    std::uint64_t activatedThisIteration = 0;
 
     // Scatter state.
     struct ScatterState
@@ -303,7 +233,7 @@ class GraphicionadoAccel : public sim::Component
 
     std::vector<Stream> streams;
     /** Checkpointed as each stream's edge cursor (headCursor()); the
-     *  registers are reloaded from it at the end of restoreState(). */
+     *  registers are reloaded from it at the end of restoreDatapath(). */
     std::vector<Head> heads;
     /**
      * Scheduling masks, one bit per stream: the scatter tick and its
@@ -312,11 +242,11 @@ class GraphicionadoAccel : public sim::Component
      */
     // gds-ckpt: skip(streamsHeadReady) derived from the stream queues and
     // fetch states (head record has its edges on chip, or none, and the
-    // stream is not asleep); rebuilt at the end of restoreState()
+    // stream is not asleep); rebuilt at the end of restoreDatapath()
     BitMask streamsHeadReady;
     // gds-ckpt: skip(streamsNeedingFetch) derived from the stream queues
     // and fetch states (lookahead records neither ready nor fully issued);
-    // rebuilt at the end of restoreState()
+    // rebuilt at the end of restoreDatapath()
     BitMask streamsNeedingFetch;
     /**
      * RAW-stalled streams. A stream stalling on dst cannot act before
@@ -327,36 +257,17 @@ class GraphicionadoAccel : public sim::Component
      * still asleep, as the naive loop would.
      */
     // gds-ckpt: skip(streamsAsleep) derived: a head parked inside its RAW
-    // window; restoreState() leaves it empty and the first tick re-parks
+    // window; restoreDatapath() leaves it empty and the first tick re-parks
     // every ready head still inside its window, with the same stall count
     BitMask streamsAsleep;
     // gds-ckpt: skip(wakeRing) derived with streamsAsleep: one mask per
     // cycle of the next atomicPipelineDepth + 1 (rounded up to a power of
-    // two); cleared with it in restoreState()
+    // two); cleared with it in restoreDatapath()
     std::vector<BitMask> wakeRing;
     ScatterState sc;
     ApplyState ap;
-    Phase phase = Phase::Finished;
-    unsigned curSlice = 0;
-    unsigned iteration = 0;
-    unsigned activeBuf = 0;
-    Cycle now = 0;
-    /** Local clock at run() entry; serialized so a resumed run reports
-     *  cycles spanning the whole logical run, not just the tail. */
-    Cycle runStart = 0;
-    bool collectPeLoads = false;
-    std::vector<std::uint64_t> streamLoadThisIteration;
-    std::vector<std::vector<std::uint64_t>> streamLoadTrace;
 
-    mem::HbmPort vport;
-    mem::HbmPort eport;
-    mem::HbmPort wport;
-
-    stats::Scalar statIterations;
-    stats::Scalar statScatterCycles;
-    stats::Scalar statApplyCycles;
-    stats::Scalar statEdgesProcessed;
-    stats::Scalar statVertexUpdates;
+    // Stats beyond the frame's five.
     stats::Scalar statAtomicStalls;
     stats::Scalar statApplyOps;
     stats::Scalar statReduceOps;

@@ -76,25 +76,33 @@ struct GdsConfig
  *
  * The contracts encode structural assumptions baked into the models:
  * power-of-two fabric widths (the crossbar routes by low destination
- * bits and the slicer masks rather than divides), HBM rows made of
- * whole transactions, and nonzero queue depths (a zero-depth queue
- * deadlocks the pipeline on the first push).
+ * bits and the slicer masks rather than divides), one DE per PE, HBM
+ * rows made of whole transactions, and nonzero queue depths and batch
+ * sizes (a zero-depth queue deadlocks the pipeline on the first push; a
+ * zero batch divides by zero). GdsAccel's constructor throws ConfigError
+ * on a violation. maxIterations may be 0: the run returns the initial
+ * properties.
  */
 constexpr const char *
 configContractViolation(const GdsConfig &c)
 {
-    if (c.numDispatchers == 0)
-        return "numDispatchers must be nonzero";
     if (c.numPes == 0 || !isPow2(c.numPes))
         return "numPes must be a nonzero power of two";
+    if (c.numDispatchers != c.numPes)
+        return "numDispatchers must equal numPes (one DE per PE)";
     if (c.nSimt == 0 || !isPow2(c.nSimt))
         return "nSimt must be a nonzero power of two";
-    if (c.numUes == 0 || !isPow2(c.numUes))
-        return "numUes must be a nonzero power of two";
+    if (c.numUes == 0 || !isPow2(c.numUes) || c.numUes < c.numPes)
+        return "numUes must be a power of two no smaller than numPes";
     if (c.eThreshold == 0)
         return "eThreshold must be nonzero";
     if (c.eListSize == 0)
         return "eListSize must be nonzero";
+    // The workload queue must be able to hold the largest single
+    // dispatch: a whole sub-threshold edge list or one split chunk.
+    if (c.peQueueEdges < c.eThreshold || c.peQueueEdges < c.eListSize)
+        return "peQueueEdges must cover eThreshold and eListSize or "
+               "dispatch can deadlock";
     if (c.vListSize == 0)
         return "vListSize must be nonzero";
     if (c.vbBytesPerUe < bytesPerWord)
@@ -103,8 +111,6 @@ configContractViolation(const GdsConfig &c)
         return "rbGroupSize must be nonzero";
     if (c.ueQueueDepth == 0)
         return "ueQueueDepth must be nonzero";
-    if (c.peQueueEdges == 0)
-        return "peQueueEdges must be nonzero";
     if (c.vpbRecords == 0)
         return "vpbRecords must be nonzero";
     if (c.applyListQueue == 0)
@@ -121,23 +127,7 @@ configContractViolation(const GdsConfig &c)
         return "eprefBufferEdges must hold at least one edge list";
     if (c.applyMaxInflightGroups == 0)
         return "applyMaxInflightGroups must be nonzero";
-    if (c.maxIterations == 0)
-        return "maxIterations must be nonzero";
-    if (c.hbm.numChannels == 0)
-        return "hbm.numChannels must be nonzero";
-    if (c.hbm.banksPerChannel == 0)
-        return "hbm.banksPerChannel must be nonzero";
-    if (c.hbm.txBytes == 0 || !isPow2(c.hbm.txBytes))
-        return "hbm.txBytes must be a nonzero power of two";
-    if (c.hbm.rowBytes == 0 || c.hbm.rowBytes % c.hbm.txBytes != 0)
-        return "hbm.rowBytes must be a nonzero multiple of hbm.txBytes";
-    if (c.hbm.tBurst == 0)
-        return "hbm.tBurst must be nonzero";
-    if (c.hbm.queueDepth == 0)
-        return "hbm.queueDepth must be nonzero";
-    if (c.hbm.frfcfsWindow == 0)
-        return "hbm.frfcfsWindow must be nonzero";
-    return nullptr;
+    return mem::hbmContractViolation(c.hbm);
 }
 
 /** True iff every configuration contract holds. Usable in static_assert. */

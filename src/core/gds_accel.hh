@@ -29,126 +29,17 @@
 #include <memory>
 #include <vector>
 
-#include "algo/vcpm.hh"
 #include "common/bitutil.hh"
 #include "core/config.hh"
-#include "core/memmap.hh"
-#include "graph/slicer.hh"
+#include "core/vcpm_accel.hh"
 #include "mem/crossbar.hh"
-#include "mem/hbm.hh"
-#include "obs/sampler.hh"
-#include "obs/trace.hh"
-#include "sim/fault.hh"
 #include "sim/queues.hh"
-#include "sim/simulator.hh"
 
 namespace gds::core
 {
 
-/**
- * Checkpoint policy of one accelerator run. With a directory configured
- * the run periodically snapshots its complete state (datapath, HBM,
- * crossbar, fault RNG, sampler, tracer, driver) to
- * `<dir>/<basename>.ckpt`; with resume set it first tries to continue
- * from the newest valid checkpoint whose identity matches. See
- * DESIGN.md "Checkpoint & recovery".
- */
-struct CheckpointOptions
-{
-    /** Checkpoint directory; empty disables checkpointing entirely. */
-    std::string dir;
-    /** File base name inside dir (one logical run per base name). */
-    std::string basename = "run";
-    /** Cycles between periodic checkpoints; 0 = only on graceful stop. */
-    Cycle interval = 0;
-    /** Try to resume from the newest valid checkpoint first. */
-    bool resume = false;
-    /** Extra identity salt (e.g. the harness config hash); a checkpoint
-     *  written under a different salt is refused on resume. */
-    std::string identity;
-};
-
-/** Options of one accelerator run. */
-struct RunOptions
-{
-    VertexId source = 0;
-    /** Record per-PE edge counts for every iteration (Fig. 14b). */
-    bool collectPeLoads = false;
-    /** Hard cycle budget; 0 = the 50e9-cycle default. */
-    Cycle cycleBudget = 0;
-    /** No-progress window before declaring deadlock/livelock; 0 = default. */
-    Cycle stallCycles = 0;
-    /** Faults to inject (HBM delays/drops, crossbar stalls). */
-    sim::FaultPlan faults;
-    /**
-     * Interval sampler driven by the run's Simulator (not owned). When it
-     * has no probes yet, the default probe set is registered (see
-     * registerProbes()).
-     */
-    obs::Sampler *sampler = nullptr;
-    /**
-     * Emit per-component activity counter tracks into the thread's active
-     * tracer every this many cycles; 0 keeps counter tracks off.
-     */
-    Cycle traceCounterInterval = 0;
-    /**
-     * Skip provably idle cycle stretches (cycle-exact; see DESIGN.md
-     * "Simulation performance"). Overridden off by GDS_NO_FASTFORWARD,
-     * GDS_PERFECT_MEM and GDS_PROGRESS.
-     */
-    bool fastForward = true;
-    /** Checkpoint/resume policy (preemption tolerance). */
-    CheckpointOptions checkpoint;
-    /** Wall-clock budget in seconds; 0 = unlimited. An exhausted budget
-     *  writes a final checkpoint (when configured) and the run returns
-     *  RunOutcome::Timeout. */
-    double wallBudgetSeconds = 0.0;
-    /**
-     * Crash-injection hook for the checkpoint tests: raise SIGKILL the
-     * moment this many cycles have elapsed in this run. 0 disables.
-     * Combined with CheckpointOptions this proves a resumed run is
-     * bit-exact against an uninterrupted one.
-     */
-    Cycle killAtCycle = 0;
-};
-
-/** Outcome of one accelerator run. */
-struct RunResult
-{
-    /**
-     * Watchdog verdict + failure diagnostics. On anything other than
-     * RunOutcome::Completed the remaining fields describe the partial
-     * run up to the point the watchdog fired.
-     */
-    sim::RunReport report;
-    std::vector<PropValue> properties;
-    unsigned iterations = 0;
-    Cycle cycles = 0;
-    std::uint64_t edgesProcessed = 0;
-    std::uint64_t vertexUpdates = 0;
-    std::uint64_t updatesSkipped = 0;
-    std::uint64_t memoryBytes = 0;
-    std::uint64_t footprintBytes = 0;
-    double bandwidthUtilization = 0.0;
-    std::uint64_t schedulingOps = 0;
-    std::uint64_t atomicStalls = 0;
-    /** Per-iteration per-PE edge loads (only when collectPeLoads). */
-    std::vector<std::vector<std::uint64_t>> peLoads;
-
-    /** True when the run finished normally. */
-    bool completed() const { return report.ok(); }
-
-    /** Giga-traversed-edges per second at the 1 GHz clock. */
-    double
-    gteps() const
-    {
-        return cycles == 0 ? 0.0
-                           : static_cast<double>(edgesProcessed) / cycles;
-    }
-};
-
-/** The GraphDynS accelerator model. */
-class GdsAccel : public sim::Component
+/** The GraphDynS accelerator model: the datapath on the VcpmAccel frame. */
+class GdsAccel final : public VcpmAccel
 {
   public:
     /**
@@ -157,105 +48,37 @@ class GdsAccel : public sim::Component
      * @param config hardware configuration (Table 3 defaults)
      * @param g the graph; must carry weights iff the algorithm needs them
      * @param algorithm the VCPM kernels to execute
-     * @throws ConfigError when the configuration is inconsistent
+     * @throws ConfigError when the configuration breaks a contract of
+     *         configContractViolation()
      */
     GdsAccel(const GdsConfig &config, const graph::Csr &g,
              algo::VcpmAlgorithm &algorithm,
              sim::Component *parent = nullptr);
-    ~GdsAccel() override;
 
-    /**
-     * Execute the algorithm to convergence (or the iteration cap) under
-     * watchdog supervision. Never hangs: a wedged run returns with
-     * RunResult::report naming the outcome and the stalled components.
-     *
-     * @throws ConfigError on an invalid source or fault plan
-     */
-    RunResult run(const RunOptions &options = {});
+    /** Off under GDS_PERFECT_MEM: dispatch then materializes records on
+     *  demand, so waits never become provable. */
+    bool supportsFastForward() const override { return !perfectMem; }
 
-    void tick() override;
-    bool busy() const override;
-    std::string debugState() const override;
-
-    /**
-     * 1 unless the current cycle is provably a pure wait (no port response
-     * pending and the active phase cannot move or touch memory); then the
-     * earliest cycle that can change that: the HBM's own horizon and, in
-     * the Apply phase, the earliest VB-pipeline maturity.
-     */
-    Cycle nextEventCycle() const override;
-
-    /**
-     * Replay @p cycles pure-wait ticks in bulk: phase cycle counters,
-     * per-cycle bottleneck attribution, VB pipeline clocks and the HBM
-     * (refresh schedule included) all advance exactly as @p cycles naive
-     * tick() calls would have left them.
-     */
-    void skipCycles(Cycle cycles) override;
-
-    bool supportsFastForward() const override { return true; }
-
-    /**
-     * Checkpoint the complete accelerator: functional property arrays,
-     * frontier buffers, every DE/PE/UE queue and pipeline register, both
-     * phase-state blocks, the HBM (ports registered on the
-     * serializer first) and the crossbar. Configuration and the bound
-     * graph/algorithm are rebuilt by the constructor and must match —
-     * run() guards that with the checkpoint identity string.
-     */
-    void saveState(sim::Serializer &s) const override;
-    void restoreState(sim::Deserializer &d) override;
-
-    /** The one checkpoint field list behind saveState()/restoreState(). */
+    /** The datapath's checkpoint field list (the frame lists its own). */
     template <typename Self, typename Ar>
     static void fields(Self &self, Ar &ar);
 
-    /** Activity = edges processed by the PEs (counter-track unit). */
-    std::uint64_t
-    activityCounter() const override
-    {
-        return static_cast<std::uint64_t>(statEdgesProcessed.value());
-    }
-
-    /**
-     * Register the default interval-probe set on @p sampler: HBM
-     * read/write bytes, crossbar conflicts, DE/PE/UE queue occupancies
-     * and the frontier size. run() calls this automatically when
-     * RunOptions::sampler arrives with no probes of its own.
-     */
-    void registerProbes(obs::Sampler &sampler) const;
-
-    /** The memory device (bandwidth/traffic stats for the benches). */
-    const mem::Hbm &hbmDevice() const { return *hbm; }
-
-    /** Off-chip storage footprint (Fig. 11). */
-    std::uint64_t footprintBytes() const { return layout->footprintBytes(); }
-
-    /** Number of destination-range slices in use. */
-    unsigned numSlices() const { return static_cast<unsigned>(
-        sliceCount); }
-
   private:
+    /** HBM request tag kinds (see core/detail.hh for the codec). */
+    enum class Tag : std::uint64_t
+    {
+        RecordBatch = 1, ///< Vpref active-record stream (payload: batch)
+        TPropFill,       ///< VB fill for sliced runs
+        EdgeFetch,       ///< Epref edge data (payload: record index)
+        EdgeBatch,       ///< Epref coalesced edge data (payload: batch)
+        GroupData,       ///< Apply-phase group prefetch (payload: group)
+        AuWrite,         ///< AU active-record store
+        PropWrite,       ///< Apply-phase property write-back
+    };
+
     // ------------------------------------------------------------------
     // Record/flit types flowing between components.
     // ------------------------------------------------------------------
-
-    /** Active vertex data (Sec. 4.1.1): prop + offset + edgeCnt = 12 B.
-     *  vid is carried for functional simulation only. */
-    struct ActiveRecord
-    {
-        VertexId vid;
-        PropValue prop;
-        std::uint32_t edgeCnt;
-        EdgeId offset; ///< into the owning slice's edge array
-
-        template <typename Self, typename Ar>
-        static void
-        fields(Self &r, Ar &ar)
-        {
-            ar(r.vid, r.prop, r.edgeCnt, r.offset);
-        }
-    };
 
     /** One SIMT lane's worth of scatter work. */
     struct EdgeTask
@@ -355,13 +178,6 @@ class GdsAccel : public sim::Component
         explicit De(unsigned cap) : vpb(cap) {}
     };
 
-    enum class Phase
-    {
-        ScatterPhase,
-        ApplyPhase,
-        Finished,
-    };
-
     // ------------------------------------------------------------------
     // Phase bookkeeping.
     // ------------------------------------------------------------------
@@ -406,13 +222,29 @@ class GdsAccel : public sim::Component
     };
 
     // ------------------------------------------------------------------
+    // Frame hooks (gds_accel.cc).
+    // ------------------------------------------------------------------
+
+    void prepareRun() override;
+    void drainResponses() override;
+    void replaySkip(Cycle cycles) override;
+    Cycle extraEventHorizon() const override;
+    void attachFaults(sim::FaultInjector *injector) override;
+    void fillResult(RunResult &result) const override;
+    bool datapathBusy() const override;
+    void datapathState(std::ostream &os) const override;
+    void registerDatapathProbes(obs::Sampler &sampler) const override;
+    void saveDatapath(sim::Serializer &s) const override;
+    void restoreDatapath(sim::Deserializer &d) override;
+
+    // ------------------------------------------------------------------
     // Phase logic (gds_scatter.cc / gds_apply.cc).
     // ------------------------------------------------------------------
 
-    void startIteration();
-    void startScatter();
-    void tickScatter();
-    bool scatterDone() const;
+    void startScatter() override;
+    void tickScatter() override;
+    bool scatterDone() const override;
+    bool scatterQuiescent() const override;
     void tickVpref();
     void tickEpref();
     void materializeRecord(std::uint64_t rec_index);
@@ -422,82 +254,27 @@ class GdsAccel : public sim::Component
     void tickUes();
     void reduceFlit(const ResultFlit &flit);
 
-    // Fast-forward quiescence predicates (one per phase; each mirrors its
-    // phase's tick path and returns true only when that path is provably a
-    // pure wait — per-cycle stats aside, which skipCycles() replays).
-    bool scatterQuiescent() const;
-    bool applyQuiescent() const;
-
-    void startApply();
-    void tickApply();
-    bool applyDone() const;
+    void startApply() override;
+    void tickApply() override;
+    bool applyDone() const override;
+    bool applyQuiescent() const override;
     void tickApplyPrefetch();
     void tickApplyCommit();
     void tickPesApply();
     void applyVertex(VertexId v);
     void flushAu(bool force);
 
-    void finishSlice();
-
-    // Tracer hooks (one branch each when tracing is off).
-    void traceBegin(std::string event);
-    void traceEnd();
-
-    // Helpers.
-    const graph::Csr &sliceGraph(unsigned s) const;
-    VertexId sliceBegin(unsigned s) const;
-    VertexId sliceEnd(unsigned s) const;
-    void buildInitialActives(VertexId source);
-    void activateVertex(VertexId v, PropValue new_prop);
     std::uint64_t groupIndexOf(VertexId v) const
     {
         return v / cfg.rbGroupSize;
     }
 
-    // ------------------------------------------------------------------
-    // Configuration and bound inputs.
-    // ------------------------------------------------------------------
-
     // gds-ckpt: skip(cfg) construction-time configuration; resume verifies
     // the config hash instead of serializing it
     GdsConfig cfg;
-    // gds-ckpt: skip(fullGraph) non-owning reference to the immutable input
-    // graph the caller rebinds on resume
-    const graph::Csr &fullGraph;
-    // gds-ckpt: skip(algo) non-owning reference to the stateless algorithm
-    // kernel the caller rebinds on resume
-    algo::VcpmAlgorithm &algo;
-    // gds-ckpt: skip(weighted) derived from the algorithm kernel in the
-    // constructor
-    bool weighted;
-    // gds-ckpt: skip(hasConstProp) derived from the algorithm kernel in the
-    // constructor
-    bool hasConstProp;
-
-    // Slicing.
-    // gds-ckpt: skip(sliceCount) derived from cfg and the graph in the
-    // constructor
-    unsigned sliceCount = 1;
-    // gds-ckpt: skip(slices) deterministic re-partition of the immutable
-    // input graph, rebuilt in the constructor
-    std::vector<graph::Slice> slices; ///< empty when sliceCount == 1
-    // gds-ckpt: skip(sliceEdgeStart) derived from slices in the constructor
-    std::vector<EdgeId> sliceEdgeStart;
-
-    // gds-ckpt: skip(layout) address map derived from cfg and the graph in
-    // the constructor
-    std::unique_ptr<MemoryLayout> layout;
-    std::unique_ptr<mem::Hbm> hbm;
     std::unique_ptr<mem::Crossbar> xbar;
-
-    // Functional state.
-    std::vector<PropValue> prop;
-    std::vector<PropValue> tProp;
-    std::vector<PropValue> cProp;
+    /** Ready-to-Update Bitmap: one bit per rbGroupSize vertices. */
     std::vector<std::uint8_t> readyGroup;
-    std::vector<std::vector<ActiveRecord>> activeCur;  ///< per slice
-    std::vector<std::vector<ActiveRecord>> activeNext; ///< per slice
-    std::uint64_t activatedThisIteration = 0;
 
     // Microarchitectural state.
     std::vector<De> des;
@@ -519,43 +296,23 @@ class GdsAccel : public sim::Component
      * a RAW conflict keeps it.
      */
     // gds-ckpt: skip(uesNonEmpty) derived from the UE inboxes; rebuilt at
-    // the end of restoreState()
+    // the end of restoreDatapath()
     BitMask uesNonEmpty;
     ScatterState sc;
     ApplyState ap;
-    Phase phase = Phase::Finished;
-    unsigned curSlice = 0;
-    unsigned iteration = 0;
-    unsigned activeBuf = 0;
-    Cycle now = 0;
-    /** Local clock at run() entry; serialized so a resumed run reports
-     *  cycles spanning the whole logical run, not just the tail. */
-    Cycle runStart = 0;
     /**
-     * GDS_PERFECT_MEM, resolved exactly once at run() entry and used by
-     * every consumer (dispatch materialization, the scatter quiescence
-     * predicate, fast-forward gating). Run-scoped on purpose: a test or
-     * a daemon job that flips the environment variable between runs gets
-     * consistent behaviour within each run, and nothing latched in a
-     * function-local static can leak across jobs sharing the process.
+     * GDS_PERFECT_MEM, resolved exactly once per run (prepareRun()) and
+     * used by every consumer (dispatch materialization, the scatter
+     * quiescence predicate, fast-forward gating). Run-scoped on purpose:
+     * a test or a daemon job that flips the environment variable between
+     * runs gets consistent behaviour within each run, and nothing latched
+     * in a function-local static can leak across jobs sharing the process.
      */
     // gds-ckpt: skip(perfectMem) run-scoped environment latch, re-resolved
     // at run() entry on the resumed process before restore applies
     bool perfectMem = false;
-    bool collectPeLoads = false;
-    std::vector<std::uint64_t> peLoadThisIteration;
-    std::vector<std::vector<std::uint64_t>> peLoadTrace;
 
-    mem::HbmPort vportRead;  ///< Vpref record/vertex reads + tProp fill
-    mem::HbmPort eportRead;  ///< Epref edge reads
-    mem::HbmPort auPortWrite;///< AU active/prop stores
-
-    // Stats.
-    stats::Scalar statIterations;
-    stats::Scalar statScatterCycles;
-    stats::Scalar statApplyCycles;
-    stats::Scalar statEdgesProcessed;
-    stats::Scalar statVertexUpdates;
+    // Stats beyond the frame's five.
     stats::Scalar statUpdatesSkipped;
     stats::Scalar statSchedulingOps;
     stats::Scalar statAtomicStalls;

@@ -9,21 +9,18 @@
 #include "core/detail.hh"
 #include "core/gds_accel.hh"
 
+#include <algorithm>
+
 #include "common/debug.hh"
 
 namespace gds::core
 {
 
-using detail::Tag;
 using detail::makeTag;
 
 void
 GdsAccel::startApply()
 {
-    DPRINTF(Phase, "iter %u slice %u: Apply starts", iteration, curSlice);
-    traceEnd(); // "scatter"
-    traceBegin("apply");
-    phase = Phase::ApplyPhase;
     ap = ApplyState{};
     ap.auWriteCursor = layout->activeArrayBase(activeBuf ^ 1);
 
@@ -38,6 +35,13 @@ GdsAccel::startApply()
         ap.groups.push_back(b);
         selected_verts += std::min<VertexId>(cfg.rbGroupSize, hi - b);
     }
+    // The selection consumes this slice's Ready-to-Update bits: only the
+    // next Scatter of the slice can set them again.
+    std::fill(readyGroup.begin() +
+                  static_cast<std::ptrdiff_t>(groupIndexOf(lo)),
+              readyGroup.begin() +
+                  static_cast<std::ptrdiff_t>(groupIndexOf(hi - 1) + 1),
+              std::uint8_t{0});
     statUpdatesSkipped += static_cast<double>((hi - lo) - selected_verts);
     DPRINTF(Apply, "%zu ready groups selected, %llu vertices skipped",
             ap.groups.size(),
@@ -57,7 +61,7 @@ GdsAccel::applyDone() const
     return ap.commitCursor == ap.groups.size() &&
            ap.groupsCompleted == ap.groups.size() &&
            ap.auBufferedRecords == 0 && ap.propWrites.empty() &&
-           auPortWrite.inflight() == 0;
+           storePort.inflight() == 0;
 }
 
 void
@@ -147,16 +151,16 @@ GdsAccel::tickApplyPrefetch()
             if (done == 0) {
                 ok = hbm->access(layout->propAddr(b), len * bytesPerWord,
                                  false, makeTag(Tag::GroupData, g),
-                                 &vportRead);
+                                 &recordPort);
             } else if (done <= sliceCount) {
                 // Offset run of slice (done - 1): len + 1 entries.
                 ok = hbm->access(layout->offsetAddr(b),
                                  (len + 1) * bytesPerWord, false,
-                                 makeTag(Tag::GroupData, g), &vportRead);
+                                 makeTag(Tag::GroupData, g), &recordPort);
             } else {
                 ok = hbm->access(layout->cPropAddr(b), len * bytesPerWord,
                                  false, makeTag(Tag::GroupData, g),
-                                 &vportRead);
+                                 &recordPort);
             }
             if (ok) {
                 ++done;
@@ -218,7 +222,8 @@ GdsAccel::applyVertex(VertexId v)
     const PropValue apply_res = algo.apply(prop[v], tProp[v], cp);
     if (algo.changed(prop[v], apply_res)) {
         prop[v] = apply_res;
-        activateVertex(v, apply_res);
+        activate(v, apply_res);
+        ap.auBufferedRecords += sliceCount; // one record per slice
         ++statVertexUpdates;
     } else if (algo.tPropResetsEachIteration()) {
         prop[v] = apply_res;
@@ -273,7 +278,7 @@ GdsAccel::flushAu(bool force)
     while (!ap.propWrites.empty()) {
         const auto [addr, bytes] = ap.propWrites.front();
         if (!hbm->access(addr, bytes, true, makeTag(Tag::PropWrite, 0),
-                         &auPortWrite))
+                         &storePort))
             break;
         ap.propWrites.pop_front();
     }
@@ -286,7 +291,7 @@ GdsAccel::flushAu(bool force)
         const unsigned bytes = static_cast<unsigned>(
             n * layout->fmt.activeRecordBytes);
         if (!hbm->access(ap.auWriteCursor, bytes, true,
-                         makeTag(Tag::AuWrite, 0), &auPortWrite))
+                         makeTag(Tag::AuWrite, 0), &storePort))
             break;
         ap.auWriteCursor += bytes;
         ap.auBufferedRecords -= n;

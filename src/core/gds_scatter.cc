@@ -14,27 +14,17 @@
 namespace gds::core
 {
 
-using detail::Tag;
 using detail::makeTag;
-using detail::tagKind;
-using detail::tagPayload;
 using detail::maxRequestBytes;
 
 void
 GdsAccel::startScatter()
 {
-    DPRINTF(Phase, "iter %u slice %u: Scatter starts (%zu active)",
-            iteration, curSlice, activeCur[curSlice].size());
-    if (curSlice == 0)
-        traceBegin("iteration:" + std::to_string(iteration));
-    traceBegin("scatter");
-    phase = Phase::ScatterPhase;
-    const auto &records = activeCur[curSlice];
-
     sc = ScatterState{};
-    sc.recordsTotal = records.size();
-    for (const ActiveRecord &r : records)
-        sc.expectedEdges += r.edgeCnt;
+    sc.recordsTotal = active.size();
+    const graph::Csr &sg = sliceGraph(curSlice);
+    for (const ActiveRecord &r : active)
+        sc.expectedEdges += sg.outDegree(r.vid);
     sc.batchesTotal = ceilDiv<std::uint64_t>(sc.recordsTotal,
                                              cfg.vprefBatch);
     sc.batchReady.assign(sc.batchesTotal, 0);
@@ -99,33 +89,34 @@ GdsAccel::scatterQuiescent() const
     // DEs: a head record with edges but no data waits (statDeWaitReady);
     // anything else makes progress. With every PE queue empty a ready head
     // always dispatches, so "blocked on a full PE queue" cannot occur here.
+    const graph::Csr &sg = sliceGraph(curSlice);
     for (const De &de : des) {
         if (de.vpb.empty())
             continue;
         if (perfectMem)
             return false; // dispatch would materialize the record
         const std::uint64_t rec = de.vpb.front();
-        if (activeCur[curSlice][rec].edgeCnt == 0 || sc.fetch[rec].ready)
+        if (sg.outDegree(active[rec].vid) == 0 || sc.fetch[rec].ready)
             return false;
     }
     // Epref: walk the same window tickEpref() scans. Skipping a record
     // for buffer budget is pure; reaching any other case pops a zero-edge
     // record or attempts an access.
     if (!sc.eprefPending.empty() &&
-        eportRead.inflight() < cfg.eprefMaxInflight) {
+        edgePort.inflight() < cfg.eprefMaxInflight) {
         bool budget_blocked = false;
         const std::size_t window =
             std::min<std::size_t>(sc.eprefPending.size(), 8);
         for (std::size_t w = 0; w < window; ++w) {
             const std::uint64_t rec = sc.eprefPending[w];
-            const ActiveRecord &r = activeCur[curSlice][rec];
+            const std::uint64_t edge_cnt = sg.outDegree(active[rec].vid);
             const RecordFetch &f = sc.fetch[rec];
-            if (r.edgeCnt == 0)
+            if (edge_cnt == 0)
                 return false;
             if (!f.reserved &&
                 (budget_blocked ||
                  (sc.bufferedEdges > 0 &&
-                  sc.bufferedEdges + r.edgeCnt > cfg.eprefBufferEdges))) {
+                  sc.bufferedEdges + edge_cnt > cfg.eprefBufferEdges))) {
                 budget_blocked = true;
                 continue;
             }
@@ -135,10 +126,10 @@ GdsAccel::scatterQuiescent() const
     // Vpref: the tProp fill and the record stream would issue; a commit
     // goes through unless blocked on batch data or a full VPB RAM.
     if (sc.fillBytesLeft > 0 &&
-        vportRead.inflight() < cfg.vprefMaxInflight)
+        recordPort.inflight() < cfg.vprefMaxInflight)
         return false;
     if (sc.batchesIssued < sc.batchesTotal &&
-        vportRead.inflight() < cfg.vprefMaxInflight)
+        recordPort.inflight() < cfg.vprefMaxInflight)
         return false;
     if (sc.commitCursor < sc.recordsTotal) {
         const std::uint64_t k = sc.commitCursor;
@@ -158,11 +149,11 @@ GdsAccel::tickVpref()
 {
     // tProp fill traffic (sequential stream of this slice's properties).
     while (sc.fillBytesLeft > 0 &&
-           vportRead.inflight() < cfg.vprefMaxInflight) {
+           recordPort.inflight() < cfg.vprefMaxInflight) {
         const unsigned chunk = static_cast<unsigned>(
             std::min<std::uint64_t>(sc.fillBytesLeft, maxRequestBytes));
         if (!hbm->access(sc.fillCursor, chunk, false,
-                         makeTag(Tag::TPropFill, 0), &vportRead))
+                         makeTag(Tag::TPropFill, 0), &recordPort))
             break;
         sc.fillCursor += chunk;
         sc.fillBytesLeft -= chunk;
@@ -171,7 +162,7 @@ GdsAccel::tickVpref()
 
     // Issue active-record stream requests (batches of vprefBatch records).
     while (sc.batchesIssued < sc.batchesTotal &&
-           vportRead.inflight() < cfg.vprefMaxInflight) {
+           recordPort.inflight() < cfg.vprefMaxInflight) {
         const std::uint64_t b = sc.batchesIssued;
         const std::uint64_t first = b * cfg.vprefBatch;
         const std::uint64_t count =
@@ -181,7 +172,7 @@ GdsAccel::tickVpref()
         const unsigned bytes = static_cast<unsigned>(
             count * layout->fmt.activeRecordBytes);
         if (!hbm->access(addr, bytes, false, makeTag(Tag::RecordBatch, b),
-                         &vportRead))
+                         &recordPort))
             break;
         ++sc.batchesIssued;
     }
@@ -211,12 +202,13 @@ GdsAccel::tickVpref()
 
 // ---------------------------------------------------------------------
 // Epref: fetch edge data. Exact mode knows (offset, edgeCnt) from the
-// active record, streams precisely those bytes, and coalesces adjacent
-// lists into large requests. Non-exact mode (EP ablation off) models the
-// prior-design alternative the paper describes: the offset comes from a
-// large on-chip cache (Graphicionado's solution, so no dependent memory
-// read), but fetches are per-record, cacheline-granular (64 B) and never
-// coalesced -- wasting bandwidth and in-flight request slots.
+// active record (the host reads them from the slice CSR), streams
+// precisely those bytes, and coalesces adjacent lists into large
+// requests. Non-exact mode (EP ablation off) models the prior-design
+// alternative the paper describes: the offset comes from a large on-chip
+// cache (Graphicionado's solution, so no dependent memory read), but
+// fetches are per-record, cacheline-granular (64 B) and never coalesced
+// -- wasting bandwidth and in-flight request slots.
 // ---------------------------------------------------------------------
 
 void
@@ -237,16 +229,18 @@ GdsAccel::tickEpref()
     // adjacent records with contiguous edge ranges are coalesced into one
     // request (Sec. 5.2.1: "coalesce memory accesses to edge data and
     // maximize the number of in-flight memory requests").
+    const graph::Csr &sg = sliceGraph(curSlice);
     unsigned issued = 0;
     bool budget_blocked = false;
     std::size_t w = 0;
     while (w < std::min<std::size_t>(sc.eprefPending.size(), 8) &&
-           issued < 4 && eportRead.inflight() < cfg.eprefMaxInflight) {
+           issued < 4 && edgePort.inflight() < cfg.eprefMaxInflight) {
         const std::uint64_t rec = sc.eprefPending[w];
-        const ActiveRecord &r = activeCur[curSlice][rec];
+        const VertexId vid = active[rec].vid;
+        const std::uint64_t edge_cnt = sg.outDegree(vid);
         RecordFetch &f = sc.fetch[rec];
 
-        if (r.edgeCnt == 0) {
+        if (edge_cnt == 0) {
             f.ready = true;
             sc.eprefPending.erase(sc.eprefPending.begin() +
                                   static_cast<std::ptrdiff_t>(w));
@@ -258,7 +252,7 @@ GdsAccel::tickEpref()
             return sc.bufferedEdges > 0 &&
                    sc.bufferedEdges + extra > cfg.eprefBufferEdges;
         };
-        if (!f.reserved && (budget_blocked || over_budget(r.edgeCnt))) {
+        if (!f.reserved && (budget_blocked || over_budget(edge_cnt))) {
             budget_blocked = true;
             ++w;
             continue;
@@ -266,9 +260,8 @@ GdsAccel::tickEpref()
 
         const unsigned edge_bytes = layout->fmt.edgeBytes;
         const Addr begin =
-            layout->edgeAddr(sliceEdgeStart[curSlice] + r.offset);
-        const std::uint64_t r_bytes =
-            static_cast<std::uint64_t>(r.edgeCnt) * edge_bytes;
+            layout->edgeAddr(sliceEdgeStart[curSlice] + sg.offsetOf(vid));
+        const std::uint64_t r_bytes = edge_cnt * edge_bytes;
 
         if (cfg.exactPrefetch && r_bytes <= maxRequestBytes &&
             f.bytesIssued == 0) {
@@ -276,32 +269,32 @@ GdsAccel::tickEpref()
             // whose edge ranges continue this one. Mutations happen only
             // after the request is accepted.
             std::uint64_t batch_bytes = r_bytes;
-            std::uint64_t batch_edges = r.edgeCnt;
+            std::uint64_t batch_edges = edge_cnt;
+            EdgeId batch_end = sg.offsetOf(vid) + edge_cnt;
             std::size_t members = 1;
             while (w + members < sc.eprefPending.size()) {
-                const std::uint64_t nrec = sc.eprefPending[w + members];
-                const ActiveRecord &nr = activeCur[curSlice][nrec];
-                if (nr.edgeCnt == 0)
+                const VertexId nvid =
+                    active[sc.eprefPending[w + members]].vid;
+                const std::uint64_t n_cnt = sg.outDegree(nvid);
+                if (n_cnt == 0)
                     break;
-                const ActiveRecord &pr =
-                    activeCur[curSlice][sc.eprefPending[w + members - 1]];
-                if (nr.offset != pr.offset + pr.edgeCnt)
+                if (sg.offsetOf(nvid) != batch_end)
                     break; // not contiguous in the edge array
-                const std::uint64_t n_bytes =
-                    static_cast<std::uint64_t>(nr.edgeCnt) * edge_bytes;
+                const std::uint64_t n_bytes = n_cnt * edge_bytes;
                 if (batch_bytes + n_bytes > maxRequestBytes)
                     break;
-                if (over_budget(batch_edges + nr.edgeCnt))
+                if (over_budget(batch_edges + n_cnt))
                     break;
                 batch_bytes += n_bytes;
-                batch_edges += nr.edgeCnt;
+                batch_edges += n_cnt;
+                batch_end += n_cnt;
                 ++members;
             }
             const std::uint64_t batch_id = sc.fetchBatches.size();
             if (!hbm->access(begin,
                              static_cast<unsigned>(batch_bytes), false,
                              makeTag(Tag::EdgeBatch, batch_id),
-                             &eportRead))
+                             &edgePort))
                 break; // memory backpressure
             std::vector<std::uint64_t> group;
             group.reserve(members);
@@ -325,7 +318,7 @@ GdsAccel::tickEpref()
         // Large or non-exact records: issue bounded parts.
         if (!f.reserved) {
             f.reserved = true;
-            sc.bufferedEdges += r.edgeCnt;
+            sc.bufferedEdges += edge_cnt;
         }
         Addr part_begin = begin;
         Addr part_end = begin + r_bytes;
@@ -339,7 +332,7 @@ GdsAccel::tickEpref()
             std::min<std::uint64_t>(total - f.bytesIssued,
                                     maxRequestBytes));
         if (!hbm->access(part_begin + f.bytesIssued, chunk, false,
-                         makeTag(Tag::EdgeFetch, rec), &eportRead)) {
+                         makeTag(Tag::EdgeFetch, rec), &edgePort)) {
             break; // memory backpressure: stop issuing entirely
         }
         f.bytesIssued += chunk;
@@ -363,10 +356,12 @@ void
 GdsAccel::dispatchChunk(De &de, unsigned de_index)
 {
     const std::uint64_t rec = de.vpb.front();
-    const ActiveRecord &r = activeCur[curSlice][rec];
+    const ActiveRecord &r = active[rec];
     RecordFetch &f = sc.fetch[rec];
+    const graph::Csr &sg = sliceGraph(curSlice);
+    const auto edge_cnt = static_cast<std::uint32_t>(sg.outDegree(r.vid));
 
-    if (r.edgeCnt == 0) {
+    if (edge_cnt == 0) {
         de.vpb.pop();
         de.chunkCursor = 0;
         ++sc.recordsDispatched;
@@ -381,9 +376,9 @@ GdsAccel::dispatchChunk(De &de, unsigned de_index)
     }
 
     // Edge i of the record, read from the slice's CSR view.
-    const graph::Csr &sg = sliceGraph(curSlice);
+    const EdgeId first = sg.offsetOf(r.vid);
     const auto edge = [&](std::uint32_t i) {
-        const EdgeId e = r.offset + i;
+        const EdgeId e = first + i;
         return EdgeTask{sg.edgeDest(e),
                         weighted ? sg.edgeWeight(e) : Weight{1}, r.prop};
     };
@@ -394,7 +389,7 @@ GdsAccel::dispatchChunk(De &de, unsigned de_index)
         Pe &pe = pes[de_index];
         std::uint32_t &cursor = de.chunkCursor;
         unsigned moved = 0;
-        while (cursor < r.edgeCnt && moved < cfg.nSimt &&
+        while (cursor < edge_cnt && moved < cfg.nSimt &&
                pe.edgeQueue.canPush()) {
             pe.edgeQueue.push(edge(cursor));
             ++scEdgesQueued;
@@ -402,12 +397,12 @@ GdsAccel::dispatchChunk(De &de, unsigned de_index)
             ++moved;
             ++statSchedulingOps;
         }
-        if (cursor == r.edgeCnt) {
+        if (cursor == edge_cnt) {
             de.vpb.pop();
             de.chunkCursor = 0;
             ++sc.recordsDispatched;
             if (f.reserved) {
-                sc.bufferedEdges -= r.edgeCnt;
+                sc.bufferedEdges -= edge_cnt;
                 f.reserved = false;
             }
         }
@@ -417,13 +412,13 @@ GdsAccel::dispatchChunk(De &de, unsigned de_index)
     // Workload-balanced dispatch: lists below eThreshold go wholesale to
     // the paired PE; larger lists are split into eListSize chunks spread
     // round-robin over all PEs. One scheduling operation per cycle per DE.
-    const bool split = r.edgeCnt >= cfg.eThreshold;
+    const bool split = edge_cnt >= cfg.eThreshold;
     const std::uint32_t chunk_len =
-        split ? cfg.eListSize : r.edgeCnt;
+        split ? cfg.eListSize : edge_cnt;
     const std::uint32_t begin = de.chunkCursor * chunk_len;
-    gds_assert(begin < r.edgeCnt, "dispatch cursor overran the edge list");
+    gds_assert(begin < edge_cnt, "dispatch cursor overran the edge list");
     const std::uint32_t len =
-        std::min<std::uint32_t>(chunk_len, r.edgeCnt - begin);
+        std::min<std::uint32_t>(chunk_len, edge_cnt - begin);
     const unsigned target =
         split ? (de_index + de.chunkCursor) % cfg.numPes : de_index;
 
@@ -439,14 +434,14 @@ GdsAccel::dispatchChunk(De &de, unsigned de_index)
     ++statSchedulingOps;
     ++de.chunkCursor;
 
-    if (begin + len == r.edgeCnt) {
+    if (begin + len == edge_cnt) {
         DPRINTF(Dispatch, "DE%u dispatched v%u (%u edges, %s)", de_index,
-                r.vid, r.edgeCnt, split ? "split" : "whole");
+                r.vid, edge_cnt, split ? "split" : "whole");
         de.vpb.pop();
         de.chunkCursor = 0;
         ++sc.recordsDispatched;
         if (f.reserved) {
-            sc.bufferedEdges -= r.edgeCnt;
+            sc.bufferedEdges -= edge_cnt;
             f.reserved = false;
         }
     }
@@ -528,8 +523,8 @@ GdsAccel::tickPesScatter()
         scFlitsBuffered += n;
         statEdgesProcessed += n;
         statPeEdges[p] += n;
-        if (collectPeLoads)
-            peLoadThisIteration[p] += n;
+        if (collectLoads)
+            loadThisIteration[p] += n;
     }
 }
 

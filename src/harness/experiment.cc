@@ -301,6 +301,52 @@ cellRunOptions(algo::AlgorithmId algorithm, const std::string &dataset,
     return options;
 }
 
+/**
+ * Run one cell on @p accel and fill the record fields every accelerator
+ * shares; @p energy_joules prices the finished run on the model's own
+ * energy model.
+ */
+RunRecord
+runAccelCell(core::VcpmAccel &accel, const std::string &system,
+             algo::AlgorithmId algorithm, const std::string &dataset,
+             const graph::Csr &g, const std::string &config_hash,
+             const CellPolicy *policy,
+             const std::function<double(const core::RunResult &)>
+                 &energy_joules)
+{
+    const core::RunOptions options =
+        cellRunOptions(algorithm, dataset, g, config_hash, policy);
+
+    double sim_seconds = 0.0;
+    double validate_seconds = 0.0;
+    core::RunResult run;
+    {
+        const ScopedWallTimer timer(sim_seconds);
+        run = accel.run(options);
+    }
+
+    const ScopedWallTimer validate_timer(validate_seconds);
+    RunRecord r = baseRecord(system, algorithm, dataset);
+    r.configHash = config_hash;
+    r.wallSimSeconds = sim_seconds;
+    if (!run.completed())
+        r.status = errorCodeName(sim::runOutcomeError(run.report.outcome));
+    r.iterations = run.iterations;
+    r.seconds = static_cast<double>(run.cycles) * 1e-9;
+    r.gteps = run.gteps();
+    r.memoryBytes = static_cast<double>(run.memoryBytes);
+    r.footprintBytes = static_cast<double>(run.footprintBytes);
+    r.bandwidthUtilization = run.bandwidthUtilization;
+    r.energyJoules = energy_joules(run);
+    r.schedulingOps = static_cast<double>(run.schedulingOps);
+    r.atomicStalls = static_cast<double>(run.atomicStalls);
+    r.updatesSkipped = static_cast<double>(run.updatesSkipped);
+    r.vertexUpdates = static_cast<double>(run.vertexUpdates);
+    r.edgesProcessed = static_cast<double>(run.edgesProcessed);
+    r.wallValidateSeconds = validate_timer.elapsedSeconds();
+    return r;
+}
+
 } // namespace
 
 RunRecord
@@ -316,45 +362,16 @@ runGds(algo::AlgorithmId algorithm, const std::string &dataset,
 
     auto a = algo::makeAlgorithm(algorithm);
     core::GdsAccel accel(cfg, g, *a);
-    const std::string hash = configHash(cfg);
-    const core::RunOptions options =
-        cellRunOptions(algorithm, dataset, g, hash, policy);
-
-    double sim_seconds = 0.0;
-    double validate_seconds = 0.0;
-    core::RunResult run;
-    {
-        const ScopedWallTimer timer(sim_seconds);
-        run = accel.run(options);
-    }
-
-    const ScopedWallTimer validate_timer(validate_seconds);
-    energy::EnergyModel energy_model;
-    const auto energy = energy_model.gdsEnergy(
-        cfg, run.cycles, run.memoryBytes);
-
-    RunRecord r = baseRecord(variant == GdsVariant::Full
-                                 ? "GraphDynS"
-                                 : "GraphDynS-" + variantName(variant),
-                             algorithm, dataset);
-    r.configHash = hash;
-    r.wallSimSeconds = sim_seconds;
-    if (!run.completed())
-        r.status = errorCodeName(sim::runOutcomeError(run.report.outcome));
-    r.iterations = run.iterations;
-    r.seconds = static_cast<double>(run.cycles) * 1e-9;
-    r.gteps = run.gteps();
-    r.memoryBytes = static_cast<double>(run.memoryBytes);
-    r.footprintBytes = static_cast<double>(run.footprintBytes);
-    r.bandwidthUtilization = run.bandwidthUtilization;
-    r.energyJoules = energy.totalJ();
-    r.schedulingOps = static_cast<double>(run.schedulingOps);
-    r.atomicStalls = static_cast<double>(run.atomicStalls);
-    r.updatesSkipped = static_cast<double>(run.updatesSkipped);
-    r.vertexUpdates = static_cast<double>(run.vertexUpdates);
-    r.edgesProcessed = static_cast<double>(run.edgesProcessed);
-    r.wallValidateSeconds = validate_timer.elapsedSeconds();
-    return r;
+    const std::string system = variant == GdsVariant::Full
+                                   ? "GraphDynS"
+                                   : "GraphDynS-" + variantName(variant);
+    return runAccelCell(
+        accel, system, algorithm, dataset, g, configHash(cfg), policy,
+        [&](const core::RunResult &run) {
+            return energy::EnergyModel{}
+                .gdsEnergy(cfg, run.cycles, run.memoryBytes)
+                .totalJ();
+        });
 }
 
 RunRecord
@@ -368,40 +385,13 @@ runGraphicionado(algo::AlgorithmId algorithm, const std::string &dataset,
 
     auto a = algo::makeAlgorithm(algorithm);
     baseline::GraphicionadoAccel accel(cfg, g, *a);
-    const std::string hash = configHash(cfg);
-    const core::RunOptions options =
-        cellRunOptions(algorithm, dataset, g, hash, policy);
-
-    double sim_seconds = 0.0;
-    double validate_seconds = 0.0;
-    core::RunResult run;
-    {
-        const ScopedWallTimer timer(sim_seconds);
-        run = accel.run(options);
-    }
-
-    const ScopedWallTimer validate_timer(validate_seconds);
-    energy::EnergyModel energy_model;
-    const auto energy = energy_model.graphicionadoEnergy(
-        cfg, run.cycles, run.memoryBytes);
-
-    RunRecord r = baseRecord("Graphicionado", algorithm, dataset);
-    r.configHash = hash;
-    r.wallSimSeconds = sim_seconds;
-    if (!run.completed())
-        r.status = errorCodeName(sim::runOutcomeError(run.report.outcome));
-    r.iterations = run.iterations;
-    r.seconds = static_cast<double>(run.cycles) * 1e-9;
-    r.gteps = run.gteps();
-    r.memoryBytes = static_cast<double>(run.memoryBytes);
-    r.footprintBytes = static_cast<double>(run.footprintBytes);
-    r.bandwidthUtilization = run.bandwidthUtilization;
-    r.energyJoules = energy.totalJ();
-    r.atomicStalls = static_cast<double>(run.atomicStalls);
-    r.vertexUpdates = static_cast<double>(run.vertexUpdates);
-    r.edgesProcessed = static_cast<double>(run.edgesProcessed);
-    r.wallValidateSeconds = validate_timer.elapsedSeconds();
-    return r;
+    return runAccelCell(
+        accel, "Graphicionado", algorithm, dataset, g, configHash(cfg),
+        policy, [&](const core::RunResult &run) {
+            return energy::EnergyModel{}
+                .graphicionadoEnergy(cfg, run.cycles, run.memoryBytes)
+                .totalJ();
+        });
 }
 
 RunRecord

@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "common/bitutil.hh"
+#include "common/error.hh"
 #include "obs/trace.hh"
 #include "sim/checkpoint.hh"
 
@@ -56,14 +57,8 @@ Hbm::Hbm(const HbmConfig &config, sim::Component *parent)
       statFaultRejected(&statsGroup(), "faultRejected",
                         "requests refused by fault injection")
 {
-    gds_assert(isPow2(cfg.txBytes), "txBytes must be a power of two");
-    gds_assert(cfg.rowBytes % cfg.txBytes == 0,
-               "rowBytes must be a multiple of txBytes");
-    // A transaction completes at least tBurst cycles after it issues,
-    // so a completion never lands in the bucket being retired.
-    gds_assert(cfg.tBurst > 0, "tBurst must be nonzero");
-    gds_assert(cfg.tRefi >= cfg.banksPerChannel,
-               "tRefi must leave at least one cycle per bank refresh");
+    if (const char *violation = hbmContractViolation(cfg))
+        throw ConfigError(violation);
     const std::uint64_t tx_per_row = cfg.rowBytes / cfg.txBytes;
     pow2Geometry = isPow2(cfg.numChannels) && isPow2(tx_per_row) &&
                    isPow2(cfg.banksPerChannel);

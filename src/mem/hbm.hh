@@ -27,6 +27,7 @@
 #include <deque>
 #include <vector>
 
+#include "common/bitutil.hh"
 #include "sim/component.hh"
 #include "sim/fault.hh"
 #include "sim/queues.hh"
@@ -59,6 +60,36 @@ struct HbmConfig
         return static_cast<double>(numChannels) * txBytes / tBurst;
     }
 };
+
+/**
+ * First violated HbmConfig contract, or nullptr when the geometry and
+ * timing are well formed. constexpr so the accelerator configs' own
+ * contract predicates can fold it in; the Hbm constructor throws
+ * ConfigError on a violation.
+ */
+constexpr const char *
+hbmContractViolation(const HbmConfig &c)
+{
+    if (c.numChannels == 0)
+        return "hbm.numChannels must be nonzero";
+    if (c.banksPerChannel == 0)
+        return "hbm.banksPerChannel must be nonzero";
+    if (c.txBytes == 0 || !isPow2(c.txBytes))
+        return "hbm.txBytes must be a nonzero power of two";
+    if (c.rowBytes == 0 || c.rowBytes % c.txBytes != 0)
+        return "hbm.rowBytes must be a nonzero multiple of hbm.txBytes";
+    // A transaction completes at least tBurst cycles after it issues, so
+    // a completion never lands in the timing-wheel bucket being retired.
+    if (c.tBurst == 0)
+        return "hbm.tBurst must be nonzero";
+    if (c.tRefi < c.banksPerChannel)
+        return "hbm.tRefi must leave at least one cycle per bank refresh";
+    if (c.queueDepth == 0)
+        return "hbm.queueDepth must be nonzero";
+    if (c.frfcfsWindow == 0)
+        return "hbm.frfcfsWindow must be nonzero";
+    return nullptr;
+}
 
 /** Asynchronous memory interface handed to each requester. */
 class HbmPort

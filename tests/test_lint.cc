@@ -298,6 +298,23 @@ TEST(LintModel, SkipDirectiveAndStatsFieldsExempt)
     EXPECT_TRUE(lintFixture("src/core/ok_ckpt.hh").clean());
 }
 
+TEST(LintModel, DerivedComponentFieldsFlagged)
+{
+    // DerivedLeakyWidget derives from another component, not from
+    // Component itself; its own fields() list still has to cover it.
+    const LintResult r = lintFixture("src/core/bad_derived_ckpt.hh");
+    ASSERT_EQ(signatures(r),
+              (std::vector<std::string>{"checkpoint-field-coverage@44"}));
+    EXPECT_NE(r.diagnostics[0].message.find("'DerivedLeakyWidget'"),
+              std::string::npos);
+    EXPECT_NE(r.diagnostics[0].message.find("'lost'"), std::string::npos);
+}
+
+TEST(LintModel, DerivedComponentCoveredByOwnFields)
+{
+    EXPECT_TRUE(lintFixture("src/core/ok_derived_ckpt.hh").clean());
+}
+
 TEST(LintModel, CoverageAnalyzedAcrossFiles)
 {
     // Class in a header, fields() out-of-line in the matching source:
@@ -570,14 +587,14 @@ TEST(LintDriver, JsonSummaryCountsRules)
     std::ostringstream os;
     writeJsonSummary(r, os);
     const std::string json = os.str();
-    EXPECT_NE(json.find("\"files_scanned\": 23"), std::string::npos);
-    EXPECT_NE(json.find("\"violations\": 25"), std::string::npos);
+    EXPECT_NE(json.find("\"files_scanned\": 25"), std::string::npos);
+    EXPECT_NE(json.find("\"violations\": 26"), std::string::npos);
     EXPECT_NE(json.find("\"tool_errors\": 0"), std::string::npos);
     EXPECT_NE(json.find("\"no-naked-assert\": 2"), std::string::npos);
     EXPECT_NE(json.find("\"bad-suppression\": 6"), std::string::npos);
     EXPECT_NE(json.find("\"component-hooks\": 3"), std::string::npos);
     EXPECT_NE(json.find("\"checkpoint-hooks\": 1"), std::string::npos);
-    EXPECT_NE(json.find("\"checkpoint-field-coverage\": 2"),
+    EXPECT_NE(json.find("\"checkpoint-field-coverage\": 3"),
               std::string::npos);
     EXPECT_EQ(json.find("save-restore-symmetry"), std::string::npos);
     EXPECT_NE(json.find("\"env-knob-discipline\": 1"), std::string::npos);
@@ -607,8 +624,8 @@ TEST(LintDriver, SarifLogHasToolRulesAndResults)
 TEST(LintDriver, FixtureTreeExitsOne)
 {
     const LintResult r = lintPaths({fixtureRoot}, fixtureRoot);
-    EXPECT_EQ(r.filesScanned, 23u);
-    EXPECT_EQ(r.diagnostics.size(), 25u);
+    EXPECT_EQ(r.filesScanned, 25u);
+    EXPECT_EQ(r.diagnostics.size(), 26u);
     EXPECT_EQ(exitCode(r), 1);
 }
 
@@ -660,6 +677,47 @@ TEST(LintSelfCheck, DeletingAnHbmFieldsLineFailsTheSweep)
     EXPECT_NE(r.diagnostics[0].message.find("'inflightTx'"),
               std::string::npos);
     EXPECT_EQ(exitCode(r), 1);
+}
+
+TEST(LintSelfCheck, SweepModelsBothAcceleratorsThroughTheirFrame)
+{
+    // Both accelerators derive from core::VcpmAccel, not from Component:
+    // dropping one line of either datapath's fields() list must still
+    // fail the sweep.
+    const std::string frame =
+        slurpFile(repoRoot + "/src/core/vcpm_accel.hh");
+    struct Case
+    {
+        std::string header;
+        std::string source;
+        std::string needle;
+        std::string field;
+    };
+    const Case cases[] = {
+        {"src/core/gds_accel.hh", "src/core/gds_accel.cc",
+         "ar(self.readyGroup);", "'readyGroup'"},
+        {"src/baseline/graphicionado.hh", "src/baseline/graphicionado.cc",
+         "ar(self.lastReduceAt);", "'lastReduceAt'"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.source);
+        const std::string header = slurpFile(repoRoot + "/" + c.header);
+        const std::string source = slurpFile(repoRoot + "/" + c.source);
+        const auto lint = [&](const std::string &cc) {
+            // The frame comes last: a base may be defined after the
+            // classes derived from it in scan order.
+            return lintBuffers(
+                {{c.header, c.header, header},
+                 {c.source, c.source, cc},
+                 {"vcpm_accel.hh", "src/core/vcpm_accel.hh", frame}});
+        };
+        ASSERT_TRUE(lint(source).clean());
+        const LintResult r = lint(deleteLineContaining(source, c.needle));
+        ASSERT_EQ(r.diagnostics.size(), 1u);
+        EXPECT_EQ(r.diagnostics[0].rule, "checkpoint-field-coverage");
+        EXPECT_NE(r.diagnostics[0].message.find(c.field),
+                  std::string::npos);
+    }
 }
 
 } // namespace

@@ -198,11 +198,20 @@ parseClassBody(const std::vector<Token> &toks, std::size_t open,
     }
 }
 
-/** Find `class|struct Name [final] : ...Component... {` definitions in
- *  @p file and append a ComponentModel per match. */
+/** One `class|struct Name [final] : bases {` definition. */
+struct ClassDef
+{
+    const LexedFile *file;
+    std::string relPath;
+    std::size_t keyword;            ///< index of the class keyword
+    std::size_t open;               ///< index of the body's '{'
+    std::vector<std::string> bases; ///< identifiers of the base clause
+};
+
+/** Append every class definition with a base clause in @p file. */
 void
-collectComponents(const LexedFile &file, const std::string &rel,
-                  ClassModel &model)
+collectClassDefs(const LexedFile &file, const std::string &rel,
+                 std::vector<ClassDef> &out)
 {
     const auto &toks = file.tokens;
     for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
@@ -216,23 +225,62 @@ collectComponents(const LexedFile &file, const std::string &rel,
         if (j >= toks.size() || !isPunct(toks[j], ":"))
             continue;
         ++j;
-        bool derives_component = false;
+        ClassDef def{&file, rel, i, 0, {}};
         while (j < toks.size() && !isPunct(toks[j], "{") &&
                !isPunct(toks[j], ";")) {
-            if (isIdent(toks[j], "Component"))
-                derives_component = true;
+            if (toks[j].kind == TokKind::Identifier)
+                def.bases.push_back(toks[j].text);
             ++j;
         }
-        if (!derives_component || j >= toks.size() || !isPunct(toks[j], "{"))
+        if (j >= toks.size() || !isPunct(toks[j], "{"))
             continue;
+        def.open = j;
+        out.push_back(std::move(def));
+    }
+}
 
+/**
+ * Model every class whose base clause names `Component` or a class
+ * already modeled, so components derived through an intermediate base
+ * (the accelerators over their frame) are covered too. Bases may be
+ * defined in any scanned file, so the set grows to a fixed point.
+ */
+void
+collectComponents(const std::vector<ClassDef> &defs, ClassModel &model)
+{
+    std::unordered_set<std::string> modeled;
+    std::vector<bool> is_component(defs.size(), false);
+    for (bool grew = true; grew;) {
+        grew = false;
+        for (std::size_t k = 0; k < defs.size(); ++k) {
+            if (is_component[k])
+                continue;
+            for (const std::string &base : defs[k].bases) {
+                if (base == "Component" || modeled.count(base) != 0) {
+                    is_component[k] = true;
+                    break;
+                }
+            }
+            if (is_component[k]) {
+                const auto &toks = defs[k].file->tokens;
+                modeled.insert(toks[defs[k].keyword + 1].text);
+                grew = true;
+            }
+        }
+    }
+
+    for (std::size_t k = 0; k < defs.size(); ++k) {
+        if (!is_component[k])
+            continue;
+        const ClassDef &def = defs[k];
+        const auto &toks = def.file->tokens;
         ComponentModel cm;
-        cm.name = toks[i + 1].text;
-        cm.file = file.path;
-        cm.relPath = rel;
-        cm.line = toks[i].line;
-        cm.skips = file.ckptSkips;
-        parseClassBody(toks, j, cm);
+        cm.name = toks[def.keyword + 1].text;
+        cm.file = def.file->path;
+        cm.relPath = def.relPath;
+        cm.line = toks[def.keyword].line;
+        cm.skips = def.file->ckptSkips;
+        parseClassBody(toks, def.open, cm);
         model.components.push_back(std::move(cm));
     }
 }
@@ -296,8 +344,10 @@ buildModel(const std::vector<LexedFile> &files,
            const std::vector<std::string> &rel_paths)
 {
     ClassModel model;
+    std::vector<ClassDef> defs;
     for (std::size_t i = 0; i < files.size(); ++i)
-        collectComponents(files[i], rel_paths[i], model);
+        collectClassDefs(files[i], rel_paths[i], defs);
+    collectComponents(defs, model);
     for (const LexedFile &file : files)
         collectOutOfLineBodies(file, model);
     return model;

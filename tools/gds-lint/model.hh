@@ -7,7 +7,8 @@
  * that its checkpoint actually covers the class's state. This model is
  * the second pass that closes that gap: it parses the token streams of
  * every scanned file together into a symbol table of Component
- * subclasses — each with its non-static data members (name, declared
+ * subclasses, direct or through a modeled base such as the accelerator
+ * frame — each with its non-static data members (name, declared
  * type, line) and the body of its static `fields(self, ar)` list, the
  * one field list both saveState() and restoreState() walk, whether
  * defined inline in the class or out-of-line as `Class::fields` in
