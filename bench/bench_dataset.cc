@@ -38,8 +38,10 @@
 #include <vector>
 
 #include "algo/reference_engine.hh"
+#include "common/parallel.hh"
 #include "common/rss.hh"
 #include "graph/loader.hh"
+#include "harness/experiment.hh"
 #include "harness/walltime.hh"
 #include "stats/json.hh"
 

@@ -4,7 +4,8 @@
  * (out-CSR <-> in-CSR), symmetrization (for undirected analyses such as
  * CC oracles), degree-sorted vertex reordering (the preprocessing step
  * GPU frameworks rely on and GraphDynS makes unnecessary -- see the
- * bench_ablation_preprocessing study), and simple structural queries.
+ * `gds_figures ablation-preprocessing` study), and simple structural
+ * queries.
  */
 
 #pragma once

@@ -12,6 +12,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <thread>
 #include <type_traits>
 
@@ -840,6 +841,15 @@ geometricMean(const std::vector<double> &values)
     }
     return count == 0 ? 0.0
                       : std::exp(log_sum / static_cast<double>(count));
+}
+
+double
+arithmeticMean(const std::vector<double> &values)
+{
+    if (values.empty())
+        return 0.0;
+    return std::accumulate(values.begin(), values.end(), 0.0) /
+           static_cast<double>(values.size());
 }
 
 void

@@ -368,6 +368,9 @@ const RunRecord *tryFindRecord(const std::vector<RunRecord> &records,
 /** Geometric mean of a series (ignores non-positive values). */
 double geometricMean(const std::vector<double> &values);
 
+/** Arithmetic mean of a series; 0 for an empty one, as geometricMean(). */
+double arithmeticMean(const std::vector<double> &values);
+
 /**
  * Serialize records as a JSON array (status field included), for
  * machine consumption next to stats::dumpJson.

@@ -113,6 +113,17 @@ TEST(Harness, GeometricMean)
     EXPECT_DOUBLE_EQ(geometricMean({0.0, 4.0, 1.0}), 2.0);
 }
 
+TEST(Harness, MeansOfEmptyAndNonEmptySeries)
+{
+    EXPECT_DOUBLE_EQ(arithmeticMean({1.0, 2.0, 6.0}), 3.0);
+    EXPECT_DOUBLE_EQ(arithmeticMean({-2.0, 4.0}), 1.0);
+    EXPECT_DOUBLE_EQ(geometricMean({1.0, 9.0}), 3.0);
+    // An empty series (every row of a figure skipped) has mean 0 under
+    // both means, never 0/0.
+    EXPECT_EQ(arithmeticMean({}), 0.0);
+    EXPECT_EQ(geometricMean({}), 0.0);
+}
+
 TEST(Harness, TableNumFormatting)
 {
     EXPECT_EQ(Table::num(3.14159, 2), "3.14");
