@@ -4,9 +4,11 @@
  * dataset (generate + COO→CSR build) and to re-load it from the binary
  * cache, heap-copied vs mmap-served. Every timing pair is also an
  * equivalence gate — the parallel build must be byte-identical to the
- * serial build, the mapped graph byte-identical to the heap graph, and a
- * functional BFS must produce bit-identical properties on both — and the
- * bench exits nonzero on any mismatch.
+ * serial build (compared only when common::jobCount() > 1: at one job
+ * there is no parallel build to time or compare), the mapped graph
+ * byte-identical to the heap graph, and a functional BFS must produce
+ * bit-identical properties on both — and the bench exits nonzero on any
+ * mismatch.
  *
  * Modes:
  *   (default)                 full measurement matrix, writes
@@ -277,6 +279,9 @@ main(int argc, char **argv)
                          : std::vector<std::string>{"FR", "RM22"};
     }
     const unsigned parallel_jobs = common::jobCount();
+    // At one job the "parallel" build is the serial build again: neither
+    // a speed-up nor an equivalence check, so it is not run at all.
+    const bool compare_parallel = parallel_jobs > 1;
     std::printf("parallel jobs: %u (hardware threads: %u)\n\n",
                 parallel_jobs, std::thread::hardware_concurrency());
 
@@ -297,47 +302,51 @@ main(int argc, char **argv)
 
         // Generate + build, serial vs parallel; must be byte-identical.
         double serial_seconds = 0.0;
-        double parallel_seconds = 0.0;
         graph::Csr serial_graph;
-        graph::Csr parallel_graph;
         {
             const harness::ScopedWallTimer timer(serial_seconds);
             serial_graph = graph::makeDataset(spec, scale, false, 1);
-        }
-        {
-            const harness::ScopedWallTimer timer(parallel_seconds);
-            parallel_graph =
-                graph::makeDataset(spec, scale, false, parallel_jobs);
-        }
-        const double build_speedup = parallel_seconds > 0.0
-                                         ? serial_seconds /
-                                               parallel_seconds
-                                         : 0.0;
-        last_build_speedup = build_speedup;
-        const bool build_identical =
-            sameGraph(serial_graph, parallel_graph);
-        if (!build_identical) {
-            std::printf("  MISMATCH: parallel build of %s differs from "
-                        "serial\n",
-                        name.c_str());
-            mismatch = true;
         }
         std::printf("%s  (|V|=%llu |E|=%llu)\n", name.c_str(),
                     static_cast<unsigned long long>(
                         serial_graph.numVertices()),
                     static_cast<unsigned long long>(
                         serial_graph.numEdges()));
-        std::printf("  generate+build  serial %7.3fs | %u jobs %7.3fs | "
-                    "speedup %5.2fx | %s\n",
-                    serial_seconds, parallel_jobs, parallel_seconds,
-                    build_speedup,
-                    build_identical ? "identical" : "MISMATCH");
         emitCell(json, first_cell, name, "generate", "serial",
                  serial_seconds, 1.0, serial_graph.heapBytes(), 0);
-        emitCell(json, first_cell, name, "generate", "parallel",
-                 parallel_seconds, build_speedup,
-                 parallel_graph.heapBytes(), 0);
-        parallel_graph = graph::Csr();
+        if (compare_parallel) {
+            double parallel_seconds = 0.0;
+            graph::Csr parallel_graph;
+            {
+                const harness::ScopedWallTimer timer(parallel_seconds);
+                parallel_graph =
+                    graph::makeDataset(spec, scale, false, parallel_jobs);
+            }
+            const double build_speedup =
+                parallel_seconds > 0.0 ? serial_seconds / parallel_seconds
+                                       : 0.0;
+            last_build_speedup = build_speedup;
+            const bool build_identical =
+                sameGraph(serial_graph, parallel_graph);
+            if (!build_identical) {
+                std::printf("  MISMATCH: parallel build of %s differs "
+                            "from serial\n",
+                            name.c_str());
+                mismatch = true;
+            }
+            std::printf("  generate+build  serial %7.3fs | %u jobs "
+                        "%7.3fs | speedup %5.2fx | %s\n",
+                        serial_seconds, parallel_jobs, parallel_seconds,
+                        build_speedup,
+                        build_identical ? "identical" : "MISMATCH");
+            emitCell(json, first_cell, name, "generate", "parallel",
+                     parallel_seconds, build_speedup,
+                     parallel_graph.heapBytes(), 0);
+        } else {
+            std::printf("  generate+build  serial %7.3fs | parallel not "
+                        "measured (1 job)\n",
+                        serial_seconds);
+        }
 
         // Cache write, then cache-hit loads: heap copy vs zero-copy map.
         const std::string path = harness::datasetCachePath(name, scale,
@@ -405,13 +414,17 @@ main(int argc, char **argv)
          << "\n}\n";
     json.close();
 
-    bench::expectation("parallel vs serial build",
-                       "byte-identical",
-                       mismatch ? "MISMATCH" : "identical");
-    bench::expectation(
-        "build speedup at " + std::to_string(parallel_jobs) + " jobs",
-        ">=2x on >=8 hardware threads",
-        std::to_string(last_build_speedup) + "x");
+    if (compare_parallel) {
+        bench::expectation("parallel vs serial build", "byte-identical",
+                           mismatch ? "MISMATCH" : "identical");
+        bench::expectation(
+            "build speedup at " + std::to_string(parallel_jobs) + " jobs",
+            ">=2x on >=8 hardware threads",
+            std::to_string(last_build_speedup) + "x");
+    } else {
+        bench::expectation("parallel vs serial build", "byte-identical",
+                           "not measured at 1 job (set GDS_JOBS > 1)");
+    }
     bench::expectation("mmap vs heap cache-hit load", ">=5x",
                        std::to_string(last_load_speedup) + "x");
     std::printf("\nwrote BENCH_dataset.json\n");

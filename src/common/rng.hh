@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 
 namespace gds
@@ -71,7 +72,7 @@ class Rng
             (static_cast<unsigned __int128>(next()) * bound) >> 64);
     }
 
-    /** Uniform double in [0, 1). */
+    /** Uniform double in [0, 1): k * 2^-53 for k = next() >> 11. */
     double
     uniform()
     {
@@ -87,5 +88,24 @@ class Rng
 
     std::uint64_t s[4];
 };
+
+/**
+ * Integer form of the test `Rng::uniform() < p`: for every 53-bit
+ * k = next() >> 11, k * 2^-53 < p holds exactly when
+ * k < uniformThreshold(p). p * 2^53 is an exact double (a power-of-two
+ * scaling) and k is an integer, so the threshold is ceil(p * 2^53);
+ * 0 when no k passes (p <= 0, or NaN, which compares false) and 2^53
+ * when every k passes (p >= 1). Lets a hot loop branch-free compare
+ * integers while consuming exactly the draws uniform() would.
+ */
+inline std::uint64_t
+uniformThreshold(double p)
+{
+    if (!(p > 0.0))
+        return 0;
+    if (p >= 1.0)
+        return 1ULL << 53;
+    return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+}
 
 } // namespace gds

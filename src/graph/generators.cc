@@ -17,30 +17,47 @@ namespace gds::graph
 namespace
 {
 
-/** Deterministic id scramble (bijective) so degree does not follow id. */
-VertexId
-scramble(VertexId v, VertexId num_vertices, std::uint64_t salt)
+/**
+ * Deterministic bijective vertex-id scramble, so that degree does not
+ * follow id (as Graph500 requires). Two rounds of an invertible
+ * multiply-xorshift mix over the next power of two at or above |V|;
+ * when |V| is not a power of two, cycle-walking repeats the mix until
+ * the value falls back into [0, |V|), which keeps the map a bijection
+ * on [0, |V|). Width, mask and shift depend only on |V|, so they are
+ * computed once per graph rather than per endpoint.
+ */
+class Scrambler
 {
-    // Feistel-free multiplicative hash, folded into range by rejection-free
-    // modulo against a fixed permutation-sized domain: we permute within
-    // [0, num_vertices) using the "multiply by odd constant modulo 2^k,
-    // then rank" approach. Simpler and fully bijective: when num_vertices
-    // is not a power of two, use a cycle-walking Feistel over the next
-    // power of two.
-    std::uint64_t bits = 1;
-    while ((1ULL << bits) < num_vertices)
-        ++bits;
-    const std::uint64_t mask = (1ULL << bits) - 1;
-    std::uint64_t x = v;
-    do {
-        // Two rounds of an invertible mix restricted to 'bits' bits.
-        x = (x * 0x9e3779b97f4a7c15ULL + salt) & mask;
-        x ^= x >> (bits / 2 + 1);
-        x = (x * 0xbf58476d1ce4e5b9ULL + 0x94d049bb133111ebULL) & mask;
-        x ^= x >> (bits / 2 + 1);
-    } while (x >= num_vertices);
-    return static_cast<VertexId>(x);
-}
+  public:
+    Scrambler(VertexId num_vertices, std::uint64_t mix_salt)
+        : numVertices(num_vertices), salt(mix_salt)
+    {
+        unsigned bits = 1;
+        while ((1ULL << bits) < num_vertices)
+            ++bits;
+        mask = (1ULL << bits) - 1;
+        shift = bits / 2 + 1;
+    }
+
+    VertexId
+    operator()(VertexId v) const
+    {
+        std::uint64_t x = v;
+        do {
+            x = (x * 0x9e3779b97f4a7c15ULL + salt) & mask;
+            x ^= x >> shift;
+            x = (x * 0xbf58476d1ce4e5b9ULL + 0x94d049bb133111ebULL) & mask;
+            x ^= x >> shift;
+        } while (x >= numVertices);
+        return static_cast<VertexId>(x);
+    }
+
+  private:
+    std::uint64_t numVertices;
+    std::uint64_t salt;
+    std::uint64_t mask = 0;
+    unsigned shift = 0;
+};
 
 /**
  * Edges per generator chunk. Fixed (never derived from the job count) so
@@ -94,36 +111,33 @@ rmat(unsigned scale, unsigned edge_factor, std::uint64_t seed,
     const EdgeId num_edges =
         static_cast<EdgeId>(edge_factor) * num_vertices;
 
-    std::vector<CooEdge> edges(num_edges);
+    // Quadrant q of each recursion level is the first i with
+    // uniform() < {a, a+b, a+b+c}[i], or 3 if none. With the integer
+    // thresholds below (made non-decreasing, which leaves that "first i"
+    // unchanged) it is the branch-free count of thresholds <= k, drawn
+    // from the same 53 bits, so every edge matches the double compare.
     const double ab = params.a + params.b;
     const double abc = ab + params.c;
+    const std::uint64_t t_a = uniformThreshold(params.a);
+    const std::uint64_t t_ab = std::max(t_a, uniformThreshold(ab));
+    const std::uint64_t t_abc = std::max(t_ab, uniformThreshold(abc));
+    const Scrambler scramble(num_vertices, seed ^ 0x5bd1);
+
+    std::vector<CooEdge> edges(num_edges);
     generateChunked(edges, seed, jobs, [&](Rng &rng) {
         VertexId src = 0;
         VertexId dst = 0;
         for (unsigned bit = 0; bit < scale; ++bit) {
-            const double r = rng.uniform();
-            unsigned src_bit;
-            unsigned dst_bit;
-            if (r < params.a) {
-                src_bit = 0;
-                dst_bit = 0;
-            } else if (r < ab) {
-                src_bit = 0;
-                dst_bit = 1;
-            } else if (r < abc) {
-                src_bit = 1;
-                dst_bit = 0;
-            } else {
-                src_bit = 1;
-                dst_bit = 1;
-            }
-            src = (src << 1) | src_bit;
-            dst = (dst << 1) | dst_bit;
+            const std::uint64_t k = rng.next() >> 11;
+            const unsigned q = static_cast<unsigned>(k >= t_a) +
+                               static_cast<unsigned>(k >= t_ab) +
+                               static_cast<unsigned>(k >= t_abc);
+            src = (src << 1) | (q >> 1);
+            dst = (dst << 1) | (q & 1);
         }
         const Weight w =
             weighted ? static_cast<Weight>(1 + rng.below(255)) : 1;
-        return CooEdge{scramble(src, num_vertices, seed ^ 0x5bd1),
-                       scramble(dst, num_vertices, seed ^ 0x5bd1), w};
+        return CooEdge{scramble(src), scramble(dst), w};
     });
 
     BuildOptions opts;
@@ -158,12 +172,11 @@ powerLaw(VertexId num_vertices, EdgeId num_edges, double alpha,
         return std::min(rank, num_vertices - 1);
     };
 
+    const Scrambler scramble(num_vertices, seed ^ 0xfeed);
     std::vector<CooEdge> edges(num_edges);
     generateChunked(edges, seed, jobs, [&](Rng &rng) {
-        const VertexId src =
-            scramble(sample_rank(rng), num_vertices, seed ^ 0xfeed);
-        const VertexId dst =
-            scramble(sample_rank(rng), num_vertices, seed ^ 0xfeed);
+        const VertexId src = scramble(sample_rank(rng));
+        const VertexId dst = scramble(sample_rank(rng));
         const Weight w =
             weighted ? static_cast<Weight>(1 + rng.below(255)) : 1;
         return CooEdge{src, dst, w};

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "common/bitutil.hh"
 #include "common/log.hh"
@@ -83,6 +85,37 @@ TEST(Rng, RoughlyUniformBuckets)
         ++buckets[rng.below(10)];
     for (int b = 0; b < 10; ++b)
         EXPECT_NEAR(buckets[b], n / 10, n / 100);
+}
+
+TEST(Rng, UniformThresholdIsExactAtTheBoundary)
+{
+    // (next() >> 11) < uniformThreshold(p) must agree with
+    // uniform() < p for every 53-bit k; check the k on either side of
+    // each threshold, both ends of the range and random k.
+    const double probabilities[] = {
+        0.57, 0.57 + 0.19, 0.57 + 0.19 + 0.19, 0.5, 0.25, 0.875,
+        1.0 / 3.0, 0x1.fffffffffffffp-1, 0x1p-53, 0x1.8p-53, 1e-300,
+        5e-324, 0.0, -0.0, -1.0, 1.0, 1.5, 4096.0,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()};
+    constexpr std::uint64_t kTop = (1ULL << 53) - 1;
+    Rng rng(5);
+    for (const double p : probabilities) {
+        const std::uint64_t t = uniformThreshold(p);
+        ASSERT_LE(t, 1ULL << 53) << p;
+        std::vector<std::uint64_t> ks = {0, kTop, t};
+        if (t > 0)
+            ks.push_back(t - 1);
+        for (int i = 0; i < 64; ++i)
+            ks.push_back(rng.next() >> 11);
+        for (const std::uint64_t k : ks) {
+            if (k > kTop)
+                continue;
+            const bool by_double = static_cast<double>(k) * 0x1.0p-53 < p;
+            EXPECT_EQ(k < t, by_double) << "p " << p << ", k " << k;
+        }
+    }
 }
 
 TEST(BitUtil, CeilDiv)

@@ -1,16 +1,26 @@
 /**
  * @file
  * Tests for the synthetic graph generators: determinism, size contracts,
- * degree-skew properties (power law vs uniform), and grid structure.
+ * degree-skew properties (power law vs uniform), grid structure, and
+ * golden hashes that pin the exact bytes every simulator input is built
+ * from.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <tuple>
+#include <vector>
 
+#include "common/bitutil.hh"
 #include "common/error.hh"
+#include "common/rng.hh"
 #include "expect_error.hh"
 #include "span_eq.hh"
+#include "graph/builder.hh"
+#include "graph/datasets.hh"
 #include "graph/generators.hh"
 
 namespace gds::graph
@@ -174,6 +184,204 @@ TEST(WattsStrogatzErrors, BadParameters)
     EXPECT_TYPED_ERROR((void)wattsStrogatz(100, 4, 1.5, 1), ConfigError,
                        "probability");
 }
+
+/** FNV-1a-64 of each CSR array. */
+struct CsrHashes
+{
+    std::uint64_t offsets;
+    std::uint64_t neighbors;
+    std::uint64_t weights;
+
+    bool operator==(const CsrHashes &) const = default;
+};
+
+template <typename T>
+std::uint64_t
+hashArray(std::span<const T> array)
+{
+    return fnv1a64(array.data(), array.size_bytes());
+}
+
+CsrHashes
+hashCsr(const Csr &g)
+{
+    return {hashArray(g.offsetArray()), hashArray(g.neighborArray()),
+            hashArray(g.weightArray())};
+}
+
+void
+PrintTo(const CsrHashes &h, std::ostream *os)
+{
+    *os << std::hex << "{0x" << h.offsets << ", 0x" << h.neighbors
+        << ", 0x" << h.weights << "}" << std::dec;
+}
+
+/** FNV-1a-64 of an empty array: an unweighted graph's weight hash. */
+constexpr std::uint64_t kNoWeights = 0xcbf29ce484222325ULL;
+
+// Golden hashes of generator output, recorded before the integer-
+// threshold RMAT draw and the hoisted Scrambler replaced the double
+// compares and the per-endpoint scramble. Every simulator input and
+// every cycle golden is built from these bytes, so any change here is
+// a change of every figure number, not a refactor.
+
+TEST(GeneratorGolden, TimingGoldenRmat)
+{
+    // The input of test_timing_golden.
+    EXPECT_EQ(hashCsr(rmat(10, 16, 42, {}, true)),
+              (CsrHashes{0x0bb34b4ac7f7846cULL, 0x8c62add5e2f0c1ceULL,
+                         0xbc7e3fd09ea854d2ULL}));
+}
+
+TEST(GeneratorGolden, Rmat14AtOneAndFourJobs)
+{
+    // The graph size of perfbench's dense workload.
+    const CsrHashes golden[] = {
+        {0x4946d3ad7c67c256ULL, 0xb07a44fdb3ff56a9ULL, kNoWeights},
+        {0x11fc41aa733ab3baULL, 0xe4c4d6e0abb454d1ULL, kNoWeights},
+        {0xac3fc9799d1323f7ULL, 0x9f5f87a348707004ULL, kNoWeights},
+        {0xb5a6fff8ae00edffULL, 0xd862662526eb36d3ULL, kNoWeights},
+    };
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        for (const unsigned jobs : {1u, 4u}) {
+            EXPECT_EQ(hashCsr(rmat(14, 16, seed, {}, false, jobs)),
+                      golden[seed - 1])
+                << "seed " << seed << ", " << jobs << " jobs";
+        }
+    }
+}
+
+TEST(GeneratorGolden, Rm22AtScaleDivisor16)
+{
+    // rmat(18, 16, 222) is what makeDataset builds for RM22 at s16.
+    EXPECT_EQ(hashCsr(rmat(18, 16, 222)),
+              (CsrHashes{0xe5880703f033f37dULL, 0x2a9e825324a317f7ULL,
+                         kNoWeights}));
+}
+
+TEST(GeneratorGolden, FlickrSurrogateAtScaleDivisor64)
+{
+    // A powerLaw graph whose |V| (12812) is not a power of two, so the
+    // scrambler's cycle walk is exercised.
+    const DatasetSpec &fr = datasetByName("FR");
+    EXPECT_EQ(hashCsr(makeDataset(fr, 64, false)),
+              (CsrHashes{0xa4ad1f34bc15e5f6ULL, 0xc5aba14f25d58abbULL,
+                         kNoWeights}));
+    EXPECT_EQ(hashCsr(makeDataset(fr, 64, true)),
+              (CsrHashes{0xc302d12802faa31eULL, 0xd5aacf041758a229ULL,
+                         0xe2526050cbf632f6ULL}));
+}
+
+/**
+ * Reference RMAT: the generator as it was before the integer-threshold
+ * rewrite, with a double compare per quadrant and the bit width of the
+ * scramble recomputed per endpoint. Serial; chunk layout and seeding
+ * mirror rmat()'s, which keeps output identical at every job count.
+ */
+Csr
+referenceRmat(unsigned scale, unsigned edge_factor, std::uint64_t seed,
+              const RmatParams &params, bool weighted)
+{
+    const auto scramble = [](VertexId v, VertexId n, std::uint64_t salt) {
+        std::uint64_t bits = 1;
+        while ((1ULL << bits) < n)
+            ++bits;
+        const std::uint64_t mask = (1ULL << bits) - 1;
+        std::uint64_t x = v;
+        do {
+            x = (x * 0x9e3779b97f4a7c15ULL + salt) & mask;
+            x ^= x >> (bits / 2 + 1);
+            x = (x * 0xbf58476d1ce4e5b9ULL + 0x94d049bb133111ebULL) & mask;
+            x ^= x >> (bits / 2 + 1);
+        } while (x >= n);
+        return static_cast<VertexId>(x);
+    };
+    constexpr std::size_t chunk_edges = 1u << 16;
+    const VertexId num_vertices = static_cast<VertexId>(1ULL << scale);
+    const std::size_t num_edges =
+        static_cast<std::size_t>(edge_factor) * num_vertices;
+    const double ab = params.a + params.b;
+    const double abc = ab + params.c;
+
+    std::vector<CooEdge> edges(num_edges);
+    for (std::size_t begin = 0; begin < num_edges; begin += chunk_edges) {
+        SplitMix64 chunk_seed(seed + 0x632be59bd9b4e019ULL *
+                                         (begin / chunk_edges + 1));
+        Rng rng(chunk_seed.next());
+        const std::size_t end = std::min(num_edges, begin + chunk_edges);
+        for (std::size_t e = begin; e < end; ++e) {
+            VertexId src = 0;
+            VertexId dst = 0;
+            for (unsigned bit = 0; bit < scale; ++bit) {
+                const double r = rng.uniform();
+                unsigned src_bit = 1;
+                unsigned dst_bit = 1;
+                if (r < params.a) {
+                    src_bit = 0;
+                    dst_bit = 0;
+                } else if (r < ab) {
+                    src_bit = 0;
+                } else if (r < abc) {
+                    dst_bit = 0;
+                }
+                src = (src << 1) | src_bit;
+                dst = (dst << 1) | dst_bit;
+            }
+            const Weight w =
+                weighted ? static_cast<Weight>(1 + rng.below(255)) : 1;
+            edges[e] = CooEdge{scramble(src, num_vertices, seed ^ 0x5bd1),
+                               scramble(dst, num_vertices, seed ^ 0x5bd1),
+                               w};
+        }
+    }
+    BuildOptions opts;
+    opts.keepWeights = weighted;
+    opts.jobs = 1;
+    return buildCsr(num_vertices, std::move(edges), opts);
+}
+
+/** A named RmatParams, so a failure says which case broke. */
+struct RmatCase
+{
+    const char *name;
+    RmatParams params;
+};
+
+void
+PrintTo(const RmatCase &c, std::ostream *os)
+{
+    *os << c.name << " {" << c.params.a << ", " << c.params.b << ", "
+        << c.params.c << "}";
+}
+
+class RmatMatchesReference : public ::testing::TestWithParam<RmatCase>
+{};
+
+TEST_P(RmatMatchesReference, ByteIdenticalCsr)
+{
+    const RmatParams params = GetParam().params;
+    // Scale 11 at edge factor 40 spans two generator chunks.
+    for (const std::uint64_t seed : {3ULL, 1234567ULL}) {
+        const Csr expected = referenceRmat(11, 40, seed, params, true);
+        const Csr actual = rmat(11, 40, seed, params, true);
+        EXPECT_SPAN_EQ(actual.offsetArray(), expected.offsetArray());
+        EXPECT_SPAN_EQ(actual.neighborArray(), expected.neighborArray());
+        EXPECT_SPAN_EQ(actual.weightArray(), expected.weightArray());
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Params, RmatMatchesReference,
+    ::testing::Values(
+        RmatCase{"graph500", {}},
+        // p * 2^53 integral, so the threshold is p * 2^53 itself.
+        RmatCase{"dyadic", {0.5, 0.25, 0.125}},
+        // Every draw picks quadrant a, or none of a/b/c.
+        RmatCase{"all-a", {1.0, 0.0, 0.0}},
+        RmatCase{"all-d", {0.0, 0.0, 0.0}},
+        // Out-of-range and non-monotone cumulative thresholds.
+        RmatCase{"negative-b", {0.3, -0.1, 0.5}},
+        RmatCase{"a-above-one", {1.5, 0.2, -2.0}}));
 
 /** Degree-preservation sweep across generator families. */
 class GeneratorSweep
