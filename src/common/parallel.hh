@@ -82,8 +82,9 @@ class ThreadPool
 /**
  * Run fn(0), ..., fn(n-1). With jobs <= 1 the calls happen strictly
  * serially on the calling thread in index order; otherwise on a pool of
- * min(jobs, n) workers in unspecified order. The first exception thrown
- * by any index is rethrown after all work has drained.
+ * min(jobs, n) workers that start the calls in index order (the queue is
+ * FIFO) and finish them in unspecified order. The first exception
+ * thrown by any index is rethrown after all work has drained.
  */
 void parallelFor(std::size_t n, unsigned jobs,
                  const std::function<void(std::size_t)> &fn);

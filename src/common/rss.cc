@@ -1,5 +1,7 @@
 #include "common/rss.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 
@@ -46,8 +48,12 @@ currentRssBytes()
     return procStatusBytes("VmRSS");
 }
 
+namespace
+{
+
+/** One raw peak reading, or 0 when no probe is available. */
 std::uint64_t
-peakRssBytes()
+rawPeakRssBytes()
 {
     if (std::uint64_t bytes = procStatusBytes("VmHWM"))
         return bytes;
@@ -63,6 +69,19 @@ peakRssBytes()
     }
 #endif
     return 0;
+}
+
+} // namespace
+
+std::uint64_t
+peakRssBytes()
+{
+    static std::atomic<std::uint64_t> highest{0};
+    const std::uint64_t bytes = rawPeakRssBytes();
+    std::uint64_t seen = highest.load();
+    while (bytes > seen && !highest.compare_exchange_weak(seen, bytes)) {
+    }
+    return std::max(bytes, seen);
 }
 
 } // namespace gds::common

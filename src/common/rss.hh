@@ -27,7 +27,10 @@ namespace gds::common
 std::uint64_t currentRssBytes();
 
 /** Peak resident set size in bytes (/proc/self/status VmHWM, falling
- *  back to getrusage ru_maxrss), or 0 when unavailable. */
+ *  back to getrusage ru_maxrss), or 0 when unavailable. Never less than
+ *  an earlier call returned: Linux updates its stored high-water mark
+ *  lazily and reports max(stored mark, current RSS), so a raw VmHWM
+ *  read can come out lower than one taken before memory was freed. */
 std::uint64_t peakRssBytes();
 
 } // namespace gds::common

@@ -1,6 +1,6 @@
 #include "harness/dataset_pool.hh"
 
-#include <chrono>
+#include <algorithm>
 #include <utility>
 
 #include "common/debug.hh"
@@ -51,6 +51,8 @@ DatasetPool::get(const std::string &name, bool weighted)
         if (!slot->future.valid()) {
             slot->future = slot->promise.get_future().share();
             load_here = true;
+            ++now.resident;
+            notePeak();
         }
     }
     // The load runs outside the pool lock so distinct datasets load
@@ -59,8 +61,18 @@ DatasetPool::get(const std::string &name, bool weighted)
         try {
             log::infof("harness", {}, "loading %s%s", name.c_str(),
                        weighted ? " (weighted)" : "");
-            slot->promise.set_value(
-                std::make_shared<graph::Csr>(loader(name, weighted)));
+            auto g = std::make_shared<graph::Csr>(loader(name, weighted));
+            {
+                // The loading consumer has not released yet, so the slot
+                // cannot be erased before its bytes are accounted.
+                const std::lock_guard<std::mutex> lock(mu);
+                slot->mappedBytes = g->mappedBytes();
+                slot->heapBytes = g->heapBytes();
+                now.mappedBytes += slot->mappedBytes;
+                now.heapBytes += slot->heapBytes;
+                notePeak();
+            }
+            slot->promise.set_value(std::move(g));
         } catch (...) {
             slot->promise.set_exception(std::current_exception());
         }
@@ -75,19 +87,29 @@ DatasetPool::release(const std::string &name, bool weighted)
     const auto it = slots.find(key(name, weighted));
     gds_assert(it != slots.end() && it->second.remaining > 0,
                "dataset %s released more often than expected", name.c_str());
-    if (--it->second.remaining == 0)
+    if (--it->second.remaining == 0) {
+        const Slot &slot = it->second;
+        if (slot.future.valid())
+            --now.resident;
+        now.mappedBytes -= slot.mappedBytes;
+        now.heapBytes -= slot.heapBytes;
         slots.erase(it);
+    }
+}
+
+void
+DatasetPool::notePeak()
+{
+    peak.resident = std::max(peak.resident, now.resident);
+    peak.mappedBytes = std::max(peak.mappedBytes, now.mappedBytes);
+    peak.heapBytes = std::max(peak.heapBytes, now.heapBytes);
 }
 
 std::size_t
 DatasetPool::residentCount() const
 {
     const std::lock_guard<std::mutex> lock(mu);
-    std::size_t n = 0;
-    for (const auto &[k, slot] : slots)
-        if (slot.future.valid())
-            ++n;
-    return n;
+    return now.resident;
 }
 
 std::vector<std::string>
@@ -101,48 +123,25 @@ DatasetPool::residentKeys() const
     return keys;
 }
 
-namespace
-{
-
-/** The slot's graph if fully loaded; null while loading or failed. */
-DatasetPool::GraphPtr
-loadedGraph(const std::shared_future<DatasetPool::GraphPtr> &future)
-{
-    if (!future.valid() ||
-        future.wait_for(std::chrono::seconds(0)) !=
-            std::future_status::ready)
-        return nullptr;
-    try {
-        return future.get();
-    } catch (...) {
-        return nullptr; // failed load: nothing resident to account
-    }
-}
-
-} // namespace
-
 std::uint64_t
 DatasetPool::mappedBytes() const
 {
     const std::lock_guard<std::mutex> lock(mu);
-    std::uint64_t total = 0;
-    for (const auto &[k, slot] : slots) {
-        if (const GraphPtr g = loadedGraph(slot.future))
-            total += g->mappedBytes();
-    }
-    return total;
+    return now.mappedBytes;
 }
 
 std::uint64_t
 DatasetPool::heapBytes() const
 {
     const std::lock_guard<std::mutex> lock(mu);
-    std::uint64_t total = 0;
-    for (const auto &[k, slot] : slots) {
-        if (const GraphPtr g = loadedGraph(slot.future))
-            total += g->heapBytes();
-    }
-    return total;
+    return now.heapBytes;
+}
+
+DatasetPool::Usage
+DatasetPool::highWater() const
+{
+    const std::lock_guard<std::mutex> lock(mu);
+    return peak;
 }
 
 std::size_t

@@ -12,6 +12,10 @@
  * time), get() fetches the shared graph (loading it on the first call),
  * release() drops the reference (always, whether or not get() was ever
  * called). The pool is safe to use from any number of threads.
+ *
+ * The pool also keeps high-water marks of what it holds (resident
+ * graphs, mapped bytes, heap bytes), so a caller can check how many
+ * graphs its consumer order kept alive at once.
  */
 
 #pragma once
@@ -44,6 +48,15 @@ class DatasetPool
      */
     using Loader =
         std::function<graph::Csr(const std::string &name, bool weighted)>;
+
+    /** What the pool holds: graphs loaded or loading, and the file
+     *  mappings and heap arrays of the loaded ones. */
+    struct Usage
+    {
+        std::size_t resident = 0;
+        std::uint64_t mappedBytes = 0;
+        std::uint64_t heapBytes = 0;
+    };
 
     /** Pool with the default Table 4 loader. */
     DatasetPool();
@@ -81,12 +94,19 @@ class DatasetPool
     /**
      * Total bytes of live file mappings behind resident graphs
      * (mmap-served datasets; these pages are shared and reclaimable).
-     * Still-loading slots are skipped — gauges never block on a load.
+     * Still-loading slots count nothing until their load completes.
      */
     std::uint64_t mappedBytes() const;
 
     /** Total heap bytes of resident graphs' owned arrays. */
     std::uint64_t heapBytes() const;
+
+    /**
+     * The largest value each Usage field reached over the pool's
+     * lifetime (each field's own maximum; they need not coincide). A
+     * failed load counts as resident until released but adds no bytes.
+     */
+    Usage highWater() const;
 
   private:
     struct Slot
@@ -94,13 +114,21 @@ class DatasetPool
         std::promise<GraphPtr> promise;
         std::shared_future<GraphPtr> future;
         unsigned remaining = 0;
+        /** This slot's share of `now`'s byte totals. */
+        std::uint64_t mappedBytes = 0;
+        std::uint64_t heapBytes = 0;
     };
 
     static std::string key(const std::string &name, bool weighted);
 
+    /** Fold `now` into `peak`; caller holds mu. */
+    void notePeak();
+
     Loader loader;
     mutable std::mutex mu;
     std::map<std::string, Slot> slots; // node-stable under insert/erase
+    Usage now;  ///< current totals, updated under mu
+    Usage peak; ///< high-water marks of `now`
 };
 
 } // namespace gds::harness

@@ -14,6 +14,7 @@
 #include <memory>
 #include <numeric>
 #include <thread>
+#include <tuple>
 #include <type_traits>
 
 #include "common/fsio.hh"
@@ -471,12 +472,37 @@ evaluationMatrix(ResultCache &cache)
         }
     }
 
+    // Execution order is separate from placement: cells run grouped by
+    // input graph, (dataset, weighted), in descending edge count (the
+    // weighted copy first, as it also carries weights), canonical order
+    // inside a group. The pool is FIFO, so each graph is loaded, used by
+    // its cells and freed before later groups start: at most one graph
+    // per worker is resident, and the run ends on the smallest graph's
+    // short cells.
+    const unsigned divisor = graph::datasetScaleDivisor();
+    const graph::DatasetSpec *const registry =
+        graph::realWorldDatasets().data();
+    const auto runs_before = [&](std::size_t a, std::size_t b) {
+        const Cell &x = cells[a];
+        const Cell &y = cells[b];
+        const std::uint64_t x_edges = x.spec->scaledEdges(divisor);
+        const std::uint64_t y_edges = y.spec->scaledEdges(divisor);
+        if (x_edges != y_edges)
+            return x_edges > y_edges;
+        return std::tuple(x.spec - registry, !x.weighted) <
+               std::tuple(y.spec - registry, !y.weighted);
+    };
+    std::vector<std::size_t> order(cells.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(), runs_before);
+
     DatasetPool pool;
     for (const Cell &c : cells)
         pool.expect(c.spec->name, c.weighted);
 
     std::vector<RunRecord> records(cells.size());
     std::vector<std::uint8_t> servedFromCache(cells.size(), 0);
+    std::vector<double> peakRss(cells.size(), 0.0);
     std::atomic<std::size_t> done{0};
     std::atomic<unsigned> running{0};
 
@@ -517,6 +543,7 @@ evaluationMatrix(ResultCache &cache)
             });
         });
         pool.release(dataset, c.weighted);
+        peakRss[i] = static_cast<double>(common::peakRssBytes());
         const std::size_t completed =
             done.fetch_add(1, std::memory_order_relaxed) + 1;
         const unsigned active =
@@ -525,11 +552,13 @@ evaluationMatrix(ResultCache &cache)
                    cells.size(), active);
     };
 
-    common::parallelFor(cells.size(), common::jobCount(), run_one);
+    common::parallelFor(order.size(), common::jobCount(),
+                        [&](std::size_t k) { run_one(order[k]); });
 
-    // Provenance manifest: one entry per cell, in the serial traversal
-    // order (the records vector), so manifests diff cleanly across runs.
+    // Provenance manifest: one entry per cell, in the canonical order
+    // (the records vector), so manifests diff cleanly across runs.
     Manifest manifest;
+    manifest.setPoolHighWater(pool.highWater());
     for (std::size_t i = 0; i < cells.size(); ++i) {
         ManifestCell entry;
         entry.key = cellKey(systemTag(cells[i].sys), cells[i].id,
@@ -537,8 +566,7 @@ evaluationMatrix(ResultCache &cache)
         entry.record = records[i];
         entry.seed = cells[i].spec->seed;
         entry.cached = servedFromCache[i] != 0;
-        entry.peakRssBytes =
-            static_cast<double>(common::peakRssBytes());
+        entry.peakRssBytes = peakRss[i];
         manifest.add(std::move(entry));
     }
     manifest.writeFile("manifest.json");

@@ -337,10 +337,12 @@ std::string cellKey(const std::string &system_tag, algo::AlgorithmId id,
  * cache (see harness/manifest.hh).
  *
  * Cold cells run concurrently on jobCount() workers (GDS_JOBS env;
- * GDS_JOBS=1 forces the serial path). Each dataset is loaded exactly once
- * per (name, weighted) combination regardless of worker interleaving and
- * is released as soon as its last cell completes. The returned records
- * are always in the serial traversal order — byte-identical whatever the
+ * GDS_JOBS=1 forces the serial path). Workers take the cells grouped by
+ * (dataset, weighted), largest input first, so each graph is loaded
+ * exactly once, released as soon as its last cell completes, and at
+ * most jobCount() graphs are resident at once (the manifest records the
+ * pool's high-water marks). The returned records are always in the
+ * canonical serial traversal order — byte-identical whatever the
  * worker count — and progress is reported live on stderr
  * ("[harness] 42/90 cells, 3 running").
  */

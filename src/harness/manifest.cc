@@ -174,6 +174,13 @@ Manifest::size() const
 }
 
 void
+Manifest::setPoolHighWater(const DatasetPool::Usage &usage)
+{
+    const std::lock_guard<std::mutex> lock(mu);
+    poolHighWater = usage;
+}
+
+void
 Manifest::write(std::ostream &os) const
 {
     const std::lock_guard<std::mutex> lock(mu);
@@ -181,6 +188,12 @@ Manifest::write(std::ostream &os) const
     w.beginObject();
     w.key("gitSha").string(buildGitSha());
     w.key("scaleDivisor").number(graph::datasetScaleDivisor());
+    w.key("datasetPoolHighWater").beginObject();
+    w.key("resident").number(static_cast<double>(poolHighWater.resident));
+    w.key("mappedBytes")
+        .number(static_cast<double>(poolHighWater.mappedBytes));
+    w.key("heapBytes").number(static_cast<double>(poolHighWater.heapBytes));
+    w.endObject();
     w.key("cells").beginArray();
     for (const ManifestCell &c : cells) {
         const RunRecord &r = c.record;

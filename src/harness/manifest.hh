@@ -21,6 +21,7 @@
 #include "baseline/graphicionado.hh"
 #include "baseline/gunrock_sim.hh"
 #include "core/config.hh"
+#include "harness/dataset_pool.hh"
 #include "harness/experiment.hh"
 
 namespace gds::harness
@@ -53,16 +54,18 @@ struct ManifestCell
     RunRecord record;
     std::uint64_t seed = 0; ///< dataset generator seed
     bool cached = false;    ///< served from the result cache, not re-run
-    /** Process peak RSS in bytes when the cell finished (the memory
-     *  footprint track, ROADMAP item 3); 0 when the probe is
-     *  unavailable. Monotone across a run: the high-water mark as of
-     *  this cell, not the cell's own footprint in isolation. */
+    /** Process peak RSS in bytes read when the cell finished (the
+     *  memory footprint track, ROADMAP item 3); 0 when the probe is
+     *  unavailable. The high-water mark as of this cell, not the cell's
+     *  own footprint in isolation, so it never decreases along the
+     *  order in which cells finished. */
     double peakRssBytes = 0.0;
 };
 
 /**
  * Thread-safe collection of cell provenance, serialized as one JSON
- * object: {"gitSha": ..., "scaleDivisor": ..., "cells": [...]}.
+ * object: {"gitSha": ..., "scaleDivisor": ..., "datasetPoolHighWater":
+ * {"resident": ..., "mappedBytes": ..., "heapBytes": ...}, "cells": [...]}.
  */
 class Manifest
 {
@@ -75,6 +78,9 @@ class Manifest
     void add(ManifestCell cell);
     std::size_t size() const;
 
+    /** Record the run's DatasetPool high-water marks. */
+    void setPoolHighWater(const DatasetPool::Usage &usage);
+
     void write(std::ostream &os) const;
 
     /** write() to @p path; returns false (and warns) on I/O failure. */
@@ -83,6 +89,7 @@ class Manifest
   private:
     mutable std::mutex mu;
     std::vector<ManifestCell> cells;
+    DatasetPool::Usage poolHighWater;
 };
 
 } // namespace gds::harness

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "common/bitutil.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
+#include "common/rss.hh"
 #include "common/types.hh"
 
 namespace gds
@@ -210,6 +212,27 @@ TEST(Types, Sentinels)
 {
     EXPECT_EQ(invalidVertex, 0xffffffffu);
     EXPECT_TRUE(propInf > 1e30f);
+}
+
+TEST(Rss, PeakNeverDecreasesAcrossCalls)
+{
+    const std::uint64_t before = common::peakRssBytes();
+    if (before == 0)
+        GTEST_SKIP() << "no RSS probe on this platform";
+    std::uint64_t previous = before;
+    for (int round = 0; round < 4; ++round) {
+        {
+            // Touch 8 MiB, then free it: the peak may rise, never fall.
+            std::vector<char> block(8u << 20, static_cast<char>(round + 1));
+            EXPECT_EQ(block[block.size() / 2], static_cast<char>(round + 1));
+            const std::uint64_t during = common::peakRssBytes();
+            EXPECT_GE(during, previous);
+            previous = during;
+        }
+        const std::uint64_t after = common::peakRssBytes();
+        EXPECT_GE(after, previous);
+        previous = after;
+    }
 }
 
 } // namespace

@@ -18,6 +18,8 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "algo/reference_engine.hh"
@@ -516,6 +518,69 @@ TEST(DatasetPool, ReportsMappedAndHeapBytes)
     EXPECT_GT(pool.heapBytes(), 0u);
     pool.release("heap", false);
     EXPECT_EQ(pool.heapBytes(), 0u);
+}
+
+TEST(DatasetPool, HighWaterTracksOverlapReleaseAndFailedLoads)
+{
+    const auto scratch = std::make_shared<ScratchFile>("poolpeak");
+    graph::saveBinaryAtomic(sampleGraph(), scratch->path());
+    auto loads = std::make_shared<int>(0);
+    harness::DatasetPool pool(
+        [scratch, loads](const std::string &name, bool) -> graph::Csr {
+            ++*loads;
+            if (name == "broken")
+                throw std::runtime_error("fake loader: unreadable input");
+            if (name == "mapped")
+                return graph::loadBinaryMapped(scratch->path());
+            return graph::powerLaw(800, 9000, 0.6, /*seed=*/3, false);
+        });
+    const auto peak = [&pool] { return pool.highWater(); };
+    EXPECT_EQ(peak().resident, 0u);
+
+    pool.expect("big", false);
+    pool.expect("big", false);
+    pool.expect("mapped", false);
+    pool.expect("broken", false);
+
+    // Two overlapping consumers of different graphs.
+    const std::uint64_t big_heap = pool.get("big", false)->heapBytes();
+    const std::uint64_t mapped_bytes =
+        pool.get("mapped", false)->mappedBytes();
+    EXPECT_GT(big_heap, 0u);
+    EXPECT_GT(mapped_bytes, 0u);
+    EXPECT_EQ(pool.residentCount(), 2u);
+    EXPECT_EQ(peak().resident, 2u);
+    EXPECT_EQ(peak().mappedBytes, mapped_bytes);
+    EXPECT_EQ(peak().heapBytes, pool.heapBytes());
+    EXPECT_GE(peak().heapBytes, big_heap);
+    const std::uint64_t heap_peak = peak().heapBytes;
+
+    // One of big's two consumers is done: it stays resident and shared.
+    pool.release("big", false);
+    EXPECT_EQ(pool.residentCount(), 2u);
+    EXPECT_EQ(pool.get("big", false)->heapBytes(), big_heap);
+    EXPECT_EQ(*loads, 2);
+
+    // Its last consumer frees it; the high-water marks stay.
+    pool.release("big", false);
+    pool.release("mapped", false);
+    EXPECT_EQ(pool.residentCount(), 0u);
+    EXPECT_EQ(pool.mappedBytes(), 0u);
+    EXPECT_EQ(pool.heapBytes(), 0u);
+    EXPECT_EQ(peak().resident, 2u);
+    EXPECT_EQ(peak().mappedBytes, mapped_bytes);
+    EXPECT_EQ(peak().heapBytes, heap_peak);
+
+    // A failed load is resident until released but adds no bytes.
+    EXPECT_THROW(pool.get("broken", false), std::runtime_error);
+    EXPECT_EQ(pool.residentCount(), 1u);
+    EXPECT_EQ(pool.mappedBytes(), 0u);
+    EXPECT_EQ(pool.heapBytes(), 0u);
+    pool.release("broken", false);
+    EXPECT_EQ(pool.residentCount(), 0u);
+    EXPECT_EQ(peak().resident, 2u);
+    EXPECT_EQ(peak().mappedBytes, mapped_bytes);
+    EXPECT_EQ(peak().heapBytes, heap_peak);
 }
 
 } // namespace

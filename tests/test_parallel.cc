@@ -2,21 +2,31 @@
  * @file
  * Tests for the parallel experiment runner: the GDS_JOBS worker-count
  * policy, the ThreadPool/parallelFor scheduler, concurrent access to the
- * thread-safe result cache, and the determinism guarantee that a parallel
- * evaluationMatrix returns records byte-identical to the serial order.
+ * thread-safe result cache, the determinism guarantee that a parallel
+ * evaluationMatrix returns records byte-identical to the serial order,
+ * and the bound its dataset-major execution order puts on resident
+ * graphs.
  * These are the tests CI also runs under GDS_SANITIZE=thread.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <numeric>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "algo/vcpm.hh"
+#include "common/jsonio.hh"
 #include "common/parallel.hh"
+#include "common/rss.hh"
+#include "graph/datasets.hh"
 #include "harness/experiment.hh"
 
 namespace gds::harness
@@ -224,6 +234,103 @@ TEST_F(ParallelHarnessTest, WarmMatrixNeedsNoSimulationAndStaysOrdered)
         std::ostringstream os;
         dumpRecordsJson(evaluationMatrix(cache), os);
         EXPECT_EQ(cold_json, os.str());
+    }
+}
+
+/** Parse the manifest.json the last evaluationMatrix call wrote. */
+common::JsonValue
+readManifest()
+{
+    std::ifstream in("manifest.json");
+    std::ostringstream text;
+    text << in.rdbuf();
+    auto parsed = common::parseJson(text.str());
+    EXPECT_TRUE(parsed.ok()) << parsed.status().message();
+    return parsed.ok() ? parsed.value() : common::JsonValue{};
+}
+
+/** A manifest's DatasetPool high-water mark for @p field; -1 if absent. */
+double
+poolHighWater(const common::JsonValue &manifest, const char *field)
+{
+    const common::JsonValue *marks = manifest.find("datasetPoolHighWater");
+    const common::JsonValue *value = marks ? marks->find(field) : nullptr;
+    return value && value->isNumber() ? value->asNumber() : -1.0;
+}
+
+TEST_F(ParallelHarnessTest, ColdMatrixHoldsAtMostOneGraphPerWorker)
+{
+    ::setenv("GDS_SCALE", "16384", 1);
+
+    // One worker runs each input's cells back to back: one graph at a
+    // time, although the matrix touches twelve.
+    ::setenv("GDS_JOBS", "1", 1);
+    {
+        ResultCache cache;
+        evaluationMatrix(cache);
+    }
+    const common::JsonValue serial = readManifest();
+    EXPECT_EQ(poolHighWater(serial, "resident"), 1.0);
+    EXPECT_GT(poolHighWater(serial, "mappedBytes") +
+                  poolHighWater(serial, "heapBytes"),
+              0.0);
+
+    std::filesystem::remove("gds_bench_cache_v1.csv");
+    ::setenv("GDS_JOBS", "4", 1);
+    {
+        ResultCache cache;
+        evaluationMatrix(cache);
+    }
+    const double resident = poolHighWater(readManifest(), "resident");
+    EXPECT_GE(resident, 1.0);
+    EXPECT_LE(resident, 4.0);
+}
+
+TEST_F(ParallelHarnessTest, CellPeakRssIsStampedWhenEachCellFinishes)
+{
+    ::setenv("GDS_SCALE", "16384", 1);
+    ::setenv("GDS_JOBS", "1", 1);
+    {
+        ResultCache cache;
+        evaluationMatrix(cache);
+    }
+    const double process_peak = static_cast<double>(common::peakRssBytes());
+    const common::JsonValue manifest = readManifest();
+    const common::JsonValue *cells_json = manifest.find("cells");
+    ASSERT_NE(cells_json, nullptr);
+    const auto &cells = cells_json->asArray();
+    ASSERT_EQ(cells.size(), 90u);
+
+    // The documented execution order: (dataset, weighted) groups in
+    // descending edge count, the weighted copy first, canonical order
+    // inside a group. One worker runs the cells in exactly this order.
+    const unsigned divisor = graph::datasetScaleDivisor();
+    const auto rank = [&](const common::JsonValue &cell) {
+        const graph::DatasetSpec &spec =
+            graph::datasetByName(cell.find("dataset")->asString());
+        bool weighted = false;
+        for (const algo::AlgorithmId id : algo::allAlgorithms) {
+            if (algo::algorithmName(id) == cell.find("algorithm")->asString())
+                weighted = algo::makeAlgorithm(id)->usesWeights();
+        }
+        // Larger edge counts rank first, hence the negation.
+        return std::tuple(-static_cast<double>(spec.scaledEdges(divisor)),
+                          &spec - graph::realWorldDatasets().data(),
+                          !weighted);
+    };
+    std::vector<std::size_t> order(cells.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return rank(cells[a]) < rank(cells[b]);
+                     });
+
+    double previous = 0.0;
+    for (const std::size_t i : order) {
+        const double stamped = cells[i].find("peakRssBytes")->asNumber();
+        EXPECT_GE(stamped, previous) << cells[i].find("key")->asString();
+        EXPECT_LE(stamped, process_peak);
+        previous = stamped;
     }
 }
 
