@@ -16,8 +16,10 @@
  *   --rmat SCALE                   RMAT graph with 2^SCALE vertices
  *   --source VID                   source vertex (default: max degree)
  *   --iters N                      iteration cap (default: 10 for PR)
- *   --ues N / --pes N              GraphDynS structural knobs
- *   --no-wb --no-ep --no-ao --no-us   disable a scheduling technique
+ *   --set SYS.NAME=VALUE           set a config field of SYS (gds, gi,
+ *                                  gunrock) as its fields() names it,
+ *                                  after --iters; repeatable, e.g.
+ *                                  gds.workloadBalance=false gi.hbm.tCl=12
  *   --stats                        dump the full statistics tree
  *   --trace FILE                   write a Perfetto-loadable event trace
  *   --sample-interval N            sample stats every N cycles
@@ -33,7 +35,9 @@
  * SIGINT/SIGTERM request a graceful stop: the run halts at the next
  * watchdog boundary, writes a final checkpoint (when --checkpoint-dir is
  * set) and still flushes samples and the trace, so an interrupted run can
- * be resumed with --resume and loses nothing.
+ * be resumed with --resume and loses nothing. A checkpoint is keyed by
+ * the system's effective config (its configHash), so resuming under a
+ * different --set warns and starts clean.
  *
  * Every value flag also accepts the --flag=value spelling.
  */
@@ -47,6 +51,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "baseline/graphicionado.hh"
 #include "common/parse.hh"
@@ -56,6 +61,7 @@
 #include "graph/generators.hh"
 #include "graph/loader.hh"
 #include "harness/experiment.hh"
+#include "harness/manifest.hh"
 #include "obs/sampler.hh"
 #include "obs/trace.hh"
 
@@ -72,8 +78,8 @@ struct Options
     std::string graphFile;
     std::optional<unsigned> rmatScale;
     std::optional<VertexId> source;
-    std::optional<unsigned> iterations;
-    core::GdsConfig gdsConfig;
+    unsigned iterations = 0;
+    harness::SystemConfigs configs;
     bool dumpStats = false;
     std::string traceFile;
     Cycle sampleInterval = 0;
@@ -98,9 +104,8 @@ usage(const char *argv0)
                  "usage: %s --algo bfs|sssp|cc|sswp|pr "
                  "[--system gds|graphicionado|gunrock|all]\n"
                  "       (--dataset NAME | --graph FILE | --rmat SCALE)\n"
-                 "       [--source VID] [--iters N] [--ues N] [--pes N]\n"
-                 "       [--no-wb] [--no-ep] [--no-ao] [--no-us] "
-                 "[--stats]\n"
+                 "       [--source VID] [--iters N] "
+                 "[--set gds|gi|gunrock.NAME=VALUE]... [--stats]\n"
                  "       [--trace FILE] [--sample-interval N] "
                  "[--samples FILE]\n"
                  "       [--checkpoint-dir DIR] [--checkpoint-interval N] "
@@ -130,6 +135,8 @@ Options
 parseArgs(int argc, char **argv)
 {
     Options opts;
+    std::optional<unsigned> iterations;
+    std::vector<std::string> settings;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         // Both "--flag value" and "--flag=value" are accepted.
@@ -152,7 +159,7 @@ parseArgs(int argc, char **argv)
             if (inline_value)
                 usage(argv[0]);
         };
-        // Numeric flags go through the checked parser: "--num-pes=abc",
+        // Numeric flags go through the checked parser: "--rmat=abc",
         // "--source=-1" or an overflowing value is a ConfigError that
         // main() turns into a message + usage, never an uncaught
         // std::invalid_argument crash (which bare std::stoul threw).
@@ -173,28 +180,11 @@ parseArgs(int argc, char **argv)
             opts.source = static_cast<VertexId>(
                 need_u64(0, std::numeric_limits<VertexId>::max()));
         else if (arg == "--iters")
-            opts.iterations = static_cast<unsigned>(
+            iterations = static_cast<unsigned>(
                 need_u64(1, std::numeric_limits<unsigned>::max()));
-        else if (arg == "--ues")
-            opts.gdsConfig.numUes =
-                static_cast<unsigned>(need_u64(1, 1 << 20));
-        else if (arg == "--pes") {
-            opts.gdsConfig.numPes =
-                static_cast<unsigned>(need_u64(1, 1 << 20));
-            opts.gdsConfig.numDispatchers = opts.gdsConfig.numPes;
-        } else if (arg == "--no-wb") {
-            no_value();
-            opts.gdsConfig.workloadBalance = false;
-        } else if (arg == "--no-ep") {
-            no_value();
-            opts.gdsConfig.exactPrefetch = false;
-        } else if (arg == "--no-ao") {
-            no_value();
-            opts.gdsConfig.zeroStallAtomics = false;
-        } else if (arg == "--no-us") {
-            no_value();
-            opts.gdsConfig.updateScheduling = false;
-        } else if (arg == "--stats") {
+        else if (arg == "--set")
+            settings.push_back(need_value());
+        else if (arg == "--stats") {
             no_value();
             opts.dumpStats = true;
         } else if (arg == "--trace")
@@ -225,6 +215,19 @@ parseArgs(int argc, char **argv)
                               (opts.rmatScale ? 1 : 0);
     if (graph_sources != 1)
         usage(argv[0]);
+    // The iteration cap first, so a --set maxIterations overrides it.
+    opts.iterations =
+        iterations ? *iterations : harness::iterationCap(*opts.algorithm);
+    opts.configs.gds.maxIterations = opts.iterations;
+    opts.configs.gi.maxIterations = opts.iterations;
+    opts.configs.gunrock.maxIterations = opts.iterations;
+    for (const std::string &setting : settings)
+        harness::setConfigField(opts.configs, setting);
+    for (const char *violation :
+         {core::configContractViolation(opts.configs.gds),
+          baseline::configContractViolation(opts.configs.gi)})
+        if (violation)
+            throw ConfigError(violation);
     if (opts.checkpointDir.empty() &&
         (opts.resume || opts.checkpointInterval != 0))
         fatal("--resume and --checkpoint-interval need --checkpoint-dir");
@@ -282,11 +285,9 @@ main(int argc, char **argv)
     const VertexId source = opts.source
                                 ? *opts.source
                                 : harness::sourceFor(algorithm_id, g);
-    const unsigned iters = opts.iterations
-                               ? *opts.iterations
-                               : harness::iterationCap(algorithm_id);
     std::printf("%s from vertex %u, iteration cap %u\n\n",
-                algo::algorithmName(algorithm_id).c_str(), source, iters);
+                algo::algorithmName(algorithm_id).c_str(), source,
+                opts.iterations);
 
     const bool all = opts.system == "all";
     energy::EnergyModel energy_model;
@@ -346,10 +347,8 @@ main(int argc, char **argv)
         if (!all && opts.system != tag)
             continue;
         const bool gds = tag == "gds";
-        core::GdsConfig gds_cfg = opts.gdsConfig;
-        gds_cfg.maxIterations = iters;
-        baseline::GraphicionadoConfig gi_cfg;
-        gi_cfg.maxIterations = iters;
+        const core::GdsConfig &gds_cfg = opts.configs.gds;
+        const baseline::GraphicionadoConfig &gi_cfg = opts.configs.gi;
         auto a = algo::makeAlgorithm(algorithm_id);
         std::unique_ptr<core::VcpmAccel> accel;
         if (gds)
@@ -366,6 +365,10 @@ main(int argc, char **argv)
         }
         run.traceCounterInterval = counter_interval;
         run.checkpoint = checkpoint_for(tag.c_str());
+        // Keyed by the effective config: a resume under another --set
+        // starts clean.
+        run.checkpoint.identity =
+            gds ? harness::configHash(gds_cfg) : harness::configHash(gi_cfg);
         run.killAtCycle = opts.killAtCycle;
         const auto r = accel->run(run);
         last_traced_cycle = std::max(last_traced_cycle, r.cycles);
@@ -391,10 +394,8 @@ main(int argc, char **argv)
             accel->statsGroup().dump(std::cout);
     }
     if (all || opts.system == "gunrock") {
-        baseline::GunrockConfig cfg;
-        cfg.maxIterations = iters;
         auto a = algo::makeAlgorithm(algorithm_id);
-        baseline::GunrockSim gpu(cfg, g, *a);
+        baseline::GunrockSim gpu(opts.configs.gunrock, g, *a);
         const auto r = gpu.run(source);
         printCommon("Gunrock", r.seconds, r.gteps(),
                     static_cast<double>(r.memoryBytes),

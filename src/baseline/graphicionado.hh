@@ -52,6 +52,24 @@ struct GraphicionadoConfig
     unsigned maxIterations = 1000;
     mem::HbmConfig hbm;
 
+    /** The one field list (see core::GdsConfig::fields). */
+    template <class Self, class V>
+    static void
+    fields(Self &c, V &v)
+    {
+        v("numStreams", c.numStreams);
+        v("onChipBytes", c.onChipBytes);
+        v("atomicPipelineDepth", c.atomicPipelineDepth);
+        v("vprefBatch", c.vprefBatch);
+        v("vprefMaxInflight", c.vprefMaxInflight);
+        v("streamLookahead", c.streamLookahead);
+        v("streamQueueRecords", c.streamQueueRecords);
+        v("edgeMaxInflight", c.edgeMaxInflight);
+        v("applyMaxInflight", c.applyMaxInflight);
+        v("maxIterations", c.maxIterations);
+        mem::HbmConfig::fields(c.hbm, v);
+    }
+
     /** Vertices whose tProp (+ offset entry) fit on chip per slice.
      *  The paper notes Graphicionado caches 2x the temporary properties
      *  of GraphDynS (Sec. 7.2). */

@@ -68,6 +68,28 @@ struct GunrockConfig
     double activePowerW = 110.0; ///< at full utilization
 
     unsigned maxIterations = 1000;
+
+    /** The one field list (see core::GdsConfig::fields). */
+    template <class Self, class V>
+    static void
+    fields(Self &c, V &v)
+    {
+        v("clockGhz", c.clockGhz);
+        v("numCores", c.numCores);
+        v("warpSize", c.warpSize);
+        v("memBandwidthGBs", c.memBandwidthGBs);
+        v("cachelineBytes", c.cachelineBytes);
+        v("cyclesPerEdge", c.cyclesPerEdge);
+        v("cyclesPerApply", c.cyclesPerApply);
+        v("atomicSerializeNs", c.atomicSerializeNs);
+        v("vertexPropHitRate", c.vertexPropHitRate);
+        v("kernelLaunchUs", c.kernelLaunchUs);
+        v("preprocessNsPerEdge", c.preprocessNsPerEdge);
+        v("preprocessNsPerVertex", c.preprocessNsPerVertex);
+        v("idlePowerW", c.idlePowerW);
+        v("activePowerW", c.activePowerW);
+        v("maxIterations", c.maxIterations);
+    }
 };
 
 /** Model output, aligned with core::RunResult where it makes sense. */

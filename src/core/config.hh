@@ -18,10 +18,9 @@ namespace gds::core
 struct GdsConfig
 {
     // --- Compute fabric (Table 3: 1 GHz, 16 x SIMT8) ---
-    unsigned numDispatchers = 16; ///< DEs
-    unsigned numPes = 16;         ///< PEs
-    unsigned nSimt = 8;           ///< SIMT lanes per PE
-    unsigned numUes = 128;        ///< UEs = crossbar radix
+    unsigned numPes = 16;  ///< PEs, each fed by its own DE
+    unsigned nSimt = 8;    ///< SIMT lanes per PE
+    unsigned numUes = 128; ///< UEs = crossbar radix
 
     // --- Scheduling parameters (Sec. 5.1.3) ---
     unsigned eThreshold = 128; ///< split edge lists above this
@@ -57,6 +56,39 @@ struct GdsConfig
     // --- Memory system (Table 3: 512 GB/s HBM 1.0) ---
     mem::HbmConfig hbm;
 
+    /** The one field list, walked as v(name, member) by configHash,
+     *  gds_sim --set and the contract test; HBM fields as hbm.<name>. */
+    template <class Self, class V>
+    static void
+    fields(Self &c, V &v)
+    {
+        v("numPes", c.numPes);
+        v("nSimt", c.nSimt);
+        v("numUes", c.numUes);
+        v("eThreshold", c.eThreshold);
+        v("eListSize", c.eListSize);
+        v("vListSize", c.vListSize);
+        v("vbBytesPerUe", c.vbBytesPerUe);
+        v("rbGroupSize", c.rbGroupSize);
+        v("ueQueueDepth", c.ueQueueDepth);
+        v("peQueueEdges", c.peQueueEdges);
+        v("vpbRecords", c.vpbRecords);
+        v("applyListQueue", c.applyListQueue);
+        v("auBatchRecords", c.auBatchRecords);
+        v("vbLatency", c.vbLatency);
+        v("vprefBatch", c.vprefBatch);
+        v("vprefMaxInflight", c.vprefMaxInflight);
+        v("eprefMaxInflight", c.eprefMaxInflight);
+        v("eprefBufferEdges", c.eprefBufferEdges);
+        v("applyMaxInflightGroups", c.applyMaxInflightGroups);
+        v("workloadBalance", c.workloadBalance);
+        v("exactPrefetch", c.exactPrefetch);
+        v("zeroStallAtomics", c.zeroStallAtomics);
+        v("updateScheduling", c.updateScheduling);
+        v("maxIterations", c.maxIterations);
+        mem::HbmConfig::fields(c.hbm, v);
+    }
+
     /** Vertices whose temporary property fits on chip (slice capacity). */
     VertexId
     sliceCapacity() const
@@ -76,11 +108,11 @@ struct GdsConfig
  *
  * The contracts encode structural assumptions baked into the models:
  * power-of-two fabric widths (the crossbar routes by low destination
- * bits and the slicer masks rather than divides), one DE per PE, HBM
- * rows made of whole transactions, and nonzero queue depths and batch
- * sizes (a zero-depth queue deadlocks the pipeline on the first push; a
- * zero batch divides by zero). GdsAccel's constructor throws ConfigError
- * on a violation. maxIterations may be 0: the run returns the initial
+ * bits and the slicer masks rather than divides), HBM rows made of
+ * whole transactions, and nonzero queue depths and batch sizes (a
+ * zero-depth queue deadlocks the pipeline on the first push; a zero
+ * batch divides by zero). GdsAccel's constructor throws ConfigError on a
+ * violation. maxIterations may be 0: the run returns the initial
  * properties.
  */
 constexpr const char *
@@ -88,8 +120,6 @@ configContractViolation(const GdsConfig &c)
 {
     if (c.numPes == 0 || !isPow2(c.numPes))
         return "numPes must be a nonzero power of two";
-    if (c.numDispatchers != c.numPes)
-        return "numDispatchers must equal numPes (one DE per PE)";
     if (c.nSimt == 0 || !isPow2(c.nSimt))
         return "nSimt must be a nonzero power of two";
     if (c.numUes == 0 || !isPow2(c.numUes) || c.numUes < c.numPes)

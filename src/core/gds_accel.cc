@@ -67,11 +67,11 @@ GdsAccel::GdsAccel(const GdsConfig &config, const graph::Csr &g,
                            "record commits stalled on a full VPB RAM")
 {
     xbar = std::make_unique<mem::Crossbar>(cfg.numUes, this);
-    for (unsigned i = 0; i < cfg.numDispatchers; ++i)
+    for (unsigned i = 0; i < cfg.numPes; ++i) { // one DE per PE
         des.emplace_back(cfg.vpbRecords);
-    for (unsigned i = 0; i < cfg.numPes; ++i)
         pes.emplace_back(cfg.peQueueEdges, cfg.applyListQueue,
                          cfg.vbLatency);
+    }
     for (unsigned i = 0; i < cfg.numUes; ++i)
         ues.emplace_back(cfg.ueQueueDepth);
     uesNonEmpty = makeBitMask(cfg.numUes);

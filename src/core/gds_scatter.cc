@@ -134,7 +134,7 @@ GdsAccel::scatterQuiescent() const
     if (sc.commitCursor < sc.recordsTotal) {
         const std::uint64_t k = sc.commitCursor;
         if (sc.batchReady[k / cfg.vprefBatch] &&
-            des[k % cfg.numDispatchers].vpb.canPush())
+            des[k % cfg.numPes].vpb.canPush())
             return false;
     }
     return true;
@@ -182,13 +182,13 @@ GdsAccel::tickVpref()
     // them to Epref.
     unsigned committed = 0;
     while (sc.commitCursor < sc.recordsTotal &&
-           committed < cfg.numDispatchers) {
+           committed < cfg.numPes) {
         const std::uint64_t k = sc.commitCursor;
         if (!sc.batchReady[k / cfg.vprefBatch]) {
             ++statCommitBlockedBatch;
             break;
         }
-        De &de = des[k % cfg.numDispatchers];
+        De &de = des[k % cfg.numPes];
         if (!de.vpb.canPush()) {
             ++statCommitBlockedVpb;
             break;
@@ -450,7 +450,7 @@ GdsAccel::dispatchChunk(De &de, unsigned de_index)
 void
 GdsAccel::tickDispatchers()
 {
-    for (unsigned i = 0; i < cfg.numDispatchers; ++i) {
+    for (unsigned i = 0; i < cfg.numPes; ++i) {
         if (!des[i].vpb.empty())
             dispatchChunk(des[i], i);
         else

@@ -7,8 +7,8 @@ AcceleratorBreakdown
 EnergyModel::gdsBreakdown(const core::GdsConfig &cfg) const
 {
     AcceleratorBreakdown b;
-    b.dispatcher.powerW = lib.dePowerW * cfg.numDispatchers;
-    b.dispatcher.areaMm2 = lib.deAreaMm2 * cfg.numDispatchers;
+    b.dispatcher.powerW = lib.dePowerW * cfg.numPes;
+    b.dispatcher.areaMm2 = lib.deAreaMm2 * cfg.numPes;
     b.processor.powerW = lib.pePowerW * cfg.numPes;
     b.processor.areaMm2 = lib.peAreaMm2 * cfg.numPes;
 

@@ -1,11 +1,14 @@
 #include "harness/manifest.hh"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "common/bitutil.hh"
 #include "common/jsonio.hh"
 #include "common/log.hh"
+#include "common/parse.hh"
 #include "graph/datasets.hh"
 
 namespace gds::harness
@@ -32,43 +35,20 @@ hashHex(std::uint64_t value)
 namespace
 {
 
-/** Field-by-field serializer feeding fnv1a: every field is named, so two
- *  configs differing in any single knob hash differently, and reordering
- *  the struct cannot silently collide. */
-class FieldHasher
+/** FNV-1a over "model=<tag>;name=value;..." in fields() order: every
+ *  field is named, so two configs differing in any single knob hash
+ *  differently, and reordering the struct cannot silently collide. */
+template <class Config>
+std::string
+hashFields(const char *model, const Config &cfg)
 {
-  public:
-    template <typename T>
-    FieldHasher &
-    field(const char *fieldName, const T &value)
-    {
-        os << fieldName << '=' << value << ';';
-        return *this;
-    }
-
-    std::string hex() const { return hashHex(fnv1a(os.str())); }
-
-  private:
     std::ostringstream os;
-};
-
-void
-hashHbm(FieldHasher &h, const mem::HbmConfig &m)
-{
-    h.field("hbm.numChannels", m.numChannels)
-        .field("hbm.banksPerChannel", m.banksPerChannel)
-        .field("hbm.rowBytes", m.rowBytes)
-        .field("hbm.txBytes", m.txBytes)
-        .field("hbm.tBurst", m.tBurst)
-        .field("hbm.tCl", m.tCl)
-        .field("hbm.tRcd", m.tRcd)
-        .field("hbm.tRp", m.tRp)
-        .field("hbm.tCcd", m.tCcd)
-        .field("hbm.tRrd", m.tRrd)
-        .field("hbm.tRefi", m.tRefi)
-        .field("hbm.tRfcPerBank", m.tRfcPerBank)
-        .field("hbm.queueDepth", m.queueDepth)
-        .field("hbm.frfcfsWindow", m.frfcfsWindow);
+    os << "model=" << model << ';';
+    auto v = [&os](const char *name, const auto &value) {
+        os << name << '=' << value << ';';
+    };
+    Config::fields(cfg, v);
+    return hashHex(fnv1a(os.str()));
 }
 
 } // namespace
@@ -76,77 +56,61 @@ hashHbm(FieldHasher &h, const mem::HbmConfig &m)
 std::string
 configHash(const core::GdsConfig &cfg)
 {
-    FieldHasher h;
-    h.field("model", "graphdyns")
-        .field("numDispatchers", cfg.numDispatchers)
-        .field("numPes", cfg.numPes)
-        .field("nSimt", cfg.nSimt)
-        .field("numUes", cfg.numUes)
-        .field("eThreshold", cfg.eThreshold)
-        .field("eListSize", cfg.eListSize)
-        .field("vListSize", cfg.vListSize)
-        .field("vbBytesPerUe", cfg.vbBytesPerUe)
-        .field("rbGroupSize", cfg.rbGroupSize)
-        .field("ueQueueDepth", cfg.ueQueueDepth)
-        .field("peQueueEdges", cfg.peQueueEdges)
-        .field("vpbRecords", cfg.vpbRecords)
-        .field("applyListQueue", cfg.applyListQueue)
-        .field("auBatchRecords", cfg.auBatchRecords)
-        .field("vbLatency", cfg.vbLatency)
-        .field("vprefBatch", cfg.vprefBatch)
-        .field("vprefMaxInflight", cfg.vprefMaxInflight)
-        .field("eprefMaxInflight", cfg.eprefMaxInflight)
-        .field("eprefBufferEdges", cfg.eprefBufferEdges)
-        .field("applyMaxInflightGroups", cfg.applyMaxInflightGroups)
-        .field("workloadBalance", cfg.workloadBalance)
-        .field("exactPrefetch", cfg.exactPrefetch)
-        .field("zeroStallAtomics", cfg.zeroStallAtomics)
-        .field("updateScheduling", cfg.updateScheduling)
-        .field("maxIterations", cfg.maxIterations);
-    hashHbm(h, cfg.hbm);
-    return h.hex();
+    return hashFields("graphdyns", cfg);
 }
 
 std::string
 configHash(const baseline::GraphicionadoConfig &cfg)
 {
-    FieldHasher h;
-    h.field("model", "graphicionado")
-        .field("numStreams", cfg.numStreams)
-        .field("onChipBytes", cfg.onChipBytes)
-        .field("atomicPipelineDepth", cfg.atomicPipelineDepth)
-        .field("vprefBatch", cfg.vprefBatch)
-        .field("vprefMaxInflight", cfg.vprefMaxInflight)
-        .field("streamLookahead", cfg.streamLookahead)
-        .field("streamQueueRecords", cfg.streamQueueRecords)
-        .field("edgeMaxInflight", cfg.edgeMaxInflight)
-        .field("applyMaxInflight", cfg.applyMaxInflight)
-        .field("maxIterations", cfg.maxIterations);
-    hashHbm(h, cfg.hbm);
-    return h.hex();
+    return hashFields("graphicionado", cfg);
 }
 
 std::string
 configHash(const baseline::GunrockConfig &cfg)
 {
-    FieldHasher h;
-    h.field("model", "gunrock")
-        .field("clockGhz", cfg.clockGhz)
-        .field("numCores", cfg.numCores)
-        .field("warpSize", cfg.warpSize)
-        .field("memBandwidthGBs", cfg.memBandwidthGBs)
-        .field("cachelineBytes", cfg.cachelineBytes)
-        .field("cyclesPerEdge", cfg.cyclesPerEdge)
-        .field("cyclesPerApply", cfg.cyclesPerApply)
-        .field("atomicSerializeNs", cfg.atomicSerializeNs)
-        .field("vertexPropHitRate", cfg.vertexPropHitRate)
-        .field("kernelLaunchUs", cfg.kernelLaunchUs)
-        .field("preprocessNsPerEdge", cfg.preprocessNsPerEdge)
-        .field("preprocessNsPerVertex", cfg.preprocessNsPerVertex)
-        .field("idlePowerW", cfg.idlePowerW)
-        .field("activePowerW", cfg.activePowerW)
-        .field("maxIterations", cfg.maxIterations);
-    return h.hex();
+    return hashFields("gunrock", cfg);
+}
+
+void
+setConfigField(SystemConfigs &configs, const std::string &setting)
+{
+    const std::size_t dot = setting.find('.');
+    const std::size_t eq = setting.find('=');
+    if (eq == std::string::npos || dot > eq)
+        throw ConfigError("'" + setting +
+                          "' is not <gds|gi|gunrock>.<name>=<value>");
+    const std::string key = setting.substr(0, eq);
+    const std::string system = key.substr(0, dot);
+    const std::string name = key.substr(dot + 1);
+    const std::string text = setting.substr(eq + 1);
+    bool found = false;
+    auto v = [&](const char *field, auto &value) {
+        using T = std::remove_reference_t<decltype(value)>;
+        if (found || name != field)
+            return;
+        found = true;
+        if constexpr (std::is_same_v<T, bool>) {
+            if (text != "true" && text != "false")
+                throw ConfigError(key + " takes true or false, not '" +
+                                  text + "'");
+            value = text == "true";
+        } else if constexpr (std::is_integral_v<T>)
+            value = static_cast<T>(common::requireU64(
+                key, text, 0, std::numeric_limits<T>::max()));
+        else
+            value = common::requireF64(key, text);
+    };
+    if (system == "gds")
+        core::GdsConfig::fields(configs.gds, v);
+    else if (system == "gi")
+        baseline::GraphicionadoConfig::fields(configs.gi, v);
+    else if (system == "gunrock")
+        baseline::GunrockConfig::fields(configs.gunrock, v);
+    else
+        throw ConfigError("unknown system in '" + setting +
+                          "' (gds, gi or gunrock)");
+    if (!found)
+        throw ConfigError("unknown config field '" + key + "'");
 }
 
 const char *

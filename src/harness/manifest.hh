@@ -3,10 +3,11 @@
  * Run provenance manifests. Every evaluationMatrix cell records what was
  * run (system, algorithm, dataset, seed), against which code (git SHA
  * baked in at build time) and which configuration (an FNV-1a hash over
- * every config field), how it ended (outcome), and what it cost
- * (simulated seconds + wall-clock load/sim/validate split). The manifest
- * is written as manifest.json next to the result cache, so a cached
- * figure can always be traced back to the exact runs that produced it.
+ * every field the config's fields() lists), how it ended (outcome), and
+ * what it cost (simulated seconds + wall-clock load/sim/validate split).
+ * The manifest is written as manifest.json next to the result cache, so
+ * a cached figure can always be traced back to the exact runs that
+ * produced it. The same fields() walk backs gds_sim's --set.
  */
 
 #pragma once
@@ -33,14 +34,28 @@ std::uint64_t fnv1a(std::string_view data);
 /** 16-digit lowercase hex rendering of a 64-bit hash. */
 std::string hashHex(std::uint64_t value);
 
-/** Fingerprint over every GdsConfig field (HBM geometry included). */
+/** Fingerprint over every field the config's fields() lists (HBM
+ *  geometry included), tagged with the model. */
 std::string configHash(const core::GdsConfig &cfg);
-
-/** Fingerprint over every GraphicionadoConfig field. */
 std::string configHash(const baseline::GraphicionadoConfig &cfg);
-
-/** Fingerprint over every GunrockConfig field. */
 std::string configHash(const baseline::GunrockConfig &cfg);
+
+/** One config per simulated system: what gds_sim --set edits. */
+struct SystemConfigs
+{
+    core::GdsConfig gds;
+    baseline::GraphicionadoConfig gi;
+    baseline::GunrockConfig gunrock;
+};
+
+/**
+ * Apply one `<gds|gi|gunrock>.<name>=<value>` setting, <name> as the
+ * config's fields() lists it (`gds.hbm.tCl=12`): a bool takes true or
+ * false, a number must parse and fit its member. Contracts are left to
+ * the caller, so settings may pass through an invalid combination.
+ * @throws ConfigError on any malformed, unknown or unfit setting.
+ */
+void setConfigField(SystemConfigs &configs, const std::string &setting);
 
 /** The git SHA this binary was built from ("unknown" outside a repo). */
 const char *buildGitSha();

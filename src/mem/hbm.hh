@@ -53,6 +53,28 @@ struct HbmConfig
     unsigned queueDepth = 64;   ///< per-channel transaction queue
     unsigned frfcfsWindow = 8;  ///< FR-FCFS lookahead
 
+    /** The one field list (see core::GdsConfig::fields), dotted as the
+     *  accelerator configs that embed it name it. */
+    template <class Self, class V>
+    static void
+    fields(Self &c, V &v)
+    {
+        v("hbm.numChannels", c.numChannels);
+        v("hbm.banksPerChannel", c.banksPerChannel);
+        v("hbm.rowBytes", c.rowBytes);
+        v("hbm.txBytes", c.txBytes);
+        v("hbm.tBurst", c.tBurst);
+        v("hbm.tCl", c.tCl);
+        v("hbm.tRcd", c.tRcd);
+        v("hbm.tRp", c.tRp);
+        v("hbm.tCcd", c.tCcd);
+        v("hbm.tRrd", c.tRrd);
+        v("hbm.tRefi", c.tRefi);
+        v("hbm.tRfcPerBank", c.tRfcPerBank);
+        v("hbm.queueDepth", c.queueDepth);
+        v("hbm.frfcfsWindow", c.frfcfsWindow);
+    }
+
     /** Peak bandwidth in bytes per cycle. */
     double
     peakBytesPerCycle() const
@@ -300,9 +322,10 @@ class Hbm : public sim::Component
          * Earliest cycle anything in the FR-FCFS window could issue, set
          * when a scan finds nothing issuable; tick() skips the channel
          * until then. Refreshes only delay issue, so it stays a lower
-         * bound; a transaction entering the window resets it. Derived
-         * state, not serialized: restore leaves it 0 (scan next tick).
+         * bound; a transaction entering the window resets it.
          */
+        // gds-ckpt: skip(issueGate) derived state, not serialized: restore
+        // leaves it 0 (scan next tick)
         Cycle issueGate = 0;
 
         template <typename Self, typename Ar>

@@ -184,12 +184,17 @@ class Component
     const stats::Group &statsGroup() const { return _stats; }
 
   private:
+    // gds-ckpt: skip(_name) construction-time name
     std::string _name;
+    // gds-ckpt: skip(_parent) construction-time wiring
     Component *_parent;
+    // gds-ckpt: skip(_children) construction-time wiring; each child
+    // checkpoints its own state
     std::vector<Component *> _children;
     std::uint64_t _progressCount = 0;
     Cycle _lastProgressAt = 0;
     stats::Group _stats;
+    // gds-ckpt: skip(_tracePath) lazily built from the names above
     mutable std::string _tracePath;
 };
 

@@ -114,6 +114,7 @@ class FaultInjector
     std::uint64_t stalled() const { return _stalled; }
 
   private:
+    // gds-ckpt: skip(_plan) configuration, rebuilt by the constructor
     FaultPlan _plan;
     Rng rng;
     std::uint64_t _responsesSeen = 0;

@@ -242,7 +242,9 @@ class DelayQueue
         }
     };
 
+    // gds-ckpt: skip(_capacity) construction-time capacity
     std::size_t _capacity;
+    // gds-ckpt: skip(delay) construction-time latency
     Cycle delay;
     Cycle now = 0;
     std::deque<Entry> entries;

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "algo/vcpm.hh"
 #include "baseline/graphicionado.hh"
 #include "common/error.hh"
@@ -51,23 +54,13 @@ static_assert(!configContractsHold(with([](GdsConfig &c) {
 static_assert(!configContractsHold(with([](GdsConfig &c) {
     c.numUes = 100; })));
 
-// Zero-depth queues deadlock the pipeline and are rejected.
-static_assert(!configContractsHold(with([](GdsConfig &c) {
-    c.ueQueueDepth = 0; })));
-static_assert(!configContractsHold(with([](GdsConfig &c) {
-    c.hbm.queueDepth = 0; })));
-
 // HBM rows must be made of whole transactions.
 static_assert(!configContractsHold(with([](GdsConfig &c) {
     c.hbm.rowBytes = 1000; })));
 static_assert(!configContractsHold(with([](GdsConfig &c) {
     c.hbm.txBytes = 24; })));
 
-// Scheduling parameters must be nonzero.
-static_assert(!configContractsHold(with([](GdsConfig &c) {
-    c.eThreshold = 0; })));
-static_assert(!configContractsHold(with([](GdsConfig &c) {
-    c.eListSize = 0; })));
+// Zero fields are covered at runtime by the fields() walk below.
 
 // --- Runtime checks for configs built from files or sweep axes. ---
 
@@ -116,110 +109,55 @@ TEST(ConfigContracts, SliceCapacityStillSaneUnderContracts)
     EXPECT_GE(c.sliceCapacity(), c.numUes);
 }
 
-/** A configuration field that must not be zero, and how to zero it. */
-template <typename Config>
-struct ZeroField
+// The fields where 0 is supported: the iteration cap (the run returns
+// the initial properties), the Fig. 14 WB/EP/AO/US ablation switches, a
+// single-cycle VB read, Graphicionado without RAW stall windows, and
+// zero-latency DRAM timing. Every other field must be rejected.
+const std::set<std::string> kZeroIsLegal = {
+    "maxIterations", "workloadBalance", "exactPrefetch", "zeroStallAtomics",
+    "updateScheduling", "vbLatency", "atomicPipelineDepth", "hbm.tCl",
+    "hbm.tRcd", "hbm.tRp", "hbm.tCcd", "hbm.tRrd", "hbm.tRfcPerBank"};
+
+/**
+ * Zero each field of a default @p Config in turn (false for a bool) and
+ * build an @p Accel from it. A rejected zero used to divide by zero,
+ * deadlock a queue or abort in the HBM; the constructors now refuse it
+ * up front. A legal zero must run to completion.
+ */
+template <typename Accel, typename Config>
+void
+expectEveryZeroRejectedOrRunnable(const graph::Csr &g,
+                                  algo::VcpmAlgorithm &a)
 {
-    const char *name;
-    void (*zero)(Config &);
-};
-
-const ZeroField<GdsConfig> kGdsZeroFields[] = {
-    {"numDispatchers", [](GdsConfig &c) { c.numDispatchers = 0; }},
-    {"numPes", [](GdsConfig &c) { c.numPes = 0; }},
-    {"nSimt", [](GdsConfig &c) { c.nSimt = 0; }},
-    {"numUes", [](GdsConfig &c) { c.numUes = 0; }},
-    {"eThreshold", [](GdsConfig &c) { c.eThreshold = 0; }},
-    {"eListSize", [](GdsConfig &c) { c.eListSize = 0; }},
-    {"vListSize", [](GdsConfig &c) { c.vListSize = 0; }},
-    {"vbBytesPerUe", [](GdsConfig &c) { c.vbBytesPerUe = 0; }},
-    {"rbGroupSize", [](GdsConfig &c) { c.rbGroupSize = 0; }},
-    {"ueQueueDepth", [](GdsConfig &c) { c.ueQueueDepth = 0; }},
-    {"peQueueEdges", [](GdsConfig &c) { c.peQueueEdges = 0; }},
-    {"vpbRecords", [](GdsConfig &c) { c.vpbRecords = 0; }},
-    {"applyListQueue", [](GdsConfig &c) { c.applyListQueue = 0; }},
-    {"auBatchRecords", [](GdsConfig &c) { c.auBatchRecords = 0; }},
-    {"vprefBatch", [](GdsConfig &c) { c.vprefBatch = 0; }},
-    {"vprefMaxInflight", [](GdsConfig &c) { c.vprefMaxInflight = 0; }},
-    {"eprefMaxInflight", [](GdsConfig &c) { c.eprefMaxInflight = 0; }},
-    {"eprefBufferEdges", [](GdsConfig &c) { c.eprefBufferEdges = 0; }},
-    {"applyMaxInflightGroups",
-     [](GdsConfig &c) { c.applyMaxInflightGroups = 0; }},
-};
-
-const ZeroField<baseline::GraphicionadoConfig> kGiZeroFields[] = {
-    {"numStreams",
-     [](baseline::GraphicionadoConfig &c) { c.numStreams = 0; }},
-    {"onChipBytes",
-     [](baseline::GraphicionadoConfig &c) { c.onChipBytes = 0; }},
-    {"vprefBatch",
-     [](baseline::GraphicionadoConfig &c) { c.vprefBatch = 0; }},
-    {"vprefMaxInflight",
-     [](baseline::GraphicionadoConfig &c) { c.vprefMaxInflight = 0; }},
-    {"streamLookahead",
-     [](baseline::GraphicionadoConfig &c) { c.streamLookahead = 0; }},
-    {"streamQueueRecords",
-     [](baseline::GraphicionadoConfig &c) { c.streamQueueRecords = 0; }},
-    {"edgeMaxInflight",
-     [](baseline::GraphicionadoConfig &c) { c.edgeMaxInflight = 0; }},
-    {"applyMaxInflight",
-     [](baseline::GraphicionadoConfig &c) { c.applyMaxInflight = 0; }},
-};
-
-const ZeroField<mem::HbmConfig> kHbmZeroFields[] = {
-    {"hbm.numChannels", [](mem::HbmConfig &c) { c.numChannels = 0; }},
-    {"hbm.banksPerChannel",
-     [](mem::HbmConfig &c) { c.banksPerChannel = 0; }},
-    {"hbm.rowBytes", [](mem::HbmConfig &c) { c.rowBytes = 0; }},
-    {"hbm.txBytes", [](mem::HbmConfig &c) { c.txBytes = 0; }},
-    {"hbm.tBurst", [](mem::HbmConfig &c) { c.tBurst = 0; }},
-    {"hbm.tRefi", [](mem::HbmConfig &c) { c.tRefi = 0; }},
-    {"hbm.queueDepth", [](mem::HbmConfig &c) { c.queueDepth = 0; }},
-    {"hbm.frfcfsWindow", [](mem::HbmConfig &c) { c.frfcfsWindow = 0; }},
-};
+    Config c;
+    auto v = [&](const std::string &name, auto &field) {
+        SCOPED_TRACE(name);
+        const auto saved = field;
+        field = {};
+        if (kZeroIsLegal.count(name) != 0) {
+            EXPECT_EQ(configContractViolation(c), nullptr);
+            EXPECT_EQ(Accel(c, g, a).run().report.outcome,
+                      sim::RunOutcome::Completed);
+        } else {
+            EXPECT_NE(configContractViolation(c), nullptr);
+            EXPECT_THROW(Accel(c, g, a), ConfigError);
+            if (name.rfind("hbm.", 0) == 0) {
+                EXPECT_THROW(mem::Hbm(c.hbm, nullptr), ConfigError);
+            }
+        }
+        field = saved;
+    };
+    Config::fields(c, v);
+}
 
 TEST(ConfigContracts, ZeroFieldsRaiseConfigErrorOnBothModels)
 {
-    // Each field at 0 used to divide by zero, panic on a zero-depth
-    // queue, abort in the HBM or run into the watchdog; the constructors
-    // now reject it up front. maxIterations is not listed: 0 is a
-    // supported cap (EdgeCases.MaxIterationsZeroReturnsInitialState).
     const graph::Csr g = graph::rmat(6, 4, 1);
     auto bfs = algo::makeAlgorithm(algo::AlgorithmId::Bfs);
-    for (const auto &f : kGdsZeroFields) {
-        SCOPED_TRACE(f.name);
-        GdsConfig c;
-        f.zero(c);
-        EXPECT_NE(configContractViolation(c), nullptr);
-        EXPECT_THROW(GdsAccel(c, g, *bfs), ConfigError);
-    }
-    for (const auto &f : kGiZeroFields) {
-        SCOPED_TRACE(f.name);
-        baseline::GraphicionadoConfig c;
-        f.zero(c);
-        EXPECT_NE(configContractViolation(c), nullptr);
-        EXPECT_THROW(baseline::GraphicionadoAccel(c, g, *bfs), ConfigError);
-    }
-    for (const auto &f : kHbmZeroFields) {
-        SCOPED_TRACE(f.name);
-        GdsConfig gds;
-        f.zero(gds.hbm);
-        EXPECT_THROW(GdsAccel(gds, g, *bfs), ConfigError);
-        baseline::GraphicionadoConfig gi;
-        f.zero(gi.hbm);
-        EXPECT_THROW(baseline::GraphicionadoAccel(gi, g, *bfs), ConfigError);
-        EXPECT_THROW(mem::Hbm(gds.hbm, nullptr), ConfigError);
-    }
-}
-
-TEST(ConfigContracts, ZeroIterationCapIsSupportedByBothModels)
-{
-    GdsConfig gds;
-    gds.maxIterations = 0;
-    EXPECT_TRUE(validateConfig(gds).ok());
-    baseline::GraphicionadoConfig gi;
-    gi.maxIterations = 0;
-    EXPECT_EQ(configContractViolation(gi), nullptr);
+    expectEveryZeroRejectedOrRunnable<GdsAccel, GdsConfig>(g, *bfs);
+    expectEveryZeroRejectedOrRunnable<baseline::GraphicionadoAccel,
+                                      baseline::GraphicionadoConfig>(g,
+                                                                     *bfs);
 }
 
 } // namespace

@@ -147,7 +147,6 @@ TEST_P(FabricSweep, FunctionalAcrossFabricShapes)
     const auto [pes, simt, ues] = GetParam();
     GdsConfig cfg;
     cfg.numPes = pes;
-    cfg.numDispatchers = pes;
     cfg.nSimt = simt;
     cfg.numUes = ues;
     expectSsspCorrect(cfg);

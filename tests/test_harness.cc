@@ -20,6 +20,7 @@
 #include "graph/generators.hh"
 #include "span_eq.hh"
 #include "harness/experiment.hh"
+#include "harness/manifest.hh"
 
 namespace gds::harness
 {
@@ -86,6 +87,40 @@ TEST(Harness, VariantConfigurations)
         applyVariant(core::GdsConfig{}, GdsVariant::NoWb);
     EXPECT_FALSE(no_wb.workloadBalance);
     EXPECT_TRUE(no_wb.exactPrefetch);
+}
+
+TEST(Harness, SetConfigFieldWalksTheFieldLists)
+{
+    SystemConfigs cfg;
+    setConfigField(cfg, "gds.numUes=64");
+    setConfigField(cfg, "gds.workloadBalance=false");
+    setConfigField(cfg, "gi.hbm.tCl=12");
+    setConfigField(cfg, "gunrock.clockGhz=1.5");
+    EXPECT_EQ(cfg.gds.numUes, 64u);
+    EXPECT_FALSE(cfg.gds.workloadBalance);
+    EXPECT_EQ(cfg.gi.hbm.tCl, 12u);
+    EXPECT_EQ(cfg.gds.hbm.tCl, core::GdsConfig{}.hbm.tCl);
+    EXPECT_DOUBLE_EQ(cfg.gunrock.clockGhz, 1.5);
+    setConfigField(cfg, "gds.workloadBalance=true");
+    EXPECT_TRUE(cfg.gds.workloadBalance);
+
+    for (const char *bad : {
+             "gds.noSuchField=1",        // unknown name
+             "gds.tCl=12",               // HBM fields only under hbm.
+             "gpu.numUes=64",            // unknown system
+             "gds.numUes",               // no value
+             "gds.numUes=abc",           // malformed number
+             "gds.numUes=-1",            //
+             "gds.workloadBalance=1",    // a bool takes true/false
+             "gds.numUes=4294967296",    // out of range for unsigned
+             "gds.hbm.tCl=99999999999999999999", // out of range for u64
+             "gunrock.clockGhz=nan",     //
+         }) {
+        SCOPED_TRACE(bad);
+        SystemConfigs untouched;
+        EXPECT_THROW(setConfigField(untouched, bad), ConfigError);
+        EXPECT_EQ(configHash(untouched.gds), configHash(core::GdsConfig{}));
+    }
 }
 
 TEST(Harness, IterationCapPolicy)

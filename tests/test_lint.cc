@@ -315,6 +315,17 @@ TEST(LintModel, DerivedComponentCoveredByOwnFields)
     EXPECT_TRUE(lintFixture("src/core/ok_derived_ckpt.hh").clean());
 }
 
+TEST(LintModel, ConfigFieldMissingFromItsListFlagged)
+{
+    // A class with no Component base is modeled too once it declares a
+    // fields() list: a config member left out of it is a finding.
+    const LintResult r = lintFixture("src/core/bad_config_field.hh");
+    ASSERT_EQ(signatures(r),
+              (std::vector<std::string>{"checkpoint-field-coverage@10"}));
+    EXPECT_NE(r.diagnostics[0].message.find("'TimingConfig' field 'tRas'"),
+              std::string::npos);
+}
+
 TEST(LintModel, CoverageAnalyzedAcrossFiles)
 {
     // Class in a header, fields() out-of-line in the matching source:
@@ -587,14 +598,14 @@ TEST(LintDriver, JsonSummaryCountsRules)
     std::ostringstream os;
     writeJsonSummary(r, os);
     const std::string json = os.str();
-    EXPECT_NE(json.find("\"files_scanned\": 25"), std::string::npos);
-    EXPECT_NE(json.find("\"violations\": 26"), std::string::npos);
+    EXPECT_NE(json.find("\"files_scanned\": 26"), std::string::npos);
+    EXPECT_NE(json.find("\"violations\": 27"), std::string::npos);
     EXPECT_NE(json.find("\"tool_errors\": 0"), std::string::npos);
     EXPECT_NE(json.find("\"no-naked-assert\": 2"), std::string::npos);
     EXPECT_NE(json.find("\"bad-suppression\": 6"), std::string::npos);
     EXPECT_NE(json.find("\"component-hooks\": 3"), std::string::npos);
     EXPECT_NE(json.find("\"checkpoint-hooks\": 1"), std::string::npos);
-    EXPECT_NE(json.find("\"checkpoint-field-coverage\": 3"),
+    EXPECT_NE(json.find("\"checkpoint-field-coverage\": 4"),
               std::string::npos);
     EXPECT_EQ(json.find("save-restore-symmetry"), std::string::npos);
     EXPECT_NE(json.find("\"env-knob-discipline\": 1"), std::string::npos);
@@ -624,8 +635,8 @@ TEST(LintDriver, SarifLogHasToolRulesAndResults)
 TEST(LintDriver, FixtureTreeExitsOne)
 {
     const LintResult r = lintPaths({fixtureRoot}, fixtureRoot);
-    EXPECT_EQ(r.filesScanned, 25u);
-    EXPECT_EQ(r.diagnostics.size(), 26u);
+    EXPECT_EQ(r.filesScanned, 26u);
+    EXPECT_EQ(r.diagnostics.size(), 27u);
     EXPECT_EQ(exitCode(r), 1);
 }
 
@@ -677,6 +688,22 @@ TEST(LintSelfCheck, DeletingAnHbmFieldsLineFailsTheSweep)
     EXPECT_NE(r.diagnostics[0].message.find("'inflightTx'"),
               std::string::npos);
     EXPECT_EQ(exitCode(r), 1);
+}
+
+TEST(LintSelfCheck, DeletingAnHbmConfigFieldsLineFailsTheSweep)
+{
+    // The config twin of the mutation above, also applied in CI: drop
+    // tCl from HbmConfig's field list and the same rule must fire.
+    const std::string header = slurpFile(repoRoot + "/src/mem/hbm.hh");
+    const auto lint = [](const std::string &hh) {
+        return lintBuffer("hbm.hh", "src/mem/hbm.hh", hh);
+    };
+    ASSERT_TRUE(lint(header).empty());
+    const auto diags = lint(deleteLineContaining(header, "v(\"hbm.tCl\""));
+    ASSERT_EQ(diags.size(), 1u);
+    EXPECT_EQ(diags[0].rule, "checkpoint-field-coverage");
+    EXPECT_NE(diags[0].message.find("'HbmConfig' field 'tCl'"),
+              std::string::npos);
 }
 
 TEST(LintSelfCheck, SweepModelsBothAcceleratorsThroughTheirFrame)

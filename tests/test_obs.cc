@@ -14,6 +14,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "algo/vcpm.hh"
@@ -248,20 +249,53 @@ TEST(Manifest, Fnv1aMatchesReferenceVectors)
     EXPECT_EQ(harness::hashHex(0), "0000000000000000");
 }
 
+/** Perturb every field fields() lists (+1, or flip a bool): the hash
+ *  must move, and restoring the field must restore it. */
+template <typename Config>
+void
+expectEveryFieldMovesTheHash()
+{
+    Config c;
+    const std::string base = harness::configHash(c);
+    EXPECT_EQ(base, harness::configHash(Config{}));
+    EXPECT_EQ(base.size(), 16u);
+    unsigned visited = 0;
+    auto v = [&](const char *name, auto &field) {
+        SCOPED_TRACE(name);
+        ++visited;
+        const auto saved = field;
+        if constexpr (std::is_same_v<decltype(saved), const bool>)
+            field = !field;
+        else
+            field += 1;
+        EXPECT_NE(harness::configHash(c), base);
+        field = saved;
+        EXPECT_EQ(harness::configHash(c), base);
+    };
+    Config::fields(c, v);
+    EXPECT_GT(visited, 10u);
+}
+
 TEST(Manifest, ConfigHashIsStableAndFieldSensitive)
 {
-    core::GdsConfig a;
-    core::GdsConfig b;
-    EXPECT_EQ(harness::configHash(a), harness::configHash(b));
-    EXPECT_EQ(harness::configHash(a).size(), 16u);
-    b.numPes += 1;
-    EXPECT_NE(harness::configHash(a), harness::configHash(b));
-    core::GdsConfig c;
-    c.hbm.numChannels += 1; // memory knobs must be covered too
-    EXPECT_NE(harness::configHash(a), harness::configHash(c));
-    c.hbm.numChannels -= 1;
-    c.workloadBalance = !c.workloadBalance;
-    EXPECT_NE(harness::configHash(a), harness::configHash(c));
+    expectEveryFieldMovesTheHash<core::GdsConfig>();
+    expectEveryFieldMovesTheHash<baseline::GraphicionadoConfig>();
+    expectEveryFieldMovesTheHash<baseline::GunrockConfig>();
+}
+
+TEST(Manifest, ConfigHashMatchesRecordedGoldens)
+{
+    // Pinned: the hash keys gds_sim and harness checkpoints and the
+    // manifest, so an encoding, field-name or default change that moves
+    // these must be deliberate.
+    EXPECT_EQ(harness::configHash(core::GdsConfig{}), "82a235a13d59c578");
+    EXPECT_EQ(harness::configHash(harness::applyVariant(
+                  core::GdsConfig{}, harness::GdsVariant::Wb)),
+              "24a63fd470e9b373");
+    EXPECT_EQ(harness::configHash(baseline::GraphicionadoConfig{}),
+              "de257a2a2c5c1b65");
+    EXPECT_EQ(harness::configHash(baseline::GunrockConfig{}),
+              "f9c594592b00be93");
 }
 
 TEST(Manifest, DifferentModelsNeverCollide)

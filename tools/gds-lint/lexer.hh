@@ -56,9 +56,10 @@ struct Suppression
 
 /**
  * A parsed `// gds-ckpt: skip(<field>) <justification>` directive: the
- * named data member of a Component declared in this file is exempt from
- * R8 checkpoint-field-coverage (config-derived or per-call scratch state
- * that the constructor rebuilds and fields() must not list).
+ * named data member of the class whose body holds the directive is
+ * exempt from R8 checkpoint-field-coverage (config-derived or per-call
+ * scratch state that the constructor rebuilds and fields() must not
+ * list).
  */
 struct CkptSkip
 {

@@ -259,9 +259,10 @@ ruleDescription(const std::string &rule)
         return "Component subclasses override the serialization pair "
                "saveState()/restoreState()";
     if (rule == "checkpoint-field-coverage")
-        return "every component data member is listed in its fields() "
-               "checkpoint visitor, or carries a justified "
-               "gds-ckpt: skip(<field>) exemption";
+        return "every data member of a component or of a class with a "
+               "fields() list (configs, records) is listed in fields(), "
+               "or carries a justified gds-ckpt: skip(<field>) "
+               "exemption";
     if (rule == "env-knob-discipline")
         return "GDS_* environment knobs are read through the "
                "common/parse helpers, never raw std::getenv";

@@ -35,7 +35,7 @@ usage()
         "\nSuppress one finding with a justified comment on (or directly\n"
         "above) the offending line:\n"
         "  // gds-lint: allow(<rule>) <justification>\n"
-        "Exempt one config-derived field from checkpoint-field-coverage\n"
+        "Exempt one derived field from checkpoint-field-coverage\n"
         "with an own-line comment above its declaration:\n"
         "  // gds-ckpt: skip(<field>) <justification>\n"
         "\n--sarif=FILE writes a SARIF 2.1.0 log for CI code scanning.\n"

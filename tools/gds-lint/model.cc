@@ -55,7 +55,7 @@ isNonMemberLead(const Token &t)
  *  first definition wins); returns the index of its closing brace. */
 std::size_t
 captureFields(const std::vector<Token> &toks, std::size_t open,
-              ComponentModel &cm)
+              ModeledClass &cm)
 {
     const std::size_t close = skipBraced(toks, open) - 1;
     if (!cm.fieldsBody.defined) {
@@ -74,7 +74,7 @@ captureFields(const std::vector<Token> &toks, std::size_t open,
  */
 void
 parseClassBody(const std::vector<Token> &toks, std::size_t open,
-               ComponentModel &cm)
+               ModeledClass &cm)
 {
     const std::size_t end = skipBraced(toks, open) - 1; // the '}' itself
     std::size_t i = open + 1;
@@ -89,10 +89,14 @@ parseClassBody(const std::vector<Token> &toks, std::size_t open,
 
         // Collect the statement prefix: tokens up to the first ';', '=',
         // '{' or '(' at statement level (angle brackets of template
-        // arguments never contain any of those in this codebase).
+        // arguments never contain any of those in this codebase). The '='
+        // of an `operator=` declaration belongs to the function's name.
         const std::size_t stmt_begin = i;
         std::size_t j = i;
-        while (j < end && !isPunct(toks[j], ";") && !isPunct(toks[j], "=") &&
+        const auto assigns = [&](std::size_t k) {
+            return isPunct(toks[k], "=") && !isIdent(toks[k - 1], "operator");
+        };
+        while (j < end && !isPunct(toks[j], ";") && !assigns(j) &&
                !isPunct(toks[j], "{") && !isPunct(toks[j], "("))
             ++j;
         if (j >= end) {
@@ -105,6 +109,7 @@ parseClassBody(const std::vector<Token> &toks, std::size_t open,
             // whether it is the fields() list.
             const bool is_fields =
                 j > stmt_begin && isIdent(toks[j - 1], "fields");
+            cm.declaresFields = cm.declaresFields || is_fields;
             // Skip to the end of the declaration or definition: past the
             // parameter list, any qualifiers/initializer list, then either
             // ';' or a brace body.
@@ -198,7 +203,7 @@ parseClassBody(const std::vector<Token> &toks, std::size_t open,
     }
 }
 
-/** One `class|struct Name [final] : bases {` definition. */
+/** One `class|struct Name [final] [: bases] {` definition. */
 struct ClassDef
 {
     const LexedFile *file;
@@ -208,7 +213,7 @@ struct ClassDef
     std::vector<std::string> bases; ///< identifiers of the base clause
 };
 
-/** Append every class definition with a base clause in @p file. */
+/** Append every class definition in @p file (not `enum class`). */
 void
 collectClassDefs(const LexedFile &file, const std::string &rel,
                  std::vector<ClassDef> &out)
@@ -217,20 +222,21 @@ collectClassDefs(const LexedFile &file, const std::string &rel,
     for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
         if (!isIdent(toks[i], "class") && !isIdent(toks[i], "struct"))
             continue;
-        if (toks[i + 1].kind != TokKind::Identifier)
+        if (toks[i + 1].kind != TokKind::Identifier ||
+            (i > 0 && isIdent(toks[i - 1], "enum")))
             continue;
         std::size_t j = i + 2;
         if (j < toks.size() && isIdent(toks[j], "final"))
             ++j;
-        if (j >= toks.size() || !isPunct(toks[j], ":"))
-            continue;
-        ++j;
         ClassDef def{&file, rel, i, 0, {}};
-        while (j < toks.size() && !isPunct(toks[j], "{") &&
-               !isPunct(toks[j], ";")) {
-            if (toks[j].kind == TokKind::Identifier)
-                def.bases.push_back(toks[j].text);
+        if (j < toks.size() && isPunct(toks[j], ":")) {
             ++j;
+            while (j < toks.size() && !isPunct(toks[j], "{") &&
+                   !isPunct(toks[j], ";")) {
+                if (toks[j].kind == TokKind::Identifier)
+                    def.bases.push_back(toks[j].text);
+                ++j;
+            }
         }
         if (j >= toks.size() || !isPunct(toks[j], "{"))
             continue;
@@ -240,13 +246,15 @@ collectClassDefs(const LexedFile &file, const std::string &rel,
 }
 
 /**
- * Model every class whose base clause names `Component` or a class
- * already modeled, so components derived through an intermediate base
- * (the accelerators over their frame) are covered too. Bases may be
- * defined in any scanned file, so the set grows to a fixed point.
+ * Model every component — a class whose base clause names `Component`
+ * or a component already found, so classes derived through an
+ * intermediate base (the accelerators over their frame) are covered
+ * too; bases may be defined in any scanned file, so the set grows to a
+ * fixed point — and every other class that declares a fields() list
+ * (configs, records).
  */
 void
-collectComponents(const std::vector<ClassDef> &defs, ClassModel &model)
+collectClasses(const std::vector<ClassDef> &defs, ClassModel &model)
 {
     std::unordered_set<std::string> modeled;
     std::vector<bool> is_component(defs.size(), false);
@@ -270,18 +278,19 @@ collectComponents(const std::vector<ClassDef> &defs, ClassModel &model)
     }
 
     for (std::size_t k = 0; k < defs.size(); ++k) {
-        if (!is_component[k])
-            continue;
         const ClassDef &def = defs[k];
         const auto &toks = def.file->tokens;
-        ComponentModel cm;
+        ModeledClass cm;
         cm.name = toks[def.keyword + 1].text;
         cm.file = def.file->path;
         cm.relPath = def.relPath;
         cm.line = toks[def.keyword].line;
+        cm.bodyFirstLine = toks[def.open].line;
+        cm.bodyLastLine = toks[skipBraced(toks, def.open) - 1].line;
         cm.skips = def.file->ckptSkips;
         parseClassBody(toks, def.open, cm);
-        model.components.push_back(std::move(cm));
+        if (is_component[k] || cm.declaresFields)
+            model.classes.push_back(std::move(cm));
     }
 }
 
@@ -290,9 +299,12 @@ collectComponents(const std::vector<ClassDef> &defs, ClassModel &model)
 void
 collectOutOfLineBodies(const LexedFile &file, ClassModel &model)
 {
-    std::unordered_map<std::string, ComponentModel *> by_name;
-    for (ComponentModel &cm : model.components)
-        by_name.emplace(cm.name, &cm);
+    // Only classes still missing a body: a nested struct sharing its
+    // name with another class must not capture that class's list.
+    std::unordered_map<std::string, ModeledClass *> by_name;
+    for (ModeledClass &cm : model.classes)
+        if (!cm.fieldsBody.defined)
+            by_name.emplace(cm.name, &cm);
 
     const auto &toks = file.tokens;
     for (std::size_t i = 0; i + 3 < toks.size(); ++i) {
@@ -347,7 +359,7 @@ buildModel(const std::vector<LexedFile> &files,
     std::vector<ClassDef> defs;
     for (std::size_t i = 0; i < files.size(); ++i)
         collectClassDefs(files[i], rel_paths[i], defs);
-    collectComponents(defs, model);
+    collectClasses(defs, model);
     for (const LexedFile &file : files)
         collectOutOfLineBodies(file, model);
     return model;
@@ -361,12 +373,12 @@ runModelRules(const ClassModel &model, std::vector<Diagnostic> &out)
     // collect the per-file field universe first so they can be rejected.
     std::map<std::string, std::unordered_set<std::string>> fields_by_file;
     std::map<std::string, const CkptSkip *> reported_skips;
-    for (const ComponentModel &cm : model.components) {
+    for (const ModeledClass &cm : model.classes) {
         auto &set = fields_by_file[cm.file];
         for (const FieldDecl &f : cm.fields)
             set.insert(f.name);
     }
-    for (const ComponentModel &cm : model.components) {
+    for (const ModeledClass &cm : model.classes) {
         const auto &known = fields_by_file[cm.file];
         for (const CkptSkip &skip : cm.skips) {
             if (known.count(skip.field) != 0)
@@ -379,13 +391,13 @@ runModelRules(const ClassModel &model, std::vector<Diagnostic> &out)
                 continue;
             out.push_back({cm.file, skip.line, "bad-suppression",
                            "gds-ckpt: skip(" + skip.field + ") names no "
-                           "data member of a Component declared in this "
-                           "file",
+                           "data member of a class with a fields() list "
+                           "declared in this file",
                            false});
         }
     }
 
-    for (const ComponentModel &cm : model.components) {
+    for (const ModeledClass &cm : model.classes) {
         // Without the fields() body visible there is nothing semantic to
         // check: R7 (checkpoint-hooks) polices that the hooks exist, and
         // a partial view (single-file lint of a header whose fields()
@@ -393,9 +405,12 @@ runModelRules(const ClassModel &model, std::vector<Diagnostic> &out)
         if (!cm.fieldsBody.defined)
             continue;
 
+        // A directive applies to the class whose body holds it, so two
+        // classes of one file may skip and list a same-named member.
         std::unordered_set<std::string> skipped;
         for (const CkptSkip &skip : cm.skips)
-            skipped.insert(skip.field);
+            if (skip.line > cm.bodyFirstLine && skip.line < cm.bodyLastLine)
+                skipped.insert(skip.field);
 
         // R8: every field listed in fields(), skipped, or stats-typed.
         for (const FieldDecl &f : cm.fields) {
@@ -415,12 +430,12 @@ runModelRules(const ClassModel &model, std::vector<Diagnostic> &out)
             if (listed)
                 continue;
             out.push_back({cm.file, f.line, "checkpoint-field-coverage",
-                           "Component '" + cm.name + "' field '" + f.name +
-                           "' is missing from fields(): a checkpoint "
-                           "silently drops it and every resume diverges; "
-                           "list it in fields() or annotate "
+                           "'" + cm.name + "' field '" + f.name +
+                           "' is missing from fields(): every walk of the "
+                           "list (checkpoints, configHash, --set) silently "
+                           "drops it; list it in fields() or annotate "
                            "'// gds-ckpt: skip(" + f.name +
-                           ") <justification>' for config-derived state",
+                           ") <justification>' for derived state",
                            false});
         }
     }

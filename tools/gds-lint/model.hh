@@ -8,11 +8,13 @@
  * the second pass that closes that gap: it parses the token streams of
  * every scanned file together into a symbol table of Component
  * subclasses, direct or through a modeled base such as the accelerator
- * frame — each with its non-static data members (name, declared
- * type, line) and the body of its static `fields(self, ar)` list, the
- * one field list both saveState() and restoreState() walk, whether
- * defined inline in the class or out-of-line as `Class::fields` in
- * another file — and runs the rule that needs the whole picture:
+ * frame, and of every other class that declares a static fields() list
+ * (the config structs configHash and gds_sim --set walk, RunRecord).
+ * Each entry holds its non-static data members (name, declared type,
+ * line) and the body of its static `fields(self, ar)` list, the one
+ * field list every consumer walks, whether defined inline in the class
+ * or out-of-line as `Class::fields` in another file. The rule that needs
+ * the whole picture:
  *
  *  - checkpoint-field-coverage  R8: every data member is referenced in
  *    fields(), or carries an own-line `// gds-ckpt: skip(<field>)
@@ -44,7 +46,7 @@ namespace gds::lint
 
 struct Diagnostic;
 
-/** One non-static data member of a modeled component. */
+/** One non-static data member of a modeled class. */
 struct FieldDecl
 {
     std::string name;
@@ -53,29 +55,33 @@ struct FieldDecl
     bool statsType;       ///< type mentions stats:: (base class covers it)
 };
 
-/** The captured body of a component's fields() list. */
+/** The captured body of a class's fields() list. */
 struct FieldsBody
 {
     bool defined = false;  ///< a brace body was found and captured
     std::vector<Token> tokens; ///< body tokens, braces excluded
 };
 
-/** One sim::Component subclass with everything the model rules need. */
-struct ComponentModel
+/** One component or fields()-listing class with everything the model
+ *  rules need. */
+struct ModeledClass
 {
     std::string name;
     std::string file;     ///< file of the class definition
     std::string relPath;  ///< repo-relative path of that file
     std::size_t line = 0; ///< line of the class keyword
+    std::size_t bodyFirstLine = 0; ///< line of the body's '{'
+    std::size_t bodyLastLine = 0;  ///< line of the body's '}'
     std::vector<FieldDecl> fields;
     std::vector<CkptSkip> skips; ///< gds-ckpt directives of the file
     FieldsBody fieldsBody;
+    bool declaresFields = false; ///< the body declares a fields() list
 };
 
 /** The cross-TU symbol table built from every scanned file. */
 struct ClassModel
 {
-    std::vector<ComponentModel> components;
+    std::vector<ModeledClass> classes;
 };
 
 /**

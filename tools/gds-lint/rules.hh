@@ -30,12 +30,13 @@
  *                      a component missing either silently drops its state
  *                      from every mid-run checkpoint.
  *  - checkpoint-field-coverage
- *                      R8: every non-static data member of a component is
- *                      referenced in its static fields() list — the one
- *                      list saveState() and restoreState() both walk — or
- *                      carries an own-line `// gds-ckpt: skip(<field>)
- *                      <justification>` exemption (cross-file; see
- *                      model.hh).
+ *                      R8: every non-static data member of a component,
+ *                      or of any class declaring a static fields() list
+ *                      (configs, RunRecord), is referenced in that list —
+ *                      the one list checkpoints, configHash and --set
+ *                      walk — or carries an own-line `// gds-ckpt:
+ *                      skip(<field>) <justification>` exemption
+ *                      (cross-file; see model.hh).
  *  - env-knob-discipline
  *                      R10: `std::getenv("GDS_…")` only inside
  *                      src/common/parse.cc; every knob goes through the
