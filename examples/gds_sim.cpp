@@ -225,7 +225,8 @@ parseArgs(int argc, char **argv)
         harness::setConfigField(opts.configs, setting);
     for (const char *violation :
          {core::configContractViolation(opts.configs.gds),
-          baseline::configContractViolation(opts.configs.gi)})
+          baseline::configContractViolation(opts.configs.gi),
+          baseline::gunrockContractViolation(opts.configs.gunrock)})
         if (violation)
             throw ConfigError(violation);
     if (opts.checkpointDir.empty() &&

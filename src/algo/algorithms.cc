@@ -16,7 +16,7 @@ namespace
 {
 
 /** BFS: prop = level; relax min(level_u + 1). */
-class Bfs : public VcpmAlgorithm
+class Bfs final : public VcpmKernels<Bfs>
 {
   public:
     AlgorithmId id() const override { return AlgorithmId::Bfs; }
@@ -58,7 +58,7 @@ class Bfs : public VcpmAlgorithm
 };
 
 /** SSSP: prop = distance; relax min(dist_u + w). */
-class Sssp : public VcpmAlgorithm
+class Sssp final : public VcpmKernels<Sssp>
 {
   public:
     AlgorithmId id() const override { return AlgorithmId::Sssp; }
@@ -100,7 +100,7 @@ class Sssp : public VcpmAlgorithm
 };
 
 /** CC: prop = component label; propagate the minimum label. */
-class Cc : public VcpmAlgorithm
+class Cc final : public VcpmKernels<Cc>
 {
   public:
     AlgorithmId id() const override { return AlgorithmId::Cc; }
@@ -141,7 +141,7 @@ class Cc : public VcpmAlgorithm
 };
 
 /** SSWP: prop = bottleneck width; maximize min(width_u, w). */
-class Sswp : public VcpmAlgorithm
+class Sswp final : public VcpmKernels<Sswp>
 {
   public:
     AlgorithmId id() const override { return AlgorithmId::Sswp; }
@@ -188,7 +188,7 @@ class Sswp : public VcpmAlgorithm
  * alpha = (1 - d) / V and beta = d = 0.85. tProp accumulates contributions
  * afresh every iteration (identity 0, reset after Apply).
  */
-class Pr : public VcpmAlgorithm
+class Pr final : public VcpmKernels<Pr>
 {
   public:
     AlgorithmId id() const override { return AlgorithmId::Pr; }

@@ -116,22 +116,8 @@ runReference(const graph::Csr &g, VcpmAlgorithm &algorithm, VertexId source,
 
         // --- Apply phase ---
         active.clear();
-        for (VertexId v = 0; v < v_count; ++v) {
-            const PropValue cp =
-                algorithm.usesConstProp() ? c_prop[v] : PropValue{0};
-            const PropValue apply_res =
-                algorithm.apply(prop[v], t_prop[v], cp);
-            if (algorithm.changed(prop[v], apply_res)) {
-                prop[v] = apply_res;
-                active.push_back(v);
-                ++trace.vertexUpdates;
-            } else if (algorithm.tPropResetsEachIteration()) {
-                // PR stores the converged rank even when within tolerance.
-                prop[v] = apply_res;
-            }
-            if (algorithm.tPropResetsEachIteration())
-                t_prop[v] = algorithm.tPropIdentity(v, g, source);
-        }
+        algorithm.applyRange(prop, t_prop, c_prop, 0, v_count, active);
+        trace.vertexUpdates = active.size();
 
         result.totalEdgesProcessed += trace.edgesProcessed;
         result.totalVertexUpdates += trace.vertexUpdates;

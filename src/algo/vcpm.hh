@@ -20,7 +20,9 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/types.hh"
 #include "graph/csr.hh"
@@ -108,6 +110,55 @@ class VcpmAlgorithm
     changed(PropValue old_prop, PropValue new_prop) const
     {
         return old_prop != new_prop;
+    }
+
+    /**
+     * Algorithm 1's Apply over the vertices [begin, begin + count), in
+     * ascending order: each vertex's apply() result replaces prop[v] when
+     * changed() says so (or always, when tProp resets each iteration), a
+     * resetting tProp returns to 0, the reduce identity of every
+     * resetting kernel (PR's sum). Appends each changed vertex to
+     * @p changed_out. @p c_prop is empty unless usesConstProp(). One
+     * virtual call per range: VcpmKernels implements it once for every
+     * kernel class.
+     */
+    virtual void applyRange(std::span<PropValue> prop,
+                            std::span<PropValue> t_prop,
+                            std::span<const PropValue> c_prop,
+                            VertexId begin, std::size_t count,
+                            std::vector<VertexId> &changed_out) const = 0;
+};
+
+/**
+ * applyRange written once over a final kernel class @p K: it calls
+ * K::apply and K::changed by qualified name, so the per-vertex kernels
+ * inline instead of dispatching virtually.
+ */
+template <typename K>
+class VcpmKernels : public VcpmAlgorithm
+{
+  public:
+    void
+    applyRange(std::span<PropValue> prop, std::span<PropValue> t_prop,
+               std::span<const PropValue> c_prop, VertexId begin,
+               std::size_t count,
+               std::vector<VertexId> &changed_out) const final
+    {
+        const K &k = static_cast<const K &>(*this);
+        const bool resets = k.K::tPropResetsEachIteration();
+        const VertexId end = begin + static_cast<VertexId>(count);
+        for (VertexId v = begin; v < end; ++v) {
+            const PropValue cp = c_prop.empty() ? PropValue{0} : c_prop[v];
+            const PropValue res = k.K::apply(prop[v], t_prop[v], cp);
+            if (k.K::changed(prop[v], res)) {
+                prop[v] = res;
+                changed_out.push_back(v);
+            } else if (resets) {
+                prop[v] = res;
+            }
+            if (resets)
+                t_prop[v] = 0.0f;
+        }
     }
 };
 

@@ -11,6 +11,8 @@ GunrockSim::GunrockSim(const GunrockConfig &config, const graph::Csr &g,
                        algo::VcpmAlgorithm &algorithm)
     : cfg(config), graph(g), algo(algorithm)
 {
+    if (const char *violation = gunrockContractViolation(cfg))
+        throw ConfigError(violation);
     if (algo.usesWeights() && !graph.hasWeights())
         throw ConfigError(algo.name() + " needs a weighted graph");
 }

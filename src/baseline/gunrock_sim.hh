@@ -92,6 +92,45 @@ struct GunrockConfig
     }
 };
 
+/**
+ * First violated Gunrock configuration contract, or nullptr. The model
+ * divides by the clock, the core count, the warp size and the memory
+ * bandwidth, so a zero there turns every time into inf; a zero sector
+ * size drops all random traffic. Costs and powers may be zero but not
+ * negative, the hit rate is a probability, and the board cannot draw
+ * less busy than idle. GunrockSim's constructor throws ConfigError on a
+ * violation.
+ */
+constexpr const char *
+gunrockContractViolation(const GunrockConfig &c)
+{
+    if (!(c.clockGhz > 0.0))
+        return "clockGhz must be positive";
+    if (c.numCores == 0)
+        return "numCores must be nonzero";
+    if (c.warpSize == 0)
+        return "warpSize must be nonzero";
+    if (!(c.memBandwidthGBs > 0.0))
+        return "memBandwidthGBs must be positive";
+    if (c.cachelineBytes == 0)
+        return "cachelineBytes must be nonzero";
+    for (const double cost :
+         {c.cyclesPerEdge, c.cyclesPerApply, c.atomicSerializeNs,
+          c.kernelLaunchUs, c.preprocessNsPerEdge, c.preprocessNsPerVertex,
+          c.idlePowerW}) {
+        if (!(cost >= 0.0))
+            return "Gunrock costs and idlePowerW must not be negative";
+    }
+    if (!(c.vertexPropHitRate >= 0.0 && c.vertexPropHitRate <= 1.0))
+        return "vertexPropHitRate must lie in [0, 1]";
+    if (!(c.activePowerW >= c.idlePowerW))
+        return "activePowerW must be at least idlePowerW";
+    return nullptr;
+}
+
+static_assert(gunrockContractViolation(GunrockConfig{}) == nullptr,
+              "default GunrockConfig violates its own contracts");
+
 /** Model output, aligned with core::RunResult where it makes sense. */
 struct GunrockResult
 {
@@ -117,6 +156,9 @@ struct GunrockResult
 class GunrockSim
 {
   public:
+    /** @throws ConfigError when the configuration breaks a contract of
+     *  gunrockContractViolation() or the graph lacks the algorithm's
+     *  weights. */
     GunrockSim(const GunrockConfig &config, const graph::Csr &g,
                algo::VcpmAlgorithm &algorithm);
 

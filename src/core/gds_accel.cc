@@ -75,6 +75,7 @@ GdsAccel::GdsAccel(const GdsConfig &config, const graph::Csr &g,
     for (unsigned i = 0; i < cfg.numUes; ++i)
         ues.emplace_back(cfg.ueQueueDepth);
     uesNonEmpty = makeBitMask(cfg.numUes);
+    pesApplyBusy = makeBitMask(cfg.numPes);
 }
 
 void
@@ -87,6 +88,7 @@ GdsAccel::prepareRun()
     // a daemon where many jobs share one process.
     perfectMem = common::envFlag("GDS_PERFECT_MEM");
     readyGroup.assign(groupIndexOf(fullGraph.numVertices() - 1) + 1, 0);
+    readyList.clear();
 }
 
 void
@@ -170,17 +172,18 @@ GdsAccel::datapathState(std::ostream &os) const
            << " auBuffered=" << ap.auBufferedRecords
            << " propWrites=" << ap.propWrites.size() << "]";
     }
-    std::size_t edge_q = 0, apply_q = 0, ue_q = 0, vpb_q = 0;
+    std::size_t edge_q = 0, apply_q = 0, vb_q = 0, ue_q = 0, vpb_q = 0;
     for (const Pe &pe : pes) {
         edge_q += pe.edgeQueue.size();
-        apply_q += pe.applyQueue.size() + pe.vbStage.size();
+        apply_q += pe.applyQueue.size();
+        vb_q += pe.vbStage.size();
     }
     for (const Ue &ue : ues)
         ue_q += ue.inbox.size();
     for (const De &de : des)
         vpb_q += de.vpb.size();
     os << " queues[vpb=" << vpb_q << " edge=" << edge_q
-       << " apply=" << apply_q << " ue=" << ue_q << "]";
+       << " apply=" << apply_q << " vb=" << vb_q << " ue=" << ue_q << "]";
 }
 
 void
@@ -231,11 +234,16 @@ GdsAccel::drainResponses()
 Cycle
 GdsAccel::extraEventHorizon() const
 {
-    // In Apply, a VB-pipeline entry maturing ends a wait.
+    // In Apply, a busy PE's VB-stage head maturing at cycle t ends a
+    // wait at the tick of cycle t, the (t - now + 1)-th tick from here.
     Cycle horizon = kNeverEvent;
-    if (phase == Phase::ApplyPhase) {
-        for (const Pe &pe : pes)
-            horizon = std::min(horizon, pe.vbStage.cyclesUntilReady());
+    if (phase != Phase::ApplyPhase)
+        return horizon;
+    for (unsigned p = nextSetBit(pesApplyBusy, 0); p < cfg.numPes;
+         p = nextSetBit(pesApplyBusy, p + 1)) {
+        const Cycle wait = pes[p].vbStage.cyclesUntilReady(now);
+        if (wait != sim::DelayQueue<ApplyList>::kNever)
+            horizon = std::min(horizon, wait + 1);
     }
     return horizon;
 }
@@ -243,9 +251,10 @@ GdsAccel::extraEventHorizon() const
 void
 GdsAccel::replaySkip(Cycle cycles)
 {
-    // Per-DE and commit bottleneck attribution (the quiescence predicate
-    // pinned down which branch every skipped cycle would have taken) and
-    // the VB pipeline clocks.
+    // Per-DE and commit bottleneck attribution: the quiescence predicate
+    // pinned down which branch every skipped cycle would have taken.
+    // Apply keeps no per-cycle bookkeeping (the VB stage reads the
+    // frame's clock).
     switch (phase) {
       case Phase::ScatterPhase:
         for (const De &de : des) {
@@ -262,9 +271,6 @@ GdsAccel::replaySkip(Cycle cycles)
         }
         break;
       case Phase::ApplyPhase:
-        for (Pe &pe : pes)
-            pe.vbStage.advance(cycles);
-        break;
       case Phase::Finished:
         break;
     }
@@ -319,9 +325,18 @@ GdsAccel::restoreDatapath(sim::Deserializer &d)
 {
     fields(*this, d);
 
-    // The UE occupancy mask is derived state, never serialized.
+    // The occupancy masks and the ready-group list are derived state,
+    // never serialized.
     for (unsigned u = 0; u < cfg.numUes; ++u)
         assignBit(uesNonEmpty, u, !ues[u].inbox.empty());
+    for (unsigned p = 0; p < cfg.numPes; ++p)
+        assignBit(pesApplyBusy, p,
+                  !pes[p].applyQueue.empty() || !pes[p].vbStage.empty());
+    readyList.clear();
+    for (std::uint64_t g = 0; g < readyGroup.size(); ++g) {
+        if (readyGroup[g] != 0)
+            readyList.push_back(g);
+    }
 }
 
 } // namespace gds::core

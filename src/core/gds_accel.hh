@@ -199,6 +199,22 @@ class GdsAccel final : public VcpmAccel
         std::vector<RecordFetch> fetch;
         std::vector<std::vector<std::uint64_t>> fetchBatches;
         std::uint64_t bufferedEdges = 0;
+
+        /** A fresh phase's state; the containers keep their storage,
+         *  since the phase restarts every slice of every iteration. */
+        void
+        reset()
+        {
+            recordsTotal = expectedEdges = batchesTotal = batchesIssued = 0;
+            batchReady.clear();
+            commitCursor = recordsDispatched = edgesReduced = 0;
+            fillOutstanding = fillBytesLeft = 0;
+            fillCursor = 0;
+            eprefPending.clear();
+            fetch.clear();
+            fetchBatches.clear();
+            bufferedEdges = 0;
+        }
     };
 
     struct GroupFetch
@@ -211,7 +227,8 @@ class GdsAccel final : public VcpmAccel
 
     struct ApplyState
     {
-        std::vector<VertexId> groups; ///< start vid of each ready group
+        /** First vertex of each ready group's part inside the slice. */
+        std::vector<VertexId> groups;
         std::vector<GroupFetch> fetch;
         std::uint64_t groupsRequested = 0;
         std::uint64_t commitCursor = 0; ///< group currently pushing lists
@@ -219,6 +236,18 @@ class GdsAccel final : public VcpmAccel
         std::uint64_t auBufferedRecords = 0;
         Addr auWriteCursor = 0;
         std::deque<std::pair<Addr, unsigned>> propWrites;
+
+        /** A fresh phase's state, keeping the containers' storage. */
+        void
+        reset()
+        {
+            groups.clear();
+            fetch.clear();
+            groupsRequested = commitCursor = groupsCompleted = 0;
+            auBufferedRecords = 0;
+            auWriteCursor = 0;
+            propWrites.clear();
+        }
     };
 
     // ------------------------------------------------------------------
@@ -261,13 +290,14 @@ class GdsAccel final : public VcpmAccel
     void tickApplyPrefetch();
     void tickApplyCommit();
     void tickPesApply();
-    void applyVertex(VertexId v);
     void flushAu(bool force);
 
     std::uint64_t groupIndexOf(VertexId v) const
     {
         return v / cfg.rbGroupSize;
     }
+    /** End of the current slice's part of the group holding @p v. */
+    VertexId groupPartEnd(VertexId v) const;
 
     // gds-ckpt: skip(cfg) construction-time configuration; resume verifies
     // the config hash instead of serializing it
@@ -275,6 +305,14 @@ class GdsAccel final : public VcpmAccel
     std::unique_ptr<mem::Crossbar> xbar;
     /** Ready-to-Update Bitmap: one bit per rbGroupSize vertices. */
     std::vector<std::uint8_t> readyGroup;
+    /**
+     * The groups whose bit is set, in the order Scatter set them: Apply
+     * takes its slice's ready groups from here instead of walking the
+     * slice's bits.
+     */
+    // gds-ckpt: skip(readyList) derived from readyGroup; rebuilt at the
+    // end of restoreDatapath()
+    std::vector<std::uint64_t> readyList;
 
     // Microarchitectural state.
     std::vector<De> des;
@@ -298,6 +336,19 @@ class GdsAccel final : public VcpmAccel
     // gds-ckpt: skip(uesNonEmpty) derived from the UE inboxes; rebuilt at
     // the end of restoreDatapath()
     BitMask uesNonEmpty;
+    /**
+     * PEs holding a queued or in-flight apply list, one bit per PE: the
+     * Apply stage walks and its fast-forward predicates visit only these,
+     * in ascending PE order. tickApplyCommit() sets a PE's bit when it
+     * pushes a list; tickPesApply() clears it once the PE's list queue
+     * and VB stage are both empty.
+     */
+    // gds-ckpt: skip(pesApplyBusy) derived from the PE apply queues;
+    // rebuilt at the end of restoreDatapath()
+    BitMask pesApplyBusy;
+    /** Vertices the list being applied changed (per-list scratch). */
+    // gds-ckpt: skip(appliedChanged) per-list scratch, dead between lists
+    std::vector<VertexId> appliedChanged;
     ScatterState sc;
     ApplyState ap;
     /**

@@ -18,41 +18,57 @@ namespace gds::core
 
 using detail::makeTag;
 
+VertexId
+GdsAccel::groupPartEnd(VertexId v) const
+{
+    const std::uint64_t group_end =
+        (groupIndexOf(v) + 1) * std::uint64_t{cfg.rbGroupSize};
+    return static_cast<VertexId>(
+        std::min<std::uint64_t>(group_end, sliceEnd(curSlice)));
+}
+
 void
 GdsAccel::startApply()
 {
-    ap = ApplyState{};
+    ap.reset();
     ap.auWriteCursor = layout->activeArrayBase(activeBuf ^ 1);
 
+    // Groups are global (v / rbGroupSize), so a slice boundary may cut
+    // one: Apply takes each ready group's part inside the slice,
+    // [max(lo, g * G), min(hi, (g + 1) * G)).
     const VertexId lo = sliceBegin(curSlice);
     const VertexId hi = sliceEnd(curSlice);
     std::uint64_t selected_verts = 0;
-    for (VertexId b = lo; b < hi; b += cfg.rbGroupSize) {
-        const bool ready = !cfg.updateScheduling ||
-                           readyGroup[groupIndexOf(b)] != 0;
-        if (!ready)
-            continue;
+    const auto take = [&](std::uint64_t g) {
+        const VertexId b = static_cast<VertexId>(
+            std::max<std::uint64_t>(lo, g * cfg.rbGroupSize));
+        gds_assert(groupIndexOf(b) == g && b < hi,
+                   "ready group %llu outside the slice",
+                   static_cast<unsigned long long>(g));
+        const VertexId len = groupPartEnd(b) - b;
         ap.groups.push_back(b);
-        selected_verts += std::min<VertexId>(cfg.rbGroupSize, hi - b);
+        ap.fetch.push_back(GroupFetch{.remainingVerts = len});
+        selected_verts += len;
+    };
+    if (cfg.updateScheduling) {
+        // This slice's Scatter listed each group it marked; taking them
+        // consumes their Ready-to-Update bits, which only the next
+        // Scatter of the slice can set again.
+        std::sort(readyList.begin(), readyList.end());
+        for (const std::uint64_t g : readyList) {
+            readyGroup[g] = 0;
+            take(g);
+        }
+        readyList.clear();
+    } else {
+        for (std::uint64_t g = groupIndexOf(lo); g <= groupIndexOf(hi - 1);
+             ++g)
+            take(g);
     }
-    // The selection consumes this slice's Ready-to-Update bits: only the
-    // next Scatter of the slice can set them again.
-    std::fill(readyGroup.begin() +
-                  static_cast<std::ptrdiff_t>(groupIndexOf(lo)),
-              readyGroup.begin() +
-                  static_cast<std::ptrdiff_t>(groupIndexOf(hi - 1) + 1),
-              std::uint8_t{0});
     statUpdatesSkipped += static_cast<double>((hi - lo) - selected_verts);
     DPRINTF(Apply, "%zu ready groups selected, %llu vertices skipped",
             ap.groups.size(),
             static_cast<unsigned long long>((hi - lo) - selected_verts));
-
-    ap.fetch.assign(ap.groups.size(), GroupFetch{});
-    for (std::size_t g = 0; g < ap.groups.size(); ++g) {
-        const VertexId b = ap.groups[g];
-        ap.fetch[g].remainingVerts = static_cast<std::uint32_t>(
-            std::min<VertexId>(cfg.rbGroupSize, hi - b));
-    }
 }
 
 bool
@@ -78,17 +94,18 @@ bool
 GdsAccel::applyQuiescent() const
 {
     // Mirrors tickApply() stage by stage: true only when each stage would
-    // do nothing but advance VB pipeline clocks (replayed by skipCycles())
-    // and attempt no HBM access.
+    // do nothing and attempt no HBM access.
 
     // A drained phase transitions at the end of its next tick.
     if (applyDone())
         return false;
 
     // PEs: a matured VB-stage entry applies; an empty stage slot pulls
-    // from a non-empty list queue.
-    for (const Pe &pe : pes) {
-        if (pe.vbStage.ready())
+    // from a non-empty list queue. Idle PEs can do neither.
+    for (unsigned p = nextSetBit(pesApplyBusy, 0); p < cfg.numPes;
+         p = nextSetBit(pesApplyBusy, p + 1)) {
+        const Pe &pe = pes[p];
+        if (pe.vbStage.ready(now))
             return false;
         if (!pe.applyQueue.empty() && pe.vbStage.canPush())
             return false;
@@ -204,6 +221,7 @@ GdsAccel::tickApplyCommit()
                                         len - j * cfg.vListSize));
             pe.applyQueue.push(ApplyList{
                 start, count, static_cast<std::uint32_t>(g)});
+            assignBit(pesApplyBusy, j % cfg.numPes, true);
             ++gf.listsPushed;
         }
         ++ap.commitCursor;
@@ -212,38 +230,30 @@ GdsAccel::tickApplyCommit()
 
 // ---------------------------------------------------------------------
 // PE (Apply): two-stage pipeline -- VB read (vbLatency cycles), then the
-// SIMT Apply kernel, results handed to the AUs.
+// SIMT Apply kernel over the whole list, results handed to the AUs.
 // ---------------------------------------------------------------------
-
-void
-GdsAccel::applyVertex(VertexId v)
-{
-    const PropValue cp = hasConstProp ? cProp[v] : PropValue{0};
-    const PropValue apply_res = algo.apply(prop[v], tProp[v], cp);
-    if (algo.changed(prop[v], apply_res)) {
-        prop[v] = apply_res;
-        activate(v, apply_res);
-        ap.auBufferedRecords += sliceCount; // one record per slice
-        ++statVertexUpdates;
-    } else if (algo.tPropResetsEachIteration()) {
-        prop[v] = apply_res;
-    }
-    if (algo.tPropResetsEachIteration())
-        tProp[v] = 0.0f; // PR's reduce identity
-    ++statApplyOps;
-    progressed(now);
-}
 
 void
 GdsAccel::tickPesApply()
 {
-    for (Pe &pe : pes) {
-        pe.vbStage.tick();
-        if (pe.vbStage.ready()) {
-            const ApplyList list = pe.vbStage.pop();
-            for (std::uint16_t k = 0; k < list.count; ++k)
-                applyVertex(list.startVid + k);
+    // Only PEs holding a list, in ascending order (activation order).
+    for (unsigned p = nextSetBit(pesApplyBusy, 0); p < cfg.numPes;
+         p = nextSetBit(pesApplyBusy, p + 1)) {
+        Pe &pe = pes[p];
+        if (pe.vbStage.ready(now)) {
+            const ApplyList list = pe.vbStage.pop(now);
+            appliedChanged.clear();
+            algo.applyRange(prop, tProp, cProp, list.startVid, list.count,
+                            appliedChanged);
+            for (const VertexId v : appliedChanged)
+                activate(v, prop[v]);
+            const std::size_t changed = appliedChanged.size();
+            ap.auBufferedRecords += changed * sliceCount; // per slice
+            statVertexUpdates += static_cast<double>(changed);
+            statApplyOps += list.count;
             statVbAccesses += list.count;
+            progressed(now, list.count);
+
             GroupFetch &gf = ap.fetch[list.group];
             gds_assert(gf.remainingVerts >= list.count,
                        "group vertex accounting underflow");
@@ -253,16 +263,16 @@ GdsAccel::tickPesApply()
                 // (stored regardless of the per-vertex condition flag to
                 // keep the store sequential, Sec. 5.3.2).
                 const VertexId b = ap.groups[list.group];
-                const VertexId hi = sliceEnd(curSlice);
-                const std::uint32_t len = static_cast<std::uint32_t>(
-                    std::min<VertexId>(cfg.rbGroupSize, hi - b));
+                const std::uint32_t len = groupPartEnd(b) - b;
                 ap.propWrites.push_back(
                     {layout->propAddr(b), len * bytesPerWord});
                 ++ap.groupsCompleted;
             }
         } else if (!pe.applyQueue.empty() && pe.vbStage.canPush()) {
-            pe.vbStage.push(pe.applyQueue.pop());
+            pe.vbStage.push(pe.applyQueue.pop(), now);
         }
+        if (pe.applyQueue.empty() && pe.vbStage.empty())
+            assignBit(pesApplyBusy, p, false);
     }
 }
 

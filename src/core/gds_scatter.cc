@@ -20,7 +20,7 @@ using detail::maxRequestBytes;
 void
 GdsAccel::startScatter()
 {
-    sc = ScatterState{};
+    sc.reset();
     sc.recordsTotal = active.size();
     const graph::Csr &sg = sliceGraph(curSlice);
     for (const ActiveRecord &r : active)
@@ -540,8 +540,13 @@ GdsAccel::reduceFlit(const ResultFlit &flit)
     if (new_value != old_value) {
         tProp[flit.dst] = new_value;
         ++statTPropMods;
-        if (cfg.updateScheduling)
-            readyGroup[groupIndexOf(flit.dst)] = 1;
+        if (cfg.updateScheduling) {
+            const std::uint64_t g = groupIndexOf(flit.dst);
+            if (readyGroup[g] == 0) {
+                readyGroup[g] = 1;
+                readyList.push_back(g);
+            }
+        }
     }
     ++statReduceOps;
     statVbAccesses += 2; // read + write

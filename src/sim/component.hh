@@ -127,19 +127,19 @@ class Component
     const std::vector<Component *> &children() const { return _children; }
 
     /**
-     * Record observable forward progress. @p at is the component's local
-     * cycle when known (0 when the caller has no clock); only its maximum
-     * is retained, for diagnostics.
+     * Record @p units of observable forward progress at once. @p at is
+     * the component's local cycle when known (0 when the caller has no
+     * clock); only its maximum is retained, for diagnostics.
      */
     void
-    progressed(Cycle at = 0)
+    progressed(Cycle at = 0, std::uint64_t units = 1)
     {
-        ++_progressCount;
+        _progressCount += units;
         if (at > _lastProgressAt)
             _lastProgressAt = at;
     }
 
-    /** Monotone count of progressed() calls on this component alone. */
+    /** Monotone sum of progressed() units on this component alone. */
     std::uint64_t progressCount() const { return _progressCount; }
 
     /** Largest cycle stamp passed to progressed() (component-local clock). */

@@ -6,13 +6,13 @@
  * exerts backpressure (the producer must check canPush()). DelayQueue adds
  * a fixed pipeline latency: an element pushed at cycle T becomes visible to
  * the consumer at cycle T + latency, modelling SRAM/eDRAM access pipelines.
+ * It reads the owner's clock rather than keeping one.
  */
 
 #pragma once
 
 #include <bit>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/error.hh"
@@ -141,42 +141,27 @@ class BoundedQueue
 };
 
 /**
- * FIFO whose elements become visible only after a fixed latency.
- * The owner must call tick() once per cycle.
+ * FIFO whose elements become visible only after a fixed latency, on the
+ * owner's clock: push(v, now) stamps an element pushed at cycle `now`
+ * ready at `now + latency`, and ready(now) / pop(now) compare that stamp
+ * with the owner's current cycle. The queue keeps no clock of its own, so
+ * an owner that skips idle cycles has nothing to advance.
  */
 template <typename T>
 class DelayQueue
 {
   public:
     DelayQueue(std::size_t queue_capacity, Cycle delay_cycles)
-        : _capacity(queue_capacity), delay(delay_cycles)
-    {
-        gds_assert(_capacity > 0, "queue capacity must be positive");
-    }
-
-    void tick() { ++now; }
+        : entries(queue_capacity), delay(delay_cycles)
+    {}
 
     /**
-     * Advance the local clock by @p cycles at once, in place of that many
-     * tick() calls. The caller must have established (via cyclesUntilReady)
-     * that no element matures strictly inside the skipped window.
-     */
-    void
-    advance(Cycle cycles)
-    {
-        gds_assert(entries.empty() ||
-                       entries.front().readyAt >= now + cycles,
-                   "advance() across a matured delay-queue element");
-        now += cycles;
-    }
-
-    /**
-     * Ticks until the head element matures: 0 when ready() already holds,
-     * the distance in tick() calls otherwise, or kNever when empty.
+     * Cycles from @p now until the head element matures: 0 when
+     * ready(now) already holds, kNever when the queue is empty.
      */
     static constexpr Cycle kNever = ~Cycle{0};
     Cycle
-    cyclesUntilReady() const
+    cyclesUntilReady(Cycle now) const
     {
         if (entries.empty())
             return kNever;
@@ -184,48 +169,41 @@ class DelayQueue
                                               : entries.front().readyAt - now;
     }
 
-    bool canPush() const { return entries.size() < _capacity; }
+    bool canPush() const { return entries.canPush(); }
     std::size_t size() const { return entries.size(); }
     bool empty() const { return entries.empty(); }
 
-    /** True when the head element has matured and can be popped. */
+    /** True when the head element has matured by cycle @p now. */
     bool
-    ready() const
+    ready(Cycle now) const
     {
         return !entries.empty() && entries.front().readyAt <= now;
     }
 
+    /** Enqueue @p value at cycle @p now; it matures at now + latency. */
     void
-    push(T value)
+    push(T value, Cycle now)
     {
         gds_assert(canPush(), "push into full delay queue (capacity %zu)",
-                   _capacity);
-        entries.push_back(Entry{now + delay, std::move(value)});
-    }
-
-    const T &
-    front() const
-    {
-        gds_assert(ready(), "front of non-ready delay queue");
-        return entries.front().value;
+                   entries.capacity());
+        entries.push(Entry{now + delay, std::move(value)});
     }
 
     T
-    pop()
+    pop(Cycle now)
     {
-        gds_assert(ready(), "pop from non-ready delay queue");
-        T value = std::move(entries.front().value);
-        entries.pop_front();
-        return value;
+        gds_assert(ready(now), "pop from non-ready delay queue");
+        return entries.pop().value;
     }
 
-    /** Checkpoint fields: local clock plus in-flight entries (their
-     *  readyAt stamps are relative to that clock, so both travel). */
+    /** Checkpoint fields: the in-flight entries, whose readyAt stamps
+     *  are cycles of the owner's clock (which the owner checkpoints).
+     *  The ring writes the image a std::deque of the entries would. */
     template <typename Self, typename Ar>
     static void
     fields(Self &q, Ar &ar)
     {
-        ar(q.now, q.entries);
+        ar(q.entries);
     }
 
   private:
@@ -242,12 +220,9 @@ class DelayQueue
         }
     };
 
-    // gds-ckpt: skip(_capacity) construction-time capacity
-    std::size_t _capacity;
+    BoundedQueue<Entry> entries;
     // gds-ckpt: skip(delay) construction-time latency
     Cycle delay;
-    Cycle now = 0;
-    std::deque<Entry> entries;
 };
 
 } // namespace gds::sim

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "algo/vcpm.hh"
 #include "graph/builder.hh"
 
@@ -153,6 +158,73 @@ TEST(Algorithms, ExactChangeSemanticsForNonPr)
         EXPECT_FALSE(a->changed(2.0f, 2.0f));
         EXPECT_FALSE(a->usesConstProp());
         EXPECT_FALSE(a->tPropResetsEachIteration());
+    }
+}
+
+/** Bit patterns, so that equal NaNs compare equal. */
+std::vector<std::uint32_t>
+bitsOf(const std::vector<PropValue> &values)
+{
+    std::vector<std::uint32_t> bits;
+    for (const PropValue v : values)
+        bits.push_back(std::bit_cast<std::uint32_t>(v));
+    return bits;
+}
+
+TEST(Algorithms, ApplyRangeEqualsThePerVertexKernels)
+{
+    // Operand pairs covering infinities, equal values, tiny and large
+    // moves, and changes on either side of PR's relative tolerance.
+    const std::vector<std::pair<PropValue, PropValue>> operands = {
+        {propInf, propInf}, {propInf, 3.0f},    {3.0f, propInf},
+        {0.0f, 0.0f},       {2.0f, 2.0f},       {2.0f, 1.0f},
+        {1.0f, 2.0f},       {1.0f, 1.0f + 1e-6f}, {1.0f, 1.001f},
+        {0.0f, 0.5f},       {0.02f, 0.02f},     {5.0f, 0.0f},
+        {0.125f, 0.13f},    {propInf, 0.0f},    {1e-30f, 2e-30f}};
+    const std::size_t n = operands.size();
+    const auto g = tinyGraph();
+    for (const AlgorithmId id : allAlgorithms) {
+        SCOPED_TRACE(algorithmName(id));
+        auto a = makeAlgorithm(id);
+        a->bind(g);
+        // Two guard vertices on each side of the applied range.
+        std::vector<PropValue> prop(n + 4, 9.0f);
+        std::vector<PropValue> t_prop(n + 4, 8.0f);
+        std::vector<PropValue> c_prop;
+        if (a->usesConstProp())
+            c_prop.assign(n + 4, 1.0f);
+        for (std::size_t i = 0; i < n; ++i) {
+            prop[i + 2] = operands[i].first;
+            t_prop[i + 2] = operands[i].second;
+            if (!c_prop.empty())
+                c_prop[i + 2] = static_cast<PropValue>(1 + i % 3);
+        }
+
+        std::vector<PropValue> want_prop = prop;
+        std::vector<PropValue> want_t_prop = t_prop;
+        std::vector<VertexId> want_changed;
+        for (VertexId v = 2; v < n + 2; ++v) {
+            const PropValue cp = c_prop.empty() ? 0.0f : c_prop[v];
+            const PropValue res = a->apply(want_prop[v], want_t_prop[v], cp);
+            if (a->changed(want_prop[v], res)) {
+                want_prop[v] = res;
+                want_changed.push_back(v);
+            } else if (a->tPropResetsEachIteration()) {
+                want_prop[v] = res;
+            }
+            if (a->tPropResetsEachIteration())
+                want_t_prop[v] = a->tPropIdentity(v, g, 0);
+        }
+
+        std::vector<VertexId> changed = {77}; // appended to, not cleared
+        a->applyRange(prop, t_prop, c_prop, 2, n, changed);
+        ASSERT_FALSE(changed.empty());
+        EXPECT_EQ(changed.front(), 77u);
+        changed.erase(changed.begin());
+        EXPECT_EQ(changed, want_changed);
+        EXPECT_EQ(bitsOf(prop), bitsOf(want_prop));
+        EXPECT_EQ(bitsOf(t_prop), bitsOf(want_t_prop));
+        EXPECT_FALSE(want_changed.empty());
     }
 }
 

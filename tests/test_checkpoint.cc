@@ -339,6 +339,29 @@ TEST_F(CheckpointTest, ResumeWithQueuedUeFlitsIsBitExact)
     expectResumeAtCycleIsExact(sc, g, id, cut, ref, "ue_queued");
 }
 
+TEST_F(CheckpointTest, ResumeWithInFlightVbListsIsBitExact)
+{
+    // Cut GraphDynS PR in its first Apply phase while vertex lists sit in
+    // the PEs' VB read stage: their maturity stamps are cycles of the
+    // accelerator clock, and the resumed run must rebuild which PEs are
+    // busy before it can apply them.
+    const graph::Csr g = testGraph();
+    const algo::AlgorithmId id = algo::AlgorithmId::Pr;
+    const Scenario sc;
+    const RunArtifacts ref = runScenario(sc, g, id, {});
+    ASSERT_TRUE(ref.result.completed());
+
+    Cycle cut = 0;
+    for (Cycle b = 1; b < ref.result.cycles && cut == 0; ++b) {
+        const std::string st = runScenario(sc, g, id, {}, b).finalState;
+        if (st.find("phase=apply") != std::string::npos &&
+            st.find(" vb=0 ") == std::string::npos)
+            cut = b;
+    }
+    ASSERT_NE(cut, 0u) << "no Apply state with lists in the VB stage found";
+    expectResumeAtCycleIsExact(sc, g, id, cut, ref, "vb_in_flight");
+}
+
 // --- Identity and corruption handling -------------------------------------
 
 TEST_F(CheckpointTest, MismatchedIdentityStartsCleanAndStillCompletes)
@@ -516,7 +539,7 @@ TEST_F(CheckpointTest, IdenticalRunsWriteIdenticalPayloads)
     // No padding byte reaches a payload, so the same run checkpoints the
     // same bytes every time. The sizes and hashes are pinned beside the
     // state version: a layout change has to update both on purpose.
-    static_assert(core::kStateVersion == 5,
+    static_assert(core::kStateVersion == 6,
                   "re-pin the payload sizes and hashes below");
     struct Pinned
     {
@@ -527,8 +550,8 @@ TEST_F(CheckpointTest, IdenticalRunsWriteIdenticalPayloads)
     };
     const Scenario noisy{false, true, true, true, true};
     const Pinned cases[] = {
-        {Scenario{}, algo::AlgorithmId::Pr, 28022, 0x0c74dece727c45c1ULL},
-        {noisy, algo::AlgorithmId::Bfs, 20018, 0x37679824ea45a6d5ULL},
+        {Scenario{}, algo::AlgorithmId::Pr, 27894, 0xefb3eefcf5463cc1ULL},
+        {noisy, algo::AlgorithmId::Bfs, 19890, 0x677aebf2c49600d5ULL},
         {Scenario{true}, algo::AlgorithmId::Pr, 35868, 0xa96c43467cd08ff0ULL},
         {Scenario{true, true, true, true, true}, algo::AlgorithmId::Sssp,
          25308, 0xcbdd61a858035db4ULL},

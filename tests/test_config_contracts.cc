@@ -1,18 +1,22 @@
 /**
  * @file
  * Tests for the compile-time and runtime configuration contracts
- * (core/config.hh, baseline/graphicionado.hh, mem/hbm.hh): the constexpr
- * predicates, the consteval gate on the default config, validateConfig()
- * for configs built at runtime, and the constructors that enforce them.
+ * (core/config.hh, baseline/graphicionado.hh, baseline/gunrock_sim.hh,
+ * mem/hbm.hh): the constexpr predicates, the consteval gate on the
+ * default config, validateConfig() for configs built at runtime, and the
+ * constructors that enforce them.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 
 #include "algo/vcpm.hh"
 #include "baseline/graphicionado.hh"
+#include "baseline/gunrock_sim.hh"
 #include "common/error.hh"
 #include "core/config.hh"
 #include "core/gds_accel.hh"
@@ -158,6 +162,56 @@ TEST(ConfigContracts, ZeroFieldsRaiseConfigErrorOnBothModels)
     expectEveryZeroRejectedOrRunnable<baseline::GraphicionadoAccel,
                                       baseline::GraphicionadoConfig>(g,
                                                                      *bfs);
+}
+
+// The Gunrock fields where 0 is supported: the per-edge, per-vertex,
+// atomic, launch and preprocessing costs (that work becomes free), a
+// cache that never hits, a board that idles at 0 W, and the iteration
+// cap. The clock, core count, warp size, bandwidth and sector size are
+// divisors or sizes, and activePowerW = 0 falls below idlePowerW.
+const std::set<std::string> kGunrockZeroIsLegal = {
+    "cyclesPerEdge",      "cyclesPerApply",      "atomicSerializeNs",
+    "vertexPropHitRate",  "kernelLaunchUs",      "preprocessNsPerEdge",
+    "preprocessNsPerVertex", "idlePowerW",       "maxIterations"};
+
+TEST(ConfigContracts, ZeroGunrockFieldsRaiseConfigErrorOrModelFinitely)
+{
+    const graph::Csr g = graph::rmat(6, 4, 1);
+    auto bfs = algo::makeAlgorithm(algo::AlgorithmId::Bfs);
+    baseline::GunrockConfig c;
+    auto v = [&](const std::string &name, auto &field) {
+        SCOPED_TRACE(name);
+        const auto saved = field;
+        field = {};
+        if (kGunrockZeroIsLegal.count(name) != 0) {
+            EXPECT_EQ(baseline::gunrockContractViolation(c), nullptr);
+            const baseline::GunrockResult r =
+                baseline::GunrockSim(c, g, *bfs).run(0);
+            EXPECT_TRUE(std::isfinite(r.seconds));
+            EXPECT_TRUE(std::isfinite(r.energyJoules));
+        } else {
+            EXPECT_NE(baseline::gunrockContractViolation(c), nullptr);
+            EXPECT_THROW(baseline::GunrockSim(c, g, *bfs), ConfigError);
+        }
+        field = saved;
+    };
+    baseline::GunrockConfig::fields(c, v);
+}
+
+TEST(ConfigContracts, GunrockRejectsNegativeAndOutOfRangeValues)
+{
+    baseline::GunrockConfig c;
+    c.clockGhz = -1.0;
+    EXPECT_NE(baseline::gunrockContractViolation(c), nullptr);
+    c = {};
+    c.kernelLaunchUs = -4.0;
+    EXPECT_NE(baseline::gunrockContractViolation(c), nullptr);
+    c = {};
+    c.vertexPropHitRate = 1.5;
+    EXPECT_NE(baseline::gunrockContractViolation(c), nullptr);
+    c = {};
+    c.memBandwidthGBs = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_NE(baseline::gunrockContractViolation(c), nullptr);
 }
 
 } // namespace

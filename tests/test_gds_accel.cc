@@ -12,6 +12,7 @@
 #include <cmath>
 
 #include "algo/reference_engine.hh"
+#include "algo/validate.hh"
 #include "core/gds_accel.hh"
 #include "graph/generators.hh"
 
@@ -143,6 +144,36 @@ TEST(GdsAccel, RmatGraphCc)
 {
     const auto g = graph::rmat(10, 8, 23, {}, true);
     expectMatchesReference(GdsConfig{}, g, AlgorithmId::Cc, 0);
+}
+
+TEST(GdsAccel, SlicesNotAlignedToRbGroupsApplyEveryUpdate)
+{
+    // 36 B per UE makes 1152-vertex slices, 4.5 Ready-to-Update groups
+    // each, so slice boundaries cut groups in half. Apply must still take
+    // every updated vertex of a ready group's part inside the slice: an
+    // update in the upper half of a group whose lower half lies in the
+    // previous slice used to be skipped, which broke BFS, SSSP and SSWP.
+    GdsConfig cfg;
+    cfg.vbBytesPerUe = 36;
+    ASSERT_EQ(cfg.sliceCapacity(), 1152u);
+    ASSERT_NE(cfg.sliceCapacity() % cfg.rbGroupSize, 0u);
+    const auto g = graph::rmat(12, 16, 7, {}, /*weighted=*/true);
+    for (const AlgorithmId id : algo::allAlgorithms) {
+        SCOPED_TRACE(algo::algorithmName(id));
+        // The evaluation's iteration caps: PR runs a fixed budget.
+        cfg.maxIterations = id == AlgorithmId::Pr ? 10 : 1000;
+        auto a = algo::makeAlgorithm(id);
+        GdsAccel accel(cfg, g, *a);
+        ASSERT_GT(accel.numSlices(), 1u);
+        RunOptions run;
+        run.source = 0;
+        const RunResult r = accel.run(run);
+        ASSERT_TRUE(r.completed());
+        const algo::ValidationResult v =
+            algo::validate(id, g, 0, r.properties);
+        EXPECT_TRUE(v.valid) << v.message;
+        expectMatchesReference(cfg, g, id, 0);
+    }
 }
 
 TEST(GdsAccel, ThroughputBelowComputePeak)

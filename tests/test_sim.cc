@@ -483,45 +483,43 @@ TEST(BoundedQueue, CheckpointMatchesDequeImageAndRoundTrips)
 TEST(DelayQueue, ElementsMatureAfterLatency)
 {
     DelayQueue<int> q(4, 3);
-    q.push(42);
-    EXPECT_FALSE(q.ready());
-    q.tick();
-    EXPECT_FALSE(q.ready());
-    q.tick();
-    EXPECT_FALSE(q.ready());
-    q.tick();
-    EXPECT_TRUE(q.ready());
-    EXPECT_EQ(q.pop(), 42);
+    q.push(42, 10);
+    EXPECT_FALSE(q.ready(10));
+    EXPECT_EQ(q.cyclesUntilReady(10), 3u);
+    EXPECT_FALSE(q.ready(11));
+    EXPECT_FALSE(q.ready(12));
+    EXPECT_EQ(q.cyclesUntilReady(12), 1u);
+    EXPECT_TRUE(q.ready(13));
+    EXPECT_EQ(q.cyclesUntilReady(13), 0u);
+    EXPECT_EQ(q.pop(13), 42);
+    EXPECT_EQ(q.cyclesUntilReady(13), DelayQueue<int>::kNever);
 }
 
 TEST(DelayQueue, ZeroLatencyIsImmediatelyReady)
 {
     DelayQueue<int> q(4, 0);
-    q.push(7);
-    EXPECT_TRUE(q.ready());
-    EXPECT_EQ(q.pop(), 7);
+    q.push(7, 5);
+    EXPECT_TRUE(q.ready(5));
+    EXPECT_EQ(q.pop(5), 7);
 }
 
 TEST(DelayQueue, PreservesOrderWithMixedMaturity)
 {
     DelayQueue<int> q(8, 2);
-    q.push(1);
-    q.tick();
-    q.push(2);
-    q.tick();
-    EXPECT_TRUE(q.ready());
-    EXPECT_EQ(q.pop(), 1);
-    EXPECT_FALSE(q.ready()); // 2 needs one more cycle
-    q.tick();
-    EXPECT_TRUE(q.ready());
-    EXPECT_EQ(q.pop(), 2);
+    q.push(1, 0);
+    q.push(2, 1);
+    EXPECT_TRUE(q.ready(2));
+    EXPECT_EQ(q.pop(2), 1);
+    EXPECT_FALSE(q.ready(2)); // 2 needs one more cycle
+    EXPECT_TRUE(q.ready(3));
+    EXPECT_EQ(q.pop(3), 2);
 }
 
 TEST(DelayQueueDeath, PopBeforeMaturityPanics)
 {
     DelayQueue<int> q(4, 5);
-    q.push(1);
-    EXPECT_DEATH(q.pop(), "non-ready");
+    q.push(1, 0);
+    EXPECT_DEATH(q.pop(4), "non-ready");
 }
 
 

@@ -54,13 +54,19 @@ struct Cell
     unsigned maxIterations = 1000;
     /** Shrink on-chip storage so the graph runs in two slices. */
     bool sliced = false;
+    /** A 1 x kRoadLength path instead of the RMAT graph: frontiers of one
+     *  vertex, so each iteration is an HBM round trip and Apply-bound. */
+    bool road = false;
 };
+
+constexpr VertexId kRoadLength = 512;
 
 template <typename Accel, typename Config>
 Artifacts
 runOnce(const Cell &cell, bool fast_forward)
 {
-    const graph::Csr g = graph::rmat(8, 16, 42, {}, false);
+    const graph::Csr g = cell.road ? graph::grid2d(1, kRoadLength, 1)
+                                   : graph::rmat(8, 16, 42, {}, false);
     Config cfg;
     cfg.maxIterations = cell.maxIterations;
     if (cell.sliced) {
@@ -136,6 +142,11 @@ expectEquivalent(const Cell &cell)
         EXPECT_EQ(fast.slices, 2u);
         EXPECT_GT(fast.result.report.skippedCycles, 0u);
     }
+    // A road run waits on memory most of the time: most cycles skip.
+    if (cell.road) {
+        EXPECT_EQ(fast.result.iterations, kRoadLength);
+        EXPECT_GT(2 * fast.result.report.skippedCycles, fast.result.cycles);
+    }
 }
 
 // --- GraphDynS -----------------------------------------------------------
@@ -180,6 +191,13 @@ TEST(FastForwardEquiv, GdsBfsFaultedTelemetry)
     cell.telemetry = true;
     cell.faults.delayResponseProb = 0.05;
     cell.faults.delayCycles = 200;
+    expectEquivalent<core::GdsAccel, core::GdsConfig>(cell);
+}
+
+TEST(FastForwardEquiv, GdsBfsRoad)
+{
+    Cell cell;
+    cell.road = true;
     expectEquivalent<core::GdsAccel, core::GdsConfig>(cell);
 }
 
