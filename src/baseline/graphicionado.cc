@@ -12,7 +12,6 @@ namespace gds::baseline
 {
 
 using core::detail::makeTag;
-using core::detail::maxRequestBytes;
 using core::detail::tagKind;
 using core::detail::tagPayload;
 
@@ -75,12 +74,8 @@ GraphicionadoAccel::fillResult(core::RunResult &result) const
 void
 GraphicionadoAccel::registerDatapathProbes(obs::Sampler &sampler) const
 {
-    sampler.add("stream.backlog", [this] {
-        std::size_t total = 0;
-        for (const Stream &s : streams)
-            total += s.records.size();
-        return static_cast<double>(total);
-    });
+    sampler.add("stream.backlog",
+                [this] { return static_cast<double>(recordsHeld()); });
 }
 
 // ---------------------------------------------------------------------
@@ -90,15 +85,7 @@ GraphicionadoAccel::registerDatapathProbes(obs::Sampler &sampler) const
 void
 GraphicionadoAccel::startScatter()
 {
-    sc = ScatterState{};
-    sc.recordsTotal = active.size();
-    const graph::Csr &sg = sliceGraph(curSlice);
-    for (const ActiveRecord &r : active)
-        sc.expectedEdges += sg.outDegree(r.vid);
-    sc.batchesTotal = ceilDiv<std::uint64_t>(sc.recordsTotal,
-                                             cfg.vprefBatch);
-    sc.batchReady.assign(sc.batchesTotal, 0);
-    sc.fetch.assign(sc.recordsTotal, RecordFetch{});
+    startRecordStream(cfg.vprefBatch);
 
     for (Stream &stream : streams)
         stream.records.clear();
@@ -125,7 +112,8 @@ GraphicionadoAccel::refreshStream(unsigned s)
         const std::uint64_t head = stream.records.front();
         const ActiveRecord &r = active[head];
         const graph::Csr &sg = sliceGraph(curSlice);
-        head_ready = sc.fetch[head].ready || sg.outDegree(r.vid) == 0;
+        head_ready =
+            edgeParts.table[head].ready || sg.outDegree(r.vid) == 0;
         Head &h = heads[s];
         if (head_ready && h.next == h.end) {
             const EdgeId first = sg.offsetOf(r.vid);
@@ -138,7 +126,7 @@ GraphicionadoAccel::refreshStream(unsigned s)
         stream.records.size(), cfg.streamLookahead);
     bool needs_fetch = false;
     for (std::size_t i = 0; i < lookahead && !needs_fetch; ++i) {
-        const RecordFetch &f = sc.fetch[stream.records[i]];
+        const RecordFetch &f = edgeParts.table[stream.records[i]];
         needs_fetch = !f.ready && !f.allIssued;
     }
     assignBit(streamsNeedingFetch, s, needs_fetch);
@@ -167,8 +155,7 @@ GraphicionadoAccel::headCursor(unsigned s) const
 bool
 GraphicionadoAccel::scatterDone() const
 {
-    return sc.recordsDone == sc.recordsTotal &&
-           sc.edgesReduced == sc.expectedEdges;
+    return recordStreamDone();
 }
 
 void
@@ -228,14 +215,14 @@ GraphicionadoAccel::tickScatter()
             }
             // The head record has no edge left: retire it.
             streams[s].records.pop();
-            ++sc.recordsDone;
+            ++recordStream.recordsDone;
             refreshStream(s);
         }
     }
     if (reduced != 0) {
         statReduceOps += static_cast<double>(reduced);
         statEdgesProcessed += static_cast<double>(reduced);
-        sc.edgesReduced += reduced;
+        recordStream.edgesReduced += reduced;
     }
 
     // --- Per-stream edge prefetch (offsets are on chip, so fetches start
@@ -253,61 +240,39 @@ GraphicionadoAccel::tickScatter()
                                   cfg.streamLookahead);
         for (std::size_t i = 0; i < lookahead && issued < 8; ++i) {
             const std::uint64_t rec = stream.records[i];
-            RecordFetch &f = sc.fetch[rec];
+            RecordFetch &f = edgeParts.table[rec];
             if (f.ready || f.allIssued)
                 continue;
             if (edgePort.inflight() >= cfg.edgeMaxInflight) {
                 mem_blocked = true;
                 break;
             }
-            const ActiveRecord &r = active[rec];
-            const std::uint64_t degree = sg.outDegree(r.vid);
+            const VertexId vid = active[rec].vid;
+            const std::uint64_t degree = sg.outDegree(vid);
             if (degree == 0) {
                 f.ready = true;
                 continue;
             }
             // +1 sentinel record read to detect the end of the list.
-            const std::uint64_t total =
-                (degree + 1) * layout->fmt.edgeBytes;
             const Addr begin = layout->edgeAddr(sliceEdgeStart[curSlice] +
-                                                sg.offsetOf(r.vid));
-            const unsigned chunk = static_cast<unsigned>(
-                std::min<std::uint64_t>(total - f.bytesIssued,
-                                        maxRequestBytes));
-            if (!hbm->access(begin + f.bytesIssued, chunk, false,
-                             makeTag(Tag::EdgeFetch, rec), &edgePort)) {
+                                                sg.offsetOf(vid));
+            if (!issuePart(f, begin, (degree + 1) * layout->fmt.edgeBytes,
+                           makeTag(Tag::EdgeFetch, rec), edgePort)) {
                 mem_blocked = true;
                 break;
             }
-            f.bytesIssued += chunk;
-            ++f.parts;
             ++issued;
-            if (f.bytesIssued >= total)
-                f.allIssued = true;
         }
         refreshStream(s);
     }
 
     // --- Vpref: stream active records, hash-assign to streams. ---
-    while (sc.batchesIssued < sc.batchesTotal &&
-           recordPort.inflight() < cfg.vprefMaxInflight) {
-        const std::uint64_t b = sc.batchesIssued;
-        const std::uint64_t first = b * cfg.vprefBatch;
-        const std::uint64_t count = std::min<std::uint64_t>(
-            cfg.vprefBatch, sc.recordsTotal - first);
-        const Addr addr = layout->activeRecordAddr(activeBuf, first);
-        if (!hbm->access(addr,
-                         static_cast<unsigned>(
-                             count * layout->fmt.activeRecordBytes),
-                         false, makeTag(Tag::RecordBatch, b), &recordPort))
-            break;
-        ++sc.batchesIssued;
-    }
+    issueRecordBatches(cfg.vprefMaxInflight, makeTag(Tag::RecordBatch, 0));
     unsigned committed = 0;
-    while (sc.commitCursor < sc.recordsTotal &&
+    while (recordStream.commitCursor < recordStream.records &&
            committed < cfg.numStreams) {
-        const std::uint64_t k = sc.commitCursor;
-        if (!sc.batchReady[k / cfg.vprefBatch])
+        const std::uint64_t k = recordStream.commitCursor;
+        if (!recordArrived(k))
             break;
         const unsigned s = active[k].vid % cfg.numStreams; // hash placement
         Stream &stream = streams[s];
@@ -315,7 +280,7 @@ GraphicionadoAccel::tickScatter()
             break; // head-of-line block: the imbalance bottleneck
         stream.records.push(k);
         refreshStream(s);
-        ++sc.commitCursor;
+        ++recordStream.commitCursor;
         ++committed;
     }
 }
@@ -330,11 +295,10 @@ GraphicionadoAccel::startApply()
     ap = ApplyState{};
     ap.sweepBegin = sliceBegin(curSlice);
     ap.sweepEnd = sliceEnd(curSlice);
-    ap.auWriteCursor = layout->activeArrayBase(activeBuf ^ 1);
-    const std::uint64_t verts = ap.sweepEnd - ap.sweepBegin;
-    ap.batchesTotal = ceilDiv<std::uint64_t>(verts, applyBatchVerts);
-    ap.batchIssuedParts.assign(ap.batchesTotal, 0);
-    ap.batchPending.assign(ap.batchesTotal, 0);
+    const std::uint64_t batches = ceilDiv<std::uint64_t>(
+        ap.sweepEnd - ap.sweepBegin, applyBatchVerts);
+    ap.batchIssuedParts.assign(batches, 0);
+    ap.batchPending.assign(batches, 0);
     ap.commitCursor = ap.sweepBegin;
 }
 
@@ -342,8 +306,7 @@ bool
 GraphicionadoAccel::applyDone() const
 {
     return ap.appliedCount == ap.sweepEnd - ap.sweepBegin &&
-           ap.pendingApplies.empty() && ap.writes.empty() &&
-           ap.pendingAuRecords == 0 && storePort.inflight() == 0;
+           ap.pendingApplies.empty() && storesDrained();
 }
 
 void
@@ -360,14 +323,14 @@ GraphicionadoAccel::tickApply()
             prop[v] = apply_res;
             ++statVertexUpdates;
             activate(v, apply_res);
-            ap.pendingAuRecords += sliceCount; // one record per slice
+            stores.bufferedRecords += sliceCount; // one record per slice
             // Intermittent, uncoalesced property store (4 B -> one 32 B
             // transaction): the update-irregularity cost GraphDynS
             // removes by write coalescing.
-            ap.writes.push_back({layout->propAddr(v), bytesPerWord});
+            stores.propWrites.push_back({layout->propAddr(v), bytesPerWord});
         } else if (algo.tPropResetsEachIteration()) {
             prop[v] = apply_res;
-            ap.writes.push_back({layout->propAddr(v), bytesPerWord});
+            stores.propWrites.push_back({layout->propAddr(v), bytesPerWord});
         }
         if (algo.tPropResetsEachIteration())
             tProp[v] = 0.0f;
@@ -377,31 +340,15 @@ GraphicionadoAccel::tickApply()
         progressed(now);
     }
 
-    // --- Flush stores: active-record batches + property writes. ---
-    while (ap.pendingAuRecords >= auRecordBatch ||
-           (ap.pendingAuRecords > 0 &&
-            ap.appliedCount == ap.sweepEnd - ap.sweepBegin)) {
-        const std::uint64_t n =
-            std::min<std::uint64_t>(ap.pendingAuRecords, auRecordBatch);
-        const unsigned bytes = static_cast<unsigned>(
-            n * layout->fmt.activeRecordBytes);
-        if (!hbm->access(ap.auWriteCursor, bytes, true,
-                         makeTag(Tag::Store, 0), &storePort))
-            break;
-        ap.auWriteCursor += bytes;
-        ap.pendingAuRecords -= n;
-    }
-    while (!ap.writes.empty()) {
-        const auto [addr, bytes] = ap.writes.front();
-        if (!hbm->access(addr, bytes, true, makeTag(Tag::Store, 1),
-                         &storePort))
-            break;
-        ap.writes.pop_front();
-    }
+    // --- Flush stores: active-record batches, then property writes. ---
+    flushRecordStores(auRecordBatch,
+                      ap.appliedCount == ap.sweepEnd - ap.sweepBegin,
+                      makeTag(Tag::Store, 0));
+    flushPropWrites(makeTag(Tag::Store, 1));
 
     // --- Sweep prefetch: stream every vertex's property (and cProp). ---
     const std::uint8_t parts_needed = hasConstProp ? 2 : 1;
-    while (ap.batchesIssued < ap.batchesTotal &&
+    while (ap.batchesIssued < ap.batchPending.size() &&
            recordPort.inflight() < cfg.applyMaxInflight) {
         const std::uint64_t b = ap.batchesIssued;
         const VertexId first = ap.sweepBegin +
@@ -444,31 +391,20 @@ GraphicionadoAccel::tickApply()
 bool
 GraphicionadoAccel::datapathBusy() const
 {
-    for (const Stream &stream : streams) {
-        if (!stream.records.empty())
-            return true;
-    }
-    return !ap.pendingApplies.empty() || !ap.writes.empty() ||
-           ap.pendingAuRecords > 0;
+    return !ap.pendingApplies.empty() || !stores.propWrites.empty() ||
+           stores.bufferedRecords > 0;
 }
 
 void
 GraphicionadoAccel::datapathState(std::ostream &os) const
 {
-    if (phase == Phase::ScatterPhase) {
-        os << " scatter[done=" << sc.recordsDone << "/" << sc.recordsTotal
-           << " reduced=" << sc.edgesReduced << "/" << sc.expectedEdges
-           << " commit=" << sc.commitCursor << "]";
-    } else if (phase == Phase::ApplyPhase) {
+    if (phase == Phase::ApplyPhase) {
         os << " apply[applied=" << ap.appliedCount << "/"
            << (ap.sweepEnd - ap.sweepBegin)
            << " pending=" << ap.pendingApplies.size()
-           << " writes=" << ap.writes.size() << "]";
+           << " writes=" << stores.propWrites.size() << "]";
     }
-    std::size_t stream_q = 0;
-    for (const Stream &stream : streams)
-        stream_q += stream.records.size();
-    os << " queues[streams=" << stream_q << "]";
+    os << " queues[streams=" << recordsHeld() << "]";
 }
 
 void
@@ -479,7 +415,7 @@ GraphicionadoAccel::drainResponses()
         const std::uint64_t payload = tagPayload(tag);
         switch (tagKind<Tag>(tag)) {
           case Tag::RecordBatch:
-            sc.batchReady[payload] = 1;
+            recordStream.batchReady[payload] = 1;
             break;
           case Tag::ApplyBatch:
             gds_assert(ap.batchPending[payload] > 0, "stray apply batch");
@@ -493,25 +429,16 @@ GraphicionadoAccel::drainResponses()
         const std::uint64_t tag = edgePort.popResponse();
         const std::uint64_t rec = tagPayload(tag);
         gds_assert(tagKind<Tag>(tag) == Tag::EdgeFetch, "bad edge-port tag");
-        RecordFetch &f = sc.fetch[rec];
-        gds_assert(f.parts > 0, "stray edge response");
-        --f.parts;
         // The stream head reads the edges from the CSR view; arrival only
         // flips readiness, which may make the record's stream head ready.
-        if (f.allIssued && f.parts == 0 && !f.ready) {
-            f.ready = true;
+        if (partArrived(edgeParts.table[rec]))
             refreshStream(active[rec].vid % cfg.numStreams);
-        }
     }
 }
 
 bool
 GraphicionadoAccel::scatterQuiescent() const
 {
-    // A drained phase transitions at the end of its next tick.
-    if (scatterDone())
-        return false;
-
     // Streams: a head record with edge data (or none to fetch) acts next
     // tick -- reducing, RAW-stalling, or retiring -- and an asleep stream
     // counts a stall every tick. Only "waiting for edge data" is a pure
@@ -526,34 +453,23 @@ GraphicionadoAccel::scatterQuiescent() const
         return false;
     // Vpref: an issuable record batch, or a commit neither blocked on
     // batch data nor on a full stream queue.
-    if (sc.batchesIssued < sc.batchesTotal &&
-        recordPort.inflight() < cfg.vprefMaxInflight)
+    if (recordBatchIssuable(cfg.vprefMaxInflight))
         return false;
-    if (sc.commitCursor < sc.recordsTotal) {
-        const std::uint64_t k = sc.commitCursor;
-        if (sc.batchReady[k / cfg.vprefBatch] &&
-            streams[active[k].vid % cfg.numStreams].records.size() <
-                cfg.streamQueueRecords)
-            return false;
-    }
-    return true;
+    return !(nextCommitArrived() &&
+             streams[active[recordStream.commitCursor].vid % cfg.numStreams]
+                     .records.size() < cfg.streamQueueRecords);
 }
 
 bool
 GraphicionadoAccel::applyQuiescent() const
 {
-    // A drained phase transitions at the end of its next tick.
-    if (applyDone())
-        return false;
     // Queued applies execute next tick; queued stores issue requests.
-    if (!ap.pendingApplies.empty() || !ap.writes.empty())
-        return false;
-    if (ap.pendingAuRecords >= auRecordBatch ||
-        (ap.pendingAuRecords > 0 &&
-         ap.appliedCount == ap.sweepEnd - ap.sweepBegin))
+    if (!ap.pendingApplies.empty() ||
+        storesPending(auRecordBatch,
+                      ap.appliedCount == ap.sweepEnd - ap.sweepBegin))
         return false;
     // Sweep prefetch: an open window always attempts an access.
-    if (ap.batchesIssued < ap.batchesTotal &&
+    if (ap.batchesIssued < ap.batchPending.size() &&
         recordPort.inflight() < cfg.applyMaxInflight)
         return false;
     // Commit: the next batch being fully fetched commits vertices.
@@ -593,15 +509,10 @@ GraphicionadoAccel::fields(Self &self, Ar &ar)
             self.heads[s] = Head{cursor, 0, 0};
     }
 
-    auto &scatter = self.sc;
-    ar(scatter.recordsTotal, scatter.expectedEdges, scatter.batchesTotal,
-       scatter.batchesIssued, scatter.batchReady, scatter.commitCursor,
-       scatter.recordsDone, scatter.edgesReduced, scatter.fetch);
     auto &apply = self.ap;
-    ar(apply.sweepBegin, apply.sweepEnd, apply.batchesTotal,
-       apply.batchesIssued, apply.batchIssuedParts, apply.batchPending,
-       apply.commitCursor, apply.appliedCount, apply.pendingApplies,
-       apply.pendingAuRecords, apply.auWriteCursor, apply.writes);
+    ar(apply.sweepBegin, apply.sweepEnd, apply.batchesIssued,
+       apply.batchIssuedParts, apply.batchPending, apply.commitCursor,
+       apply.appliedCount, apply.pendingApplies);
 }
 
 void

@@ -141,22 +141,6 @@ class GraphicionadoAccel final : public core::VcpmAccel
         Store,           ///< active-record or property store
     };
 
-    /** Per-record edge fetch state. */
-    struct RecordFetch
-    {
-        bool allIssued = false;
-        bool ready = false;
-        std::uint32_t parts = 0;
-        std::uint64_t bytesIssued = 0;
-
-        template <typename Self, typename Ar>
-        static void
-        fields(Self &f, Ar &ar)
-        {
-            ar(f.allIssued, f.ready, f.parts, f.bytesIssued);
-        }
-    };
-
     /** One processing stream (pipeline): its backlog of record indices. */
     struct Stream
     {
@@ -218,35 +202,17 @@ class GraphicionadoAccel final : public core::VcpmAccel
     GraphicionadoConfig cfg;
     std::vector<Cycle> lastReduceAt; ///< per-vertex RAW window tracking
 
-    // Scatter state.
-    struct ScatterState
-    {
-        std::uint64_t recordsTotal = 0;
-        std::uint64_t expectedEdges = 0;
-        std::uint64_t batchesTotal = 0;
-        std::uint64_t batchesIssued = 0;
-        std::vector<std::uint8_t> batchReady;
-        std::uint64_t commitCursor = 0;
-        std::uint64_t recordsDone = 0;
-        std::uint64_t edgesReduced = 0;
-        std::vector<RecordFetch> fetch;
-    };
-
     // Apply state.
     struct ApplyState
     {
         VertexId sweepBegin = 0;
         VertexId sweepEnd = 0;
-        std::uint64_t batchesTotal = 0;
         std::uint64_t batchesIssued = 0;
         std::vector<std::uint8_t> batchIssuedParts; ///< requests sent (0..2)
         std::vector<std::uint8_t> batchPending;     ///< responses awaited
         VertexId commitCursor = 0; ///< next vertex to hand to a stream
         VertexId appliedCount = 0;
         std::deque<VertexId> pendingApplies; ///< committed, not yet applied
-        std::uint64_t pendingAuRecords = 0;
-        Addr auWriteCursor = 0;
-        std::deque<std::pair<Addr, unsigned>> writes;
     };
 
     std::vector<Stream> streams;
@@ -282,7 +248,6 @@ class GraphicionadoAccel final : public core::VcpmAccel
     // cycle of the next atomicPipelineDepth + 1 (rounded up to a power of
     // two); cleared with it in restoreDatapath()
     std::vector<BitMask> wakeRing;
-    ScatterState sc;
     ApplyState ap;
 
     // Stats beyond the frame's five.

@@ -112,78 +112,49 @@ void
 GdsAccel::registerDatapathProbes(obs::Sampler &sampler) const
 {
     sampler.add("xbar.conflicts", [this] { return xbar->conflicts(); });
-    sampler.add("de.vpbRecords", [this] {
-        std::size_t total = 0;
-        for (const De &de : des)
-            total += de.vpb.size();
-        return static_cast<double>(total);
-    });
-    sampler.add("pe.edgeQueue", [this] {
-        std::size_t total = 0;
-        for (const Pe &pe : pes)
-            total += pe.edgeQueue.size();
-        return static_cast<double>(total);
-    });
+    sampler.add("de.vpbRecords",
+                [this] { return static_cast<double>(recordsHeld()); });
+    sampler.add("pe.edgeQueue",
+                [this] { return static_cast<double>(scEdgesQueued); });
     sampler.add("pe.applyQueue", [this] {
         std::size_t total = 0;
         for (const Pe &pe : pes)
             total += pe.applyQueue.size() + pe.vbStage.size();
         return static_cast<double>(total);
     });
-    sampler.add("ue.inbox", [this] {
-        std::size_t total = 0;
-        for (const Ue &ue : ues)
-            total += ue.inbox.size();
-        return static_cast<double>(total);
-    });
+    sampler.add("ue.inbox",
+                [this] { return static_cast<double>(ueFlitsQueued); });
 }
 
 bool
 GdsAccel::datapathBusy() const
 {
-    for (const De &de : des) {
-        if (!de.vpb.empty())
-            return true;
-    }
-    for (const Pe &pe : pes) {
-        if (!pe.edgeQueue.empty() || !pe.applyQueue.empty() ||
-            !pe.vbStage.empty() || !pe.pendingFlits.empty())
-            return true;
-    }
-    for (const Ue &ue : ues) {
-        if (!ue.inbox.empty())
-            return true;
-    }
-    return !sc.eprefPending.empty() || !ap.propWrites.empty();
+    // The occupancy counts and masks stand in for walking every engine.
+    return scEdgesQueued != 0 || scFlitsBuffered != 0 ||
+           ueFlitsQueued != 0 || anyBit(pesApplyBusy) ||
+           eprefPendingCount() != 0 || !stores.propWrites.empty();
 }
 
 void
 GdsAccel::datapathState(std::ostream &os) const
 {
     if (phase == Phase::ScatterPhase) {
-        os << " scatter[dispatched=" << sc.recordsDispatched << "/"
-           << sc.recordsTotal << " reduced=" << sc.edgesReduced << "/"
-           << sc.expectedEdges << " commit=" << sc.commitCursor
-           << " eprefPending=" << sc.eprefPending.size()
+        os << " epref[pending=" << eprefPendingCount()
            << " bufferedEdges=" << sc.bufferedEdges << "]";
     } else if (phase == Phase::ApplyPhase) {
         os << " apply[groups=" << ap.groupsCompleted << "/"
            << ap.groups.size() << " commit=" << ap.commitCursor
-           << " auBuffered=" << ap.auBufferedRecords
-           << " propWrites=" << ap.propWrites.size() << "]";
+           << " auBuffered=" << stores.bufferedRecords
+           << " propWrites=" << stores.propWrites.size() << "]";
     }
-    std::size_t edge_q = 0, apply_q = 0, vb_q = 0, ue_q = 0, vpb_q = 0;
+    std::size_t apply_q = 0, vb_q = 0;
     for (const Pe &pe : pes) {
-        edge_q += pe.edgeQueue.size();
         apply_q += pe.applyQueue.size();
         vb_q += pe.vbStage.size();
     }
-    for (const Ue &ue : ues)
-        ue_q += ue.inbox.size();
-    for (const De &de : des)
-        vpb_q += de.vpb.size();
-    os << " queues[vpb=" << vpb_q << " edge=" << edge_q
-       << " apply=" << apply_q << " vb=" << vb_q << " ue=" << ue_q << "]";
+    os << " queues[vpb=" << recordsHeld() << " edge=" << scEdgesQueued
+       << " apply=" << apply_q << " vb=" << vb_q << " ue=" << ueFlitsQueued
+       << "]";
 }
 
 void
@@ -193,10 +164,10 @@ GdsAccel::drainResponses()
         const std::uint64_t tag = recordPort.popResponse();
         switch (tagKind<Tag>(tag)) {
           case Tag::RecordBatch:
-            sc.batchReady[tagPayload(tag)] = 1;
+            recordStream.batchReady[tagPayload(tag)] = 1;
             break;
           case Tag::TPropFill:
-            --sc.fillOutstanding;
+            partArrived(sc.fill);
             break;
           case Tag::GroupData: {
             GroupFetch &gf = ap.fetch[tagPayload(tag)];
@@ -212,18 +183,13 @@ GdsAccel::drainResponses()
         const std::uint64_t tag = edgePort.popResponse();
         const std::uint64_t payload = tagPayload(tag);
         switch (tagKind<Tag>(tag)) {
-          case Tag::EdgeFetch: {
-            RecordFetch &f = sc.fetch[payload];
-            gds_assert(f.parts > 0, "stray edge response");
-            --f.parts;
-            if (f.allIssued && f.parts == 0)
-                materializeRecord(payload);
+          case Tag::EdgeFetch:
+            partArrived(edgeParts.table[payload]);
             break;
-          }
           case Tag::EdgeBatch:
             // One coalesced request served several whole records.
             for (const std::uint64_t rec : sc.fetchBatches[payload])
-                materializeRecord(rec);
+                edgeParts.table[rec].ready = true;
             break;
           default:
             panic("unexpected tag on the Epref port");
@@ -257,14 +223,11 @@ GdsAccel::replaySkip(Cycle cycles)
     // frame's clock).
     switch (phase) {
       case Phase::ScatterPhase:
-        for (const De &de : des) {
-            if (de.vpb.empty())
-                statDeIdle += static_cast<double>(cycles);
-            else
-                statDeWaitReady += static_cast<double>(cycles);
-        }
-        if (sc.commitCursor < sc.recordsTotal) {
-            if (!sc.batchReady[sc.commitCursor / cfg.vprefBatch])
+        statDeIdle += static_cast<double>(
+            (cfg.numPes - desWithRecords) * cycles);
+        statDeWaitReady += static_cast<double>(desWithRecords * cycles);
+        if (recordStream.commitCursor < recordStream.records) {
+            if (!recordArrived(recordStream.commitCursor))
                 statCommitBlockedBatch += static_cast<double>(cycles);
             else
                 statCommitBlockedVpb += static_cast<double>(cycles);
@@ -301,16 +264,11 @@ GdsAccel::fields(Self &self, Ar &ar)
 
     // Scatter- and Apply-phase bookkeeping, then the crossbar.
     auto &scatter = self.sc;
-    ar(scatter.recordsTotal, scatter.expectedEdges, scatter.batchesTotal,
-       scatter.batchesIssued, scatter.batchReady, scatter.commitCursor,
-       scatter.recordsDispatched, scatter.edgesReduced,
-       scatter.fillOutstanding, scatter.fillCursor, scatter.fillBytesLeft,
-       scatter.eprefPending, scatter.fetch, scatter.fetchBatches,
-       scatter.bufferedEdges);
+    ar(scatter.fill, scatter.eprefKept, scatter.eprefNext, scatter.reserved,
+       scatter.fetchBatches, scatter.bufferedEdges);
     auto &apply = self.ap;
     ar(apply.groups, apply.fetch, apply.groupsRequested, apply.commitCursor,
-       apply.groupsCompleted, apply.auBufferedRecords, apply.auWriteCursor,
-       apply.propWrites);
+       apply.groupsCompleted);
     ar(*self.xbar);
 }
 
@@ -325,8 +283,11 @@ GdsAccel::restoreDatapath(sim::Deserializer &d)
 {
     fields(*this, d);
 
-    // The occupancy masks and the ready-group list are derived state,
-    // never serialized.
+    // The occupancy count and masks and the ready-group list are derived
+    // state, never serialized.
+    desWithRecords = 0;
+    for (const De &de : des)
+        desWithRecords += de.vpb.empty() ? 0u : 1u;
     for (unsigned u = 0; u < cfg.numUes; ++u)
         assignBit(uesNonEmpty, u, !ues[u].inbox.empty());
     for (unsigned p = 0; p < cfg.numPes; ++p)

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -124,24 +123,6 @@ class GdsAccel final : public VcpmAccel
         }
     };
 
-    /** Per-record edge-prefetch bookkeeping. Large edge lists are fetched
-     *  in several bounded requests ("parts"). */
-    struct RecordFetch
-    {
-        bool reserved = false;   ///< buffer budget reserved
-        bool allIssued = false;  ///< every part request issued
-        bool ready = false;      ///< edge data available for dispatch
-        std::uint32_t parts = 0; ///< part responses still outstanding
-        std::uint64_t bytesIssued = 0;
-
-        template <typename Self, typename Ar>
-        static void
-        fields(Self &f, Ar &ar)
-        {
-            ar(f.reserved, f.allIssued, f.ready, f.parts, f.bytesIssued);
-        }
-    };
-
     /** Per-UE state: Reduce Pipeline history + AU batching. */
     struct Ue
     {
@@ -182,36 +163,28 @@ class GdsAccel final : public VcpmAccel
     // Phase bookkeeping.
     // ------------------------------------------------------------------
 
+    /** Scatter state beyond the frame's front end. Epref's pending records
+     *  (committed, edges not all requested) are, in commit order, the at
+     *  most eight its last scan kept, then those from eprefNext on. */
     struct ScatterState
     {
-        std::uint64_t recordsTotal = 0;
-        std::uint64_t expectedEdges = 0;
-        std::uint64_t batchesTotal = 0;
-        std::uint64_t batchesIssued = 0;
-        std::vector<std::uint8_t> batchReady;
-        std::uint64_t commitCursor = 0;   ///< next record to commit
-        std::uint64_t recordsDispatched = 0;
-        std::uint64_t edgesReduced = 0;
-        std::uint64_t fillOutstanding = 0;
-        Addr fillCursor = 0;
-        std::uint64_t fillBytesLeft = 0;
-        std::deque<std::uint64_t> eprefPending; ///< records awaiting fetch
-        std::vector<RecordFetch> fetch;
+        RecordFetch fill; ///< the sliced-run tProp fill, fetched in parts
+        std::vector<std::uint64_t> eprefKept;
+        std::uint64_t eprefNext = 0;
+        /** Per record: its edges hold eprefBufferEdges budget. */
+        std::vector<std::uint8_t> reserved;
         std::vector<std::vector<std::uint64_t>> fetchBatches;
         std::uint64_t bufferedEdges = 0;
 
         /** A fresh phase's state; the containers keep their storage,
          *  since the phase restarts every slice of every iteration. */
         void
-        reset()
+        reset(std::uint64_t records)
         {
-            recordsTotal = expectedEdges = batchesTotal = batchesIssued = 0;
-            batchReady.clear();
-            commitCursor = recordsDispatched = edgesReduced = 0;
-            fillOutstanding = fillBytesLeft = 0;
-            fillCursor = 0;
-            eprefPending.clear();
-            fetch.clear();
+            fill = RecordFetch{};
+            eprefKept.clear();
+            eprefNext = 0;
+            reserved.assign(records, 0);
             fetchBatches.clear();
             bufferedEdges = 0;
         }
@@ -233,9 +206,6 @@ class GdsAccel final : public VcpmAccel
         std::uint64_t groupsRequested = 0;
         std::uint64_t commitCursor = 0; ///< group currently pushing lists
         std::uint64_t groupsCompleted = 0;
-        std::uint64_t auBufferedRecords = 0;
-        Addr auWriteCursor = 0;
-        std::deque<std::pair<Addr, unsigned>> propWrites;
 
         /** A fresh phase's state, keeping the containers' storage. */
         void
@@ -244,9 +214,6 @@ class GdsAccel final : public VcpmAccel
             groups.clear();
             fetch.clear();
             groupsRequested = commitCursor = groupsCompleted = 0;
-            auBufferedRecords = 0;
-            auWriteCursor = 0;
-            propWrites.clear();
         }
     };
 
@@ -276,9 +243,15 @@ class GdsAccel final : public VcpmAccel
     bool scatterQuiescent() const override;
     void tickVpref();
     void tickEpref();
-    void materializeRecord(std::uint64_t rec_index);
+    /** Epref's pending records: their number, and the @p i-th. */
+    std::uint64_t eprefPendingCount() const;
+    std::uint64_t eprefPending(std::uint64_t i) const;
+    /** Epref's budget test: would @p extra more edges overrun it? */
+    bool eprefOverBudget(std::uint64_t extra) const;
     void tickDispatchers();
     void dispatchChunk(De &de, unsigned de_index);
+    /** Pop DE @p de's finished head record and free its edge budget. */
+    void retireRecord(De &de, std::uint64_t rec, std::uint64_t edge_cnt);
     void tickPesScatter();
     void tickUes();
     void reduceFlit(const ResultFlit &flit);
@@ -290,7 +263,6 @@ class GdsAccel final : public VcpmAccel
     void tickApplyPrefetch();
     void tickApplyCommit();
     void tickPesApply();
-    void flushAu(bool force);
 
     std::uint64_t groupIndexOf(VertexId v) const
     {
@@ -327,6 +299,10 @@ class GdsAccel final : public VcpmAccel
     std::uint64_t scEdgesQueued = 0;   ///< sum of PE edgeQueue sizes
     std::uint64_t scFlitsBuffered = 0; ///< sum of PE pendingFlits sizes
     std::uint64_t ueFlitsQueued = 0;   ///< sum of UE inbox sizes
+    /** DEs whose VPB RAM holds a record, kept at every push and pop. */
+    // gds-ckpt: skip(desWithRecords) derived from the VPB RAMs; rebuilt at
+    // the end of restoreDatapath()
+    unsigned desWithRecords = 0;
     /**
      * UEs whose inbox holds a flit, one bit per UE: tickUes() visits only
      * these, in ascending UE order. The route loop sets a UE's bit on

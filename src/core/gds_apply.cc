@@ -31,7 +31,6 @@ void
 GdsAccel::startApply()
 {
     ap.reset();
-    ap.auWriteCursor = layout->activeArrayBase(activeBuf ^ 1);
 
     // Groups are global (v / rbGroupSize), so a slice boundary may cut
     // one: Apply takes each ready group's part inside the slice,
@@ -75,9 +74,7 @@ bool
 GdsAccel::applyDone() const
 {
     return ap.commitCursor == ap.groups.size() &&
-           ap.groupsCompleted == ap.groups.size() &&
-           ap.auBufferedRecords == 0 && ap.propWrites.empty() &&
-           storePort.inflight() == 0;
+           ap.groupsCompleted == ap.groups.size() && storesDrained();
 }
 
 void
@@ -86,8 +83,13 @@ GdsAccel::tickApply()
     tickPesApply();
     tickApplyCommit();
     tickApplyPrefetch();
-    // Flush sub-batch AU remainders once every group has been applied.
-    flushAu(ap.groupsCompleted == ap.groups.size());
+    // AU: coalesced off-chip stores -- the property write-backs, then the
+    // active records in auBatchRecords batches (double-buffered queues);
+    // sub-batch remainders flush once every group has been applied.
+    flushPropWrites(makeTag(Tag::PropWrite, 0));
+    flushRecordStores(cfg.auBatchRecords,
+                      ap.groupsCompleted == ap.groups.size(),
+                      makeTag(Tag::AuWrite, 0));
 }
 
 bool
@@ -95,10 +97,6 @@ GdsAccel::applyQuiescent() const
 {
     // Mirrors tickApply() stage by stage: true only when each stage would
     // do nothing and attempt no HBM access.
-
-    // A drained phase transitions at the end of its next tick.
-    if (applyDone())
-        return false;
 
     // PEs: a matured VB-stage entry applies; an empty stage slot pulls
     // from a non-empty list queue. Idle PEs can do neither.
@@ -130,13 +128,8 @@ GdsAccel::applyQuiescent() const
         ap.groupsRequested - ap.commitCursor < cfg.applyMaxInflightGroups)
         return false;
     // AU: pending property write-backs or a flushable record batch.
-    if (!ap.propWrites.empty())
-        return false;
-    const bool force = ap.groupsCompleted == ap.groups.size();
-    if (ap.auBufferedRecords >= cfg.auBatchRecords ||
-        (force && ap.auBufferedRecords > 0))
-        return false;
-    return true;
+    return !storesPending(cfg.auBatchRecords,
+                          ap.groupsCompleted == ap.groups.size());
 }
 
 // ---------------------------------------------------------------------
@@ -156,35 +149,23 @@ GdsAccel::tickApplyPrefetch()
         const VertexId b = ap.groups[g];
         const std::uint32_t len = ap.fetch[g].remainingVerts;
 
-        // All requests of a group are issued in one go; if the memory
-        // refuses any of them we retry the whole group next cycle (the
-        // request queue state is unchanged for unissued parts because we
-        // track how many got through).
-        unsigned &done = ap.fetch[g].requestsIssued;
+        // All requests of a group are issued in one go: its property run,
+        // an offset run of len + 1 entries per slice and, when the
+        // algorithm has one, its constant-property run. If the memory
+        // refuses one, the group resumes there next cycle.
+        GroupFetch &gf = ap.fetch[g];
+        unsigned &done = gf.requestsIssued;
         const unsigned total_reqs = 1 + sliceCount + (hasConstProp ? 1 : 0);
-        bool blocked = false;
-        while (done < total_reqs && !blocked) {
-            bool ok = false;
-            if (done == 0) {
-                ok = hbm->access(layout->propAddr(b), len * bytesPerWord,
-                                 false, makeTag(Tag::GroupData, g),
-                                 &recordPort);
-            } else if (done <= sliceCount) {
-                // Offset run of slice (done - 1): len + 1 entries.
-                ok = hbm->access(layout->offsetAddr(b),
-                                 (len + 1) * bytesPerWord, false,
-                                 makeTag(Tag::GroupData, g), &recordPort);
-            } else {
-                ok = hbm->access(layout->cPropAddr(b), len * bytesPerWord,
-                                 false, makeTag(Tag::GroupData, g),
-                                 &recordPort);
-            }
-            if (ok) {
-                ++done;
-                ++ap.fetch[g].outstanding;
-            } else {
-                blocked = true;
-            }
+        while (done < total_reqs) {
+            const bool offsets = done != 0 && done <= sliceCount;
+            const Addr addr = done == 0 ? layout->propAddr(b)
+                              : offsets ? layout->offsetAddr(b)
+                                        : layout->cPropAddr(b);
+            if (!hbm->access(addr, (offsets ? len + 1 : len) * bytesPerWord,
+                             false, makeTag(Tag::GroupData, g), &recordPort))
+                break;
+            ++done;
+            ++gf.outstanding;
         }
         if (done < total_reqs)
             break;
@@ -248,7 +229,7 @@ GdsAccel::tickPesApply()
             for (const VertexId v : appliedChanged)
                 activate(v, prop[v]);
             const std::size_t changed = appliedChanged.size();
-            ap.auBufferedRecords += changed * sliceCount; // per slice
+            stores.bufferedRecords += changed * sliceCount; // per slice
             statVertexUpdates += static_cast<double>(changed);
             statApplyOps += list.count;
             statVbAccesses += list.count;
@@ -264,7 +245,7 @@ GdsAccel::tickPesApply()
                 // keep the store sequential, Sec. 5.3.2).
                 const VertexId b = ap.groups[list.group];
                 const std::uint32_t len = groupPartEnd(b) - b;
-                ap.propWrites.push_back(
+                stores.propWrites.push_back(
                     {layout->propAddr(b), len * bytesPerWord});
                 ++ap.groupsCompleted;
             }
@@ -273,38 +254,6 @@ GdsAccel::tickPesApply()
         }
         if (pe.applyQueue.empty() && pe.vbStage.empty())
             assignBit(pesApplyBusy, p, false);
-    }
-}
-
-// ---------------------------------------------------------------------
-// AU: coalesced off-chip stores -- active records in auBatchRecords
-// batches (double-buffered queues) and the pending property write-backs.
-// ---------------------------------------------------------------------
-
-void
-GdsAccel::flushAu(bool force)
-{
-    // Property write-backs.
-    while (!ap.propWrites.empty()) {
-        const auto [addr, bytes] = ap.propWrites.front();
-        if (!hbm->access(addr, bytes, true, makeTag(Tag::PropWrite, 0),
-                         &storePort))
-            break;
-        ap.propWrites.pop_front();
-    }
-
-    // Active-record stores, batched.
-    const std::uint64_t batch = cfg.auBatchRecords;
-    while (ap.auBufferedRecords >= batch ||
-           (force && ap.auBufferedRecords > 0)) {
-        const std::uint64_t n = std::min(ap.auBufferedRecords, batch);
-        const unsigned bytes = static_cast<unsigned>(
-            n * layout->fmt.activeRecordBytes);
-        if (!hbm->access(ap.auWriteCursor, bytes, true,
-                         makeTag(Tag::AuWrite, 0), &storePort))
-            break;
-        ap.auWriteCursor += bytes;
-        ap.auBufferedRecords -= n;
     }
 }
 

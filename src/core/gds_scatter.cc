@@ -9,6 +9,8 @@
 #include "core/detail.hh"
 #include "core/gds_accel.hh"
 
+#include <array>
+
 #include "common/debug.hh"
 
 namespace gds::core
@@ -17,42 +19,33 @@ namespace gds::core
 using detail::makeTag;
 using detail::maxRequestBytes;
 
+namespace
+{
+
+constexpr std::size_t kEprefWindow = 8;     ///< pending records scanned
+constexpr unsigned kEprefIssuesPerCycle = 4; ///< edge requests per cycle
+
+} // namespace
+
 void
 GdsAccel::startScatter()
 {
-    sc.reset();
-    sc.recordsTotal = active.size();
-    const graph::Csr &sg = sliceGraph(curSlice);
-    for (const ActiveRecord &r : active)
-        sc.expectedEdges += sg.outDegree(r.vid);
-    sc.batchesTotal = ceilDiv<std::uint64_t>(sc.recordsTotal,
-                                             cfg.vprefBatch);
-    sc.batchReady.assign(sc.batchesTotal, 0);
-    sc.fetch.assign(sc.recordsTotal, RecordFetch{});
+    startRecordStream(cfg.vprefBatch);
+    sc.reset(recordStream.records);
 
     // Sliced, non-resetting algorithms restore this slice's temporary
     // properties into the Vertex Buffer from the property array (see
     // DESIGN.md: min/max algorithms satisfy tProp==f(prop) after Apply,
     // so the fill is timing/traffic only -- the functional tProp array
-    // is already correct).
-    if (sliceCount > 1 && !algo.tPropResetsEachIteration()) {
-        sc.fillCursor = layout->propAddr(sliceBegin(curSlice));
-        sc.fillBytesLeft =
-            static_cast<std::uint64_t>(sliceEnd(curSlice) -
-                                       sliceBegin(curSlice)) *
-            bytesPerWord;
-    }
-
-    for (De &de : des)
-        de.chunkCursor = 0;
+    // is already correct). Every other run has no fill to fetch.
+    if (sliceCount == 1 || algo.tPropResetsEachIteration())
+        sc.fill.allIssued = sc.fill.ready = true;
 }
 
 bool
 GdsAccel::scatterDone() const
 {
-    return sc.recordsDispatched == sc.recordsTotal &&
-           sc.edgesReduced == sc.expectedEdges &&
-           sc.fillBytesLeft == 0 && sc.fillOutstanding == 0;
+    return recordStreamDone() && sc.fill.ready;
 }
 
 void
@@ -77,10 +70,6 @@ GdsAccel::scatterQuiescent() const
     // perfectMem is resolved once per run (GdsAccel::run), so this
     // predicate and dispatchChunk() can never disagree about it.
 
-    // A drained phase transitions at the end of its next tick.
-    if (scatterDone())
-        return false;
-
     // PEs and UEs: pending flits would route, queued edges would process,
     // queued updates would reduce. The aggregate occupancy counters stand
     // in for scanning every engine.
@@ -96,27 +85,25 @@ GdsAccel::scatterQuiescent() const
         if (perfectMem)
             return false; // dispatch would materialize the record
         const std::uint64_t rec = de.vpb.front();
-        if (sg.outDegree(active[rec].vid) == 0 || sc.fetch[rec].ready)
+        if (sg.outDegree(active[rec].vid) == 0 ||
+            edgeParts.table[rec].ready)
             return false;
     }
     // Epref: walk the same window tickEpref() scans. Skipping a record
     // for buffer budget is pure; reaching any other case pops a zero-edge
     // record or attempts an access.
-    if (!sc.eprefPending.empty() &&
-        edgePort.inflight() < cfg.eprefMaxInflight) {
+    const std::uint64_t pending = eprefPendingCount();
+    if (pending != 0 && edgePort.inflight() < cfg.eprefMaxInflight) {
         bool budget_blocked = false;
-        const std::size_t window =
-            std::min<std::size_t>(sc.eprefPending.size(), 8);
-        for (std::size_t w = 0; w < window; ++w) {
-            const std::uint64_t rec = sc.eprefPending[w];
+        const std::uint64_t window =
+            std::min<std::uint64_t>(pending, kEprefWindow);
+        for (std::uint64_t w = 0; w < window; ++w) {
+            const std::uint64_t rec = eprefPending(w);
             const std::uint64_t edge_cnt = sg.outDegree(active[rec].vid);
-            const RecordFetch &f = sc.fetch[rec];
             if (edge_cnt == 0)
                 return false;
-            if (!f.reserved &&
-                (budget_blocked ||
-                 (sc.bufferedEdges > 0 &&
-                  sc.bufferedEdges + edge_cnt > cfg.eprefBufferEdges))) {
+            if (sc.reserved[rec] == 0 &&
+                (budget_blocked || eprefOverBudget(edge_cnt))) {
                 budget_blocked = true;
                 continue;
             }
@@ -125,19 +112,12 @@ GdsAccel::scatterQuiescent() const
     }
     // Vpref: the tProp fill and the record stream would issue; a commit
     // goes through unless blocked on batch data or a full VPB RAM.
-    if (sc.fillBytesLeft > 0 &&
-        recordPort.inflight() < cfg.vprefMaxInflight)
+    if (!sc.fill.allIssued && recordPort.inflight() < cfg.vprefMaxInflight)
         return false;
-    if (sc.batchesIssued < sc.batchesTotal &&
-        recordPort.inflight() < cfg.vprefMaxInflight)
+    if (recordBatchIssuable(cfg.vprefMaxInflight))
         return false;
-    if (sc.commitCursor < sc.recordsTotal) {
-        const std::uint64_t k = sc.commitCursor;
-        if (sc.batchReady[k / cfg.vprefBatch] &&
-            des[k % cfg.numPes].vpb.canPush())
-            return false;
-    }
-    return true;
+    return !(nextCommitArrived() &&
+             des[recordStream.commitCursor % cfg.numPes].vpb.canPush());
 }
 
 // ---------------------------------------------------------------------
@@ -148,43 +128,27 @@ void
 GdsAccel::tickVpref()
 {
     // tProp fill traffic (sequential stream of this slice's properties).
-    while (sc.fillBytesLeft > 0 &&
+    const VertexId lo = sliceBegin(curSlice);
+    const std::uint64_t fill_bytes =
+        std::uint64_t{sliceEnd(curSlice) - lo} * bytesPerWord;
+    while (!sc.fill.allIssued &&
            recordPort.inflight() < cfg.vprefMaxInflight) {
-        const unsigned chunk = static_cast<unsigned>(
-            std::min<std::uint64_t>(sc.fillBytesLeft, maxRequestBytes));
-        if (!hbm->access(sc.fillCursor, chunk, false,
-                         makeTag(Tag::TPropFill, 0), &recordPort))
+        if (!issuePart(sc.fill, layout->propAddr(lo), fill_bytes,
+                       makeTag(Tag::TPropFill, 0), recordPort))
             break;
-        sc.fillCursor += chunk;
-        sc.fillBytesLeft -= chunk;
-        ++sc.fillOutstanding;
     }
 
     // Issue active-record stream requests (batches of vprefBatch records).
-    while (sc.batchesIssued < sc.batchesTotal &&
-           recordPort.inflight() < cfg.vprefMaxInflight) {
-        const std::uint64_t b = sc.batchesIssued;
-        const std::uint64_t first = b * cfg.vprefBatch;
-        const std::uint64_t count =
-            std::min<std::uint64_t>(cfg.vprefBatch,
-                                    sc.recordsTotal - first);
-        const Addr addr = layout->activeRecordAddr(activeBuf, first);
-        const unsigned bytes = static_cast<unsigned>(
-            count * layout->fmt.activeRecordBytes);
-        if (!hbm->access(addr, bytes, false, makeTag(Tag::RecordBatch, b),
-                         &recordPort))
-            break;
-        ++sc.batchesIssued;
-    }
+    issueRecordBatches(cfg.vprefMaxInflight, makeTag(Tag::RecordBatch, 0));
 
     // Commit records in arrival order into the per-DE VPB RAMs
-    // (RAM id = arrival order % number of DEs, Sec. 5.2.2) and announce
-    // them to Epref.
+    // (RAM id = arrival order % number of DEs, Sec. 5.2.2); a committed
+    // record is pending for Epref.
     unsigned committed = 0;
-    while (sc.commitCursor < sc.recordsTotal &&
+    while (recordStream.commitCursor < recordStream.records &&
            committed < cfg.numPes) {
-        const std::uint64_t k = sc.commitCursor;
-        if (!sc.batchReady[k / cfg.vprefBatch]) {
+        const std::uint64_t k = recordStream.commitCursor;
+        if (!recordArrived(k)) {
             ++statCommitBlockedBatch;
             break;
         }
@@ -193,9 +157,10 @@ GdsAccel::tickVpref()
             ++statCommitBlockedVpb;
             break;
         }
+        if (de.vpb.empty())
+            ++desWithRecords;
         de.vpb.push(k);
-        sc.eprefPending.push_back(k);
-        ++sc.commitCursor;
+        ++recordStream.commitCursor;
         ++committed;
     }
 }
@@ -208,15 +173,28 @@ GdsAccel::tickVpref()
 // alternative the paper describes: the offset comes from a large on-chip
 // cache (Graphicionado's solution, so no dependent memory read), but
 // fetches are per-record, cacheline-granular (64 B) and never coalesced
-// -- wasting bandwidth and in-flight request slots.
+// -- wasting bandwidth and in-flight request slots. Arrival only flips a
+// record's readiness; dispatch reads its edges from the slice's CSR view.
 // ---------------------------------------------------------------------
 
-void
-GdsAccel::materializeRecord(std::uint64_t rec_index)
+std::uint64_t
+GdsAccel::eprefPendingCount() const
 {
-    // The edge data now "on chip" is read from the slice's CSR view at
-    // dispatch time (see dispatchChunk); arrival only flips readiness.
-    sc.fetch[rec_index].ready = true;
+    return sc.eprefKept.size() + (recordStream.commitCursor - sc.eprefNext);
+}
+
+std::uint64_t
+GdsAccel::eprefPending(std::uint64_t i) const
+{
+    return i < sc.eprefKept.size() ? sc.eprefKept[i]
+                                   : sc.eprefNext + (i - sc.eprefKept.size());
+}
+
+bool
+GdsAccel::eprefOverBudget(std::uint64_t extra) const
+{
+    return sc.bufferedEdges > 0 &&
+           sc.bufferedEdges + extra > cfg.eprefBufferEdges;
 }
 
 void
@@ -230,31 +208,32 @@ GdsAccel::tickEpref()
     // request (Sec. 5.2.1: "coalesce memory accesses to edge data and
     // maximize the number of in-flight memory requests").
     const graph::Csr &sg = sliceGraph(curSlice);
+    const std::uint64_t pending = eprefPendingCount();
+    std::array<std::uint64_t, kEprefWindow> kept{};
+    std::size_t w = 0;      // records this scan keeps pending
+    std::uint64_t seen = 0; // pending records this scan has passed
     unsigned issued = 0;
     bool budget_blocked = false;
-    std::size_t w = 0;
-    while (w < std::min<std::size_t>(sc.eprefPending.size(), 8) &&
-           issued < 4 && edgePort.inflight() < cfg.eprefMaxInflight) {
-        const std::uint64_t rec = sc.eprefPending[w];
+    while (w < kEprefWindow && seen < pending &&
+           issued < kEprefIssuesPerCycle &&
+           edgePort.inflight() < cfg.eprefMaxInflight) {
+        const std::uint64_t rec = eprefPending(seen);
         const VertexId vid = active[rec].vid;
         const std::uint64_t edge_cnt = sg.outDegree(vid);
-        RecordFetch &f = sc.fetch[rec];
+        RecordFetch &f = edgeParts.table[rec];
 
         if (edge_cnt == 0) {
             f.ready = true;
-            sc.eprefPending.erase(sc.eprefPending.begin() +
-                                  static_cast<std::ptrdiff_t>(w));
+            ++seen;
             continue;
         }
 
         // Budget is granted FIFO; one oversize record may run alone.
-        const auto over_budget = [this](std::uint64_t extra) {
-            return sc.bufferedEdges > 0 &&
-                   sc.bufferedEdges + extra > cfg.eprefBufferEdges;
-        };
-        if (!f.reserved && (budget_blocked || over_budget(edge_cnt))) {
+        if (sc.reserved[rec] == 0 &&
+            (budget_blocked || eprefOverBudget(edge_cnt))) {
             budget_blocked = true;
-            ++w;
+            kept[w++] = rec;
+            ++seen;
             continue;
         }
 
@@ -271,10 +250,9 @@ GdsAccel::tickEpref()
             std::uint64_t batch_bytes = r_bytes;
             std::uint64_t batch_edges = edge_cnt;
             EdgeId batch_end = sg.offsetOf(vid) + edge_cnt;
-            std::size_t members = 1;
-            while (w + members < sc.eprefPending.size()) {
-                const VertexId nvid =
-                    active[sc.eprefPending[w + members]].vid;
+            std::uint64_t members = 1;
+            while (seen + members < pending) {
+                const VertexId nvid = active[eprefPending(seen + members)].vid;
                 const std::uint64_t n_cnt = sg.outDegree(nvid);
                 if (n_cnt == 0)
                     break;
@@ -283,7 +261,7 @@ GdsAccel::tickEpref()
                 const std::uint64_t n_bytes = n_cnt * edge_bytes;
                 if (batch_bytes + n_bytes > maxRequestBytes)
                     break;
-                if (over_budget(batch_edges + n_cnt))
+                if (eprefOverBudget(batch_edges + n_cnt))
                     break;
                 batch_bytes += n_bytes;
                 batch_edges += n_cnt;
@@ -298,26 +276,22 @@ GdsAccel::tickEpref()
                 break; // memory backpressure
             std::vector<std::uint64_t> group;
             group.reserve(members);
-            for (std::size_t m = 0; m < members; ++m) {
-                const std::uint64_t mrec = sc.eprefPending[w + m];
-                RecordFetch &mf = sc.fetch[mrec];
-                mf.reserved = true;
-                mf.allIssued = true;
+            for (std::uint64_t m = 0; m < members; ++m) {
+                const std::uint64_t mrec = eprefPending(seen + m);
+                sc.reserved[mrec] = 1;
+                edgeParts.table[mrec].allIssued = true;
                 group.push_back(mrec);
             }
             sc.bufferedEdges += batch_edges;
             sc.fetchBatches.push_back(std::move(group));
-            sc.eprefPending.erase(
-                sc.eprefPending.begin() + static_cast<std::ptrdiff_t>(w),
-                sc.eprefPending.begin() +
-                    static_cast<std::ptrdiff_t>(w + members));
+            seen += members;
             ++issued;
             continue;
         }
 
         // Large or non-exact records: issue bounded parts.
-        if (!f.reserved) {
-            f.reserved = true;
+        if (sc.reserved[rec] == 0) {
+            sc.reserved[rec] = 1;
             sc.bufferedEdges += edge_cnt;
         }
         Addr part_begin = begin;
@@ -327,25 +301,25 @@ GdsAccel::tickEpref()
             part_begin = alignDown(part_begin, 64);
             part_end = alignUp(part_end, 64);
         }
-        const std::uint64_t total = part_end - part_begin;
-        const unsigned chunk = static_cast<unsigned>(
-            std::min<std::uint64_t>(total - f.bytesIssued,
-                                    maxRequestBytes));
-        if (!hbm->access(part_begin + f.bytesIssued, chunk, false,
-                         makeTag(Tag::EdgeFetch, rec), &edgePort)) {
+        if (!issuePart(f, part_begin, part_end - part_begin,
+                       makeTag(Tag::EdgeFetch, rec), edgePort))
             break; // memory backpressure: stop issuing entirely
-        }
-        f.bytesIssued += chunk;
-        ++f.parts;
         ++issued;
-        if (f.bytesIssued == total) {
-            f.allIssued = true;
-            sc.eprefPending.erase(sc.eprefPending.begin() +
-                                  static_cast<std::ptrdiff_t>(w));
-        } else {
-            ++w;
-        }
+        if (!f.allIssued)
+            kept[w++] = rec;
+        ++seen;
     }
+
+    // The records this scan passed leave the pending sequence; the ones
+    // it kept go back to its front, in order.
+    const std::uint64_t from_kept =
+        std::min<std::uint64_t>(seen, sc.eprefKept.size());
+    sc.eprefNext += seen - from_kept;
+    sc.eprefKept.erase(sc.eprefKept.begin(),
+                       sc.eprefKept.begin() +
+                           static_cast<std::ptrdiff_t>(from_kept));
+    sc.eprefKept.insert(sc.eprefKept.begin(), kept.begin(),
+                        kept.begin() + static_cast<std::ptrdiff_t>(w));
 }
 
 // ---------------------------------------------------------------------
@@ -353,23 +327,35 @@ GdsAccel::tickEpref()
 // ---------------------------------------------------------------------
 
 void
+GdsAccel::retireRecord(De &de, std::uint64_t rec, std::uint64_t edge_cnt)
+{
+    de.vpb.pop();
+    if (de.vpb.empty())
+        --desWithRecords;
+    de.chunkCursor = 0;
+    ++recordStream.recordsDone;
+    if (sc.reserved[rec] != 0) {
+        sc.bufferedEdges -= edge_cnt;
+        sc.reserved[rec] = 0;
+    }
+}
+
+void
 GdsAccel::dispatchChunk(De &de, unsigned de_index)
 {
     const std::uint64_t rec = de.vpb.front();
     const ActiveRecord &r = active[rec];
-    RecordFetch &f = sc.fetch[rec];
+    RecordFetch &f = edgeParts.table[rec];
     const graph::Csr &sg = sliceGraph(curSlice);
     const auto edge_cnt = static_cast<std::uint32_t>(sg.outDegree(r.vid));
 
     if (edge_cnt == 0) {
-        de.vpb.pop();
-        de.chunkCursor = 0;
-        ++sc.recordsDispatched;
+        retireRecord(de, rec, 0);
         return;
     }
 
-    if (!f.ready && perfectMem)
-        materializeRecord(rec);
+    if (perfectMem)
+        f.ready = true; // the edges materialize on demand
     if (!f.ready) {
         ++statDeWaitReady;
         return;
@@ -397,15 +383,8 @@ GdsAccel::dispatchChunk(De &de, unsigned de_index)
             ++moved;
             ++statSchedulingOps;
         }
-        if (cursor == edge_cnt) {
-            de.vpb.pop();
-            de.chunkCursor = 0;
-            ++sc.recordsDispatched;
-            if (f.reserved) {
-                sc.bufferedEdges -= edge_cnt;
-                f.reserved = false;
-            }
-        }
+        if (cursor == edge_cnt)
+            retireRecord(de, rec, edge_cnt);
         return;
     }
 
@@ -437,24 +416,18 @@ GdsAccel::dispatchChunk(De &de, unsigned de_index)
     if (begin + len == edge_cnt) {
         DPRINTF(Dispatch, "DE%u dispatched v%u (%u edges, %s)", de_index,
                 r.vid, edge_cnt, split ? "split" : "whole");
-        de.vpb.pop();
-        de.chunkCursor = 0;
-        ++sc.recordsDispatched;
-        if (f.reserved) {
-            sc.bufferedEdges -= edge_cnt;
-            f.reserved = false;
-        }
+        retireRecord(de, rec, edge_cnt);
     }
 }
 
 void
 GdsAccel::tickDispatchers()
 {
+    // A DE's VPB RAM empties only through its own dispatch.
+    statDeIdle += static_cast<double>(cfg.numPes - desWithRecords);
     for (unsigned i = 0; i < cfg.numPes; ++i) {
         if (!des[i].vpb.empty())
             dispatchChunk(des[i], i);
-        else
-            ++statDeIdle;
     }
 }
 
@@ -550,7 +523,7 @@ GdsAccel::reduceFlit(const ResultFlit &flit)
     }
     ++statReduceOps;
     statVbAccesses += 2; // read + write
-    ++sc.edgesReduced;
+    ++recordStream.edgesReduced;
     progressed(now);
 }
 

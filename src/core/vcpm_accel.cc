@@ -11,9 +11,11 @@
 #include <optional>
 #include <sstream>
 
+#include "common/bitutil.hh"
 #include "common/debug.hh"
 #include "common/parse.hh"
 #include "core/checkpoint_session.hh"
+#include "core/detail.hh"
 #include "obs/trace.hh"
 #include "sim/checkpoint.hh"
 
@@ -238,6 +240,10 @@ VcpmAccel::beginApply()
     traceEnd(); // "scatter"
     traceBegin("apply");
     phase = Phase::ApplyPhase;
+    // Activated records are stored into the next iteration's array.
+    stores.propWrites.clear();
+    stores.bufferedRecords = 0;
+    stores.auWriteCursor = layout->activeArrayBase(activeBuf ^ 1);
     startApply();
 }
 
@@ -264,6 +270,98 @@ VcpmAccel::finishSlice()
     activeNext.clear();
     activeBuf ^= 1;
     startIteration();
+}
+
+// ---------------------------------------------------------------------
+// The shared memory front end.
+// ---------------------------------------------------------------------
+
+void
+VcpmAccel::startRecordStream(unsigned batch_records)
+{
+    // Runs every slice of every iteration; the containers keep storage.
+    RecordStream &rs = recordStream;
+    const graph::Csr &sg = sliceGraph(curSlice);
+    rs.records = active.size();
+    rs.expectedEdges = 0;
+    for (const ActiveRecord &r : active)
+        rs.expectedEdges += sg.outDegree(r.vid);
+    rs.batchRecords = batch_records;
+    rs.batchesIssued = rs.commitCursor = rs.recordsDone = 0;
+    rs.edgesReduced = 0;
+    rs.batchReady.assign(ceilDiv<std::uint64_t>(rs.records, batch_records),
+                         0);
+    edgeParts.table.assign(rs.records, RecordFetch{});
+}
+
+void
+VcpmAccel::issueRecordBatches(unsigned max_inflight, std::uint64_t tag)
+{
+    while (recordBatchIssuable(max_inflight)) {
+        const std::uint64_t b = recordStream.batchesIssued;
+        const std::uint64_t first = b * recordStream.batchRecords;
+        const std::uint64_t count =
+            std::min(recordStream.batchRecords, recordStream.records - first);
+        const unsigned bytes = static_cast<unsigned>(
+            count * layout->fmt.activeRecordBytes);
+        if (!hbm->access(layout->activeRecordAddr(activeBuf, first), bytes,
+                         false, tag | b, &recordPort))
+            break;
+        ++recordStream.batchesIssued;
+    }
+}
+
+bool
+VcpmAccel::issuePart(RecordFetch &f, Addr begin, std::uint64_t bytes,
+                     std::uint64_t tag, mem::HbmPort &port)
+{
+    const unsigned chunk = static_cast<unsigned>(std::min<std::uint64_t>(
+        bytes - f.bytesIssued, detail::maxRequestBytes));
+    if (!hbm->access(begin + f.bytesIssued, chunk, false, tag, &port))
+        return false;
+    f.bytesIssued += chunk;
+    ++f.parts;
+    f.allIssued = f.bytesIssued == bytes;
+    return true;
+}
+
+bool
+VcpmAccel::partArrived(RecordFetch &f)
+{
+    gds_assert(f.parts > 0, "stray part response");
+    --f.parts;
+    if (!f.allIssued || f.parts != 0 || f.ready)
+        return false;
+    f.ready = true;
+    return true;
+}
+
+void
+VcpmAccel::flushPropWrites(std::uint64_t tag)
+{
+    while (!stores.propWrites.empty()) {
+        const auto [addr, bytes] = stores.propWrites.front();
+        if (!hbm->access(addr, bytes, true, tag, &storePort))
+            break;
+        stores.propWrites.pop_front();
+    }
+}
+
+void
+VcpmAccel::flushRecordStores(std::uint64_t batch, bool force,
+                             std::uint64_t tag)
+{
+    while (stores.bufferedRecords >= batch ||
+           (force && stores.bufferedRecords > 0)) {
+        const std::uint64_t n = std::min(stores.bufferedRecords, batch);
+        const unsigned bytes = static_cast<unsigned>(
+            n * layout->fmt.activeRecordBytes);
+        if (!hbm->access(stores.auWriteCursor, bytes, true, tag,
+                         &storePort))
+            break;
+        stores.auWriteCursor += bytes;
+        stores.bufferedRecords -= n;
+    }
 }
 
 void
@@ -313,7 +411,7 @@ VcpmAccel::busy() const
         if (port->inflight() > 0 || port->hasResponse())
             return true;
     }
-    return datapathBusy();
+    return recordsHeld() != 0 || datapathBusy();
 }
 
 std::string
@@ -337,6 +435,17 @@ VcpmAccel::debugState() const
     os << " inflight[v=" << recordPort.inflight()
        << " e=" << edgePort.inflight() << " w=" << storePort.inflight()
        << "]";
+    if (phase == Phase::ScatterPhase) {
+        // partialFetches: edge lists partly requested, parts in flight.
+        std::uint64_t partial = 0;
+        for (const RecordFetch &f : edgeParts.table)
+            partial += f.parts > 0 && !f.allIssued ? 1 : 0;
+        const RecordStream &rs = recordStream;
+        os << " scatter[done=" << rs.recordsDone << "/" << rs.records
+           << " reduced=" << rs.edgesReduced << "/" << rs.expectedEdges
+           << " commit=" << rs.commitCursor << " partialFetches=" << partial
+           << "]";
+    }
     datapathState(os);
     return os.str();
 }
@@ -350,12 +459,13 @@ VcpmAccel::nextEventCycle() const
         return 1;
 
     switch (phase) {
+      // A drained phase transitions at the end of its next tick.
       case Phase::ScatterPhase:
-        if (!scatterQuiescent())
+        if (scatterDone() || !scatterQuiescent())
             return 1;
         break;
       case Phase::ApplyPhase:
-        if (!applyQuiescent())
+        if (applyDone() || !applyQuiescent())
             return 1;
         break;
       case Phase::Finished:
@@ -406,6 +516,7 @@ VcpmAccel::fields(Self &self, Ar &ar)
        self.runStart, self.collectLoads, self.loadThisIteration,
        self.loadTrace);
     ar(self.recordPort, self.edgePort, self.storePort, *self.hbm);
+    ar(self.recordStream, self.edgeParts, self.stores);
 }
 
 void

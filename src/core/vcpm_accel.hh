@@ -11,15 +11,19 @@
  * datapath: the bound graph and algorithm, the slicing, the address map,
  * the HBM and its three port roles, the functional property arrays and
  * frontier, iteration and slice control, the run driver, fast-forward and
- * checkpoint plumbing. A model supplies its datapath through the hooks
- * below; the frame never asks which model it serves.
+ * checkpoint plumbing, and the memory front end: the active-record stream,
+ * the edge part-fetch and the store queue. A model supplies its datapath
+ * through the hooks below and its front-end policy as arguments; the frame
+ * never asks which model it serves.
  */
 
 #pragma once
 
+#include <deque>
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/vcpm.hh"
@@ -252,6 +256,76 @@ class VcpmAccel : public sim::Component
         Finished,
     };
 
+    /** Active-record stream of one Scatter phase: the frontier read in
+     *  batches on recordPort, committed to the datapath in order. */
+    struct RecordStream
+    {
+        std::uint64_t records = 0;       ///< frontier records to stream
+        std::uint64_t expectedEdges = 0; ///< their out-edges in the slice
+        std::uint64_t batchRecords = 1;  ///< records per batch request
+        std::uint64_t batchesIssued = 0;
+        std::vector<std::uint8_t> batchReady; ///< one flag per batch
+        std::uint64_t commitCursor = 0;       ///< next record to commit
+        std::uint64_t recordsDone = 0;
+        std::uint64_t edgesReduced = 0;
+
+        template <typename Self, typename Ar>
+        static void
+        fields(Self &unit, Ar &ar)
+        {
+            ar(unit.records, unit.expectedEdges, unit.batchRecords,
+               unit.batchesIssued, unit.batchReady, unit.commitCursor);
+            ar(unit.recordsDone, unit.edgesReduced);
+        }
+    };
+
+    /** Edge-fetch state of one record. A large edge list is fetched in
+     *  several bounded requests ("parts"). */
+    struct RecordFetch
+    {
+        bool allIssued = false;  ///< every part request issued
+        bool ready = false;      ///< edge data on chip
+        std::uint32_t parts = 0; ///< part responses still outstanding
+        std::uint64_t bytesIssued = 0;
+
+        template <typename Self, typename Ar>
+        static void
+        fields(Self &f, Ar &ar)
+        {
+            ar(f.allIssued, f.ready, f.parts, f.bytesIssued);
+        }
+    };
+
+    /** Edge part-fetch of one Scatter phase, one entry per record. */
+    struct EdgePartFetch
+    {
+        std::vector<RecordFetch> table;
+
+        template <typename Self, typename Ar>
+        static void
+        fields(Self &unit, Ar &ar)
+        {
+            ar(unit.table);
+        }
+    };
+
+    /** Store queue of one Apply phase: property write-backs, and the next
+     *  iteration's active records stored in batches at auWriteCursor. */
+    struct StoreQueue
+    {
+        std::deque<std::pair<Addr, unsigned>> propWrites;
+        std::uint64_t bufferedRecords = 0; ///< active records not stored
+        Addr auWriteCursor = 0;
+
+        template <typename Self, typename Ar>
+        static void
+        fields(Self &unit, Ar &ar)
+        {
+            ar(unit.propWrites);
+            ar(unit.bufferedRecords, unit.auWriteCursor);
+        }
+    };
+
     // ------------------------------------------------------------------
     // Datapath hooks.
     // ------------------------------------------------------------------
@@ -268,10 +342,10 @@ class VcpmAccel : public sim::Component
     virtual void tickApply() = 0;
     virtual bool applyDone() const = 0;
     /**
-     * Fast-forward quiescence predicates, one per phase: each mirrors its
-     * phase's tick path and returns true only when that path is provably a
-     * pure wait (per-cycle stats aside, which replaySkip() replays) and
-     * would attempt no HBM access.
+     * Fast-forward quiescence predicates of an unfinished phase, one per
+     * phase: each mirrors its phase's tick path and returns true only when
+     * that path is provably a pure wait (per-cycle stats aside, which
+     * replaySkip() replays) and would attempt no HBM access.
      */
     virtual bool scatterQuiescent() const = 0;
     virtual bool applyQuiescent() const = 0;
@@ -287,7 +361,8 @@ class VcpmAccel : public sim::Component
     }
     /** Fill the model-specific RunResult fields. */
     virtual void fillResult(RunResult &result) const = 0;
-    /** Occupied datapath queues (ports are checked by the frame). */
+    /** Occupied datapath queues (the frame checks the ports and the
+     *  records the datapath holds). */
     virtual bool datapathBusy() const = 0;
     /** Append the phase progress and queue occupancies to debugState(). */
     virtual void datapathState(std::ostream &os) const = 0;
@@ -327,6 +402,74 @@ class VcpmAccel : public sim::Component
     // Tracer hooks (one branch each when tracing is off).
     void traceBegin(std::string event);
     void traceEnd();
+
+    // The memory front end. A model passes its policy in: windows, batch
+    // sizes and tags (detail::makeTag; issueRecordBatches adds the batch).
+
+    /** Stream `active` in batches of @p batch_records, each record with
+     *  an empty edge part-fetch entry. */
+    void startRecordStream(unsigned batch_records);
+    /** Issue record batches (payload: batch index) while recordPort has
+     *  fewer than @p max_inflight requests outstanding. */
+    void issueRecordBatches(unsigned max_inflight, std::uint64_t tag);
+    bool
+    recordBatchIssuable(unsigned max_inflight) const
+    {
+        return recordStream.batchesIssued < recordStream.batchReady.size() &&
+               recordPort.inflight() < max_inflight;
+    }
+    bool
+    recordArrived(std::uint64_t k) const
+    {
+        return recordStream.batchReady[k / recordStream.batchRecords] != 0;
+    }
+    /** A record is left to commit and its batch has arrived. */
+    bool
+    nextCommitArrived() const
+    {
+        return recordStream.commitCursor < recordStream.records &&
+               recordArrived(recordStream.commitCursor);
+    }
+    /** Records committed to the datapath and not yet done. */
+    std::uint64_t
+    recordsHeld() const
+    {
+        return recordStream.commitCursor - recordStream.recordsDone;
+    }
+    bool
+    recordStreamDone() const
+    {
+        return recordStream.recordsDone == recordStream.records &&
+               recordStream.edgesReduced == recordStream.expectedEdges;
+    }
+
+    /** Issue the next part (at most detail::maxRequestBytes) of @p f's
+     *  bytes [begin, begin + bytes) on @p port, tagged @p tag; false when
+     *  the HBM refused it. */
+    bool issuePart(RecordFetch &f, Addr begin, std::uint64_t bytes,
+                   std::uint64_t tag, mem::HbmPort &port);
+    /** One part of @p f arrived; true when that made it ready. */
+    static bool partArrived(RecordFetch &f);
+
+    void flushPropWrites(std::uint64_t tag);
+    /** Store buffered active records in batches of @p batch; with
+     *  @p force also the sub-batch remainder. */
+    void flushRecordStores(std::uint64_t batch, bool force,
+                           std::uint64_t tag);
+    /** A flush would attempt an access. */
+    bool
+    storesPending(std::uint64_t batch, bool force) const
+    {
+        return !stores.propWrites.empty() ||
+               stores.bufferedRecords >= batch ||
+               (force && stores.bufferedRecords > 0);
+    }
+    bool
+    storesDrained() const
+    {
+        return stores.propWrites.empty() && stores.bufferedRecords == 0 &&
+               storePort.inflight() == 0;
+    }
 
     // ------------------------------------------------------------------
     // Bound inputs, slicing and memory.
@@ -393,6 +536,10 @@ class VcpmAccel : public sim::Component
     mem::HbmPort recordPort; ///< active-record and vertex-data reads
     mem::HbmPort edgePort;   ///< edge reads
     mem::HbmPort storePort;  ///< property and active-record stores
+
+    RecordStream recordStream; ///< Scatter: the frontier's records
+    EdgePartFetch edgeParts;   ///< Scatter: their edge lists
+    StoreQueue stores;         ///< Apply: property and record stores
 
     // Stats every model registers first, in this order.
     stats::Scalar statIterations;

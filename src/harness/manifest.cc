@@ -45,7 +45,15 @@ hashFields(const char *model, const Config &cfg)
     std::ostringstream os;
     os << "model=" << model << ';';
     auto v = [&os](const char *name, const auto &value) {
-        os << name << '=' << value << ';';
+        os << name << '=';
+        // Every digit counts: two knobs that differ only past the stream's
+        // default six significant digits must hash apart.
+        if constexpr (std::is_floating_point_v<
+                          std::remove_cvref_t<decltype(value)>>)
+            common::emitJsonNumber(os, value);
+        else
+            os << value;
+        os << ';';
     };
     Config::fields(cfg, v);
     return hashHex(fnv1a(os.str()));

@@ -362,6 +362,35 @@ TEST_F(CheckpointTest, ResumeWithInFlightVbListsIsBitExact)
     expectResumeAtCycleIsExact(sc, g, id, cut, ref, "vb_in_flight");
 }
 
+TEST_F(CheckpointTest, ResumeWithEdgePartsOutstandingIsBitExact)
+{
+    // Cut each model in Scatter while a record's edge list is fetched in
+    // parts, some requested and in flight, the rest not yet requested:
+    // the resumed run must count the outstanding parts and request the
+    // remaining ones from where the cut left off.
+    const graph::Csr g = graph::rmat(9, 16, 42, {}, true);
+    const algo::AlgorithmId id = algo::AlgorithmId::Pr;
+    for (const bool gio : {false, true}) {
+        Scenario sc;
+        sc.graphicionado = gio;
+        SCOPED_TRACE(sc.tag());
+        const RunArtifacts ref = runScenario(sc, g, id, {});
+        ASSERT_TRUE(ref.result.completed());
+
+        Cycle cut = 0;
+        for (Cycle b = 1; b < 2000 && cut == 0; ++b) {
+            const std::string st = runScenario(sc, g, id, {}, b).finalState;
+            if (st.find("phase=scatter") != std::string::npos &&
+                st.find(" partialFetches=0]") == std::string::npos)
+                cut = b;
+        }
+        ASSERT_NE(cut, 0u) << "no Scatter state with a partly fetched "
+                              "edge list found";
+        expectResumeAtCycleIsExact(sc, g, id, cut, ref,
+                                   sc.tag() + "_parts");
+    }
+}
+
 // --- Identity and corruption handling -------------------------------------
 
 TEST_F(CheckpointTest, MismatchedIdentityStartsCleanAndStillCompletes)
@@ -539,7 +568,7 @@ TEST_F(CheckpointTest, IdenticalRunsWriteIdenticalPayloads)
     // No padding byte reaches a payload, so the same run checkpoints the
     // same bytes every time. The sizes and hashes are pinned beside the
     // state version: a layout change has to update both on purpose.
-    static_assert(core::kStateVersion == 6,
+    static_assert(core::kStateVersion == 7,
                   "re-pin the payload sizes and hashes below");
     struct Pinned
     {
@@ -550,11 +579,11 @@ TEST_F(CheckpointTest, IdenticalRunsWriteIdenticalPayloads)
     };
     const Scenario noisy{false, true, true, true, true};
     const Pinned cases[] = {
-        {Scenario{}, algo::AlgorithmId::Pr, 27894, 0xefb3eefcf5463cc1ULL},
-        {noisy, algo::AlgorithmId::Bfs, 19890, 0x677aebf2c49600d5ULL},
-        {Scenario{true}, algo::AlgorithmId::Pr, 35868, 0xa96c43467cd08ff0ULL},
+        {Scenario{}, algo::AlgorithmId::Pr, 27900, 0x06b09697e26227adULL},
+        {noisy, algo::AlgorithmId::Bfs, 19896, 0x96ee68c1b661a182ULL},
+        {Scenario{true}, algo::AlgorithmId::Pr, 35860, 0x994742ef1749a474ULL},
         {Scenario{true, true, true, true, true}, algo::AlgorithmId::Sssp,
-         25308, 0xcbdd61a858035db4ULL},
+         25300, 0xa6fac258f3863c74ULL},
     };
     const graph::Csr g = testGraph();
     for (const Pinned &c : cases) {

@@ -298,6 +298,15 @@ TEST(Manifest, ConfigHashMatchesRecordedGoldens)
               "f9c594592b00be93");
 }
 
+TEST(Manifest, ConfigHashSeesEveryDigitOfAFloatingPointKnob)
+{
+    // Six significant digits would print both launch latencies as "4".
+    baseline::GunrockConfig nudged;
+    nudged.kernelLaunchUs = 4.0000001;
+    EXPECT_NE(harness::configHash(nudged),
+              harness::configHash(baseline::GunrockConfig{}));
+}
+
 TEST(Manifest, DifferentModelsNeverCollide)
 {
     // The hash prefixes a model tag, so two default-constructed configs

@@ -57,6 +57,10 @@ struct Cell
     /** A 1 x kRoadLength path instead of the RMAT graph: frontiers of one
      *  vertex, so each iteration is an HBM round trip and Apply-bound. */
     bool road = false;
+    /** GraphDynS only: fetch edge parts 64 B-aligned (EP ablation). */
+    bool inexactPrefetch = false;
+    /** GraphDynS only: edge-buffer budget; 0 keeps the default. */
+    unsigned eprefBufferEdges = 0;
 };
 
 constexpr VertexId kRoadLength = 512;
@@ -75,6 +79,11 @@ runOnce(const Cell &cell, bool fast_forward)
             cfg.vbBytesPerUe = bytesPerWord;
         else
             cfg.onChipBytes = 128 * bytesPerWord;
+    }
+    if constexpr (std::is_same_v<Config, core::GdsConfig>) {
+        cfg.exactPrefetch = !cell.inexactPrefetch;
+        if (cell.eprefBufferEdges != 0)
+            cfg.eprefBufferEdges = cell.eprefBufferEdges;
     }
     auto algorithm = algo::makeAlgorithm(cell.algorithm);
     Accel accel(cfg, g, *algorithm);
@@ -215,6 +224,30 @@ TEST(FastForwardEquiv, GdsBfsSlicedFaulted)
 {
     Cell cell;
     cell.sliced = true;
+    cell.faults.delayResponseProb = 0.05;
+    cell.faults.delayCycles = 200;
+    expectEquivalent<core::GdsAccel, core::GdsConfig>(cell);
+}
+
+TEST(FastForwardEquiv, GdsPageRankInexactPrefetch)
+{
+    // 64 B-aligned edge parts, never coalesced: every record takes the
+    // part-fetch path, so its quiescence clauses decide every skip.
+    Cell cell;
+    cell.algorithm = AlgorithmId::Pr;
+    cell.maxIterations = 10;
+    cell.inexactPrefetch = true;
+    expectEquivalent<core::GdsAccel, core::GdsConfig>(cell);
+}
+
+TEST(FastForwardEquiv, GdsPageRankEprefBuffer64Faulted)
+{
+    // A 64-edge buffer: records wait for budget in FIFO order and hubs
+    // run alone, under delayed HBM responses.
+    Cell cell;
+    cell.algorithm = AlgorithmId::Pr;
+    cell.maxIterations = 10;
+    cell.eprefBufferEdges = 64;
     cell.faults.delayResponseProb = 0.05;
     cell.faults.delayCycles = 200;
     expectEquivalent<core::GdsAccel, core::GdsConfig>(cell);

@@ -4,7 +4,10 @@
  * end-of-run stats JSON of both accelerator models, for PR, BFS, CC and
  * weighted SSSP on one RMAT graph, at the default configuration, at a
  * forced multi-slice one, with GraphDynS's stalling (non-zero-stall) UE
- * atomics, and at two Graphicionado RAW-window depths.
+ * atomics, and at two Graphicionado RAW-window depths. Four more variants
+ * pin the memory front end's fetch and store paths: GraphDynS's 64 B-
+ * aligned (non-exact) edge parts, its edge-buffer budget, its store queue
+ * with every group applied, and Graphicionado's one-record stream batches.
  *
  * The fast-forward equivalence suite compares two modes of one build, so
  * it cannot notice a change that shifts both modes alike; these pins can.
@@ -42,6 +45,11 @@ enum class Variant
     StallAtomics, ///< GraphDynS UEs stall on RAW conflicts
     Depth1,       ///< Graphicionado RAW window of one cycle
     Depth5,       ///< Graphicionado RAW window of five cycles
+    InexactPrefetch,  ///< GraphDynS edge parts over-fetched to 64 B lines
+    EprefBuffer64,    ///< GraphDynS edge buffer of 64 edges: budget-
+                      ///< blocked records and oversize records alone
+    NoUpdateSchedule, ///< GraphDynS Apply sweeps every group
+    VprefBatch1,      ///< Graphicionado streams one record per request
 };
 
 /** One pinned run and its expected outcome. */
@@ -106,6 +114,8 @@ runGolden(const Golden &c)
             cfg.atomicPipelineDepth = 1;
         if (c.variant == Variant::Depth5)
             cfg.atomicPipelineDepth = 5;
+        if (c.variant == Variant::VprefBatch1)
+            cfg.vprefBatch = 1;
         baseline::GraphicionadoAccel accel(cfg, g, *algorithm);
         return observe(accel, g);
     }
@@ -115,6 +125,12 @@ runGolden(const Golden &c)
         cfg.vbBytesPerUe = 8; // 128 UEs x 8 B / 4 B = 256-vertex slices
     if (c.variant == Variant::StallAtomics)
         cfg.zeroStallAtomics = false;
+    if (c.variant == Variant::InexactPrefetch)
+        cfg.exactPrefetch = false;
+    if (c.variant == Variant::EprefBuffer64)
+        cfg.eprefBufferEdges = 64;
+    if (c.variant == Variant::NoUpdateSchedule)
+        cfg.updateScheduling = false;
     core::GdsAccel accel(cfg, g, *algorithm);
     return observe(accel, g);
 }
@@ -190,6 +206,24 @@ const Golden kGolden[] = {
      16111u, 0x9b9f16ee918a1a0bULL},
     {"gi_pr_depth5", true, AlgorithmId::Pr, Variant::Depth5,
      54512u, 0x63cfbcd981817713ULL},
+    // Captured from the model before the record stream, the edge
+    // part-fetch and the store queue moved into the shared frame.
+    {"gds_pr_inexact_prefetch", false, AlgorithmId::Pr,
+     Variant::InexactPrefetch, 11705u, 0x5ed022261184e730ULL},
+    {"gds_bfs_inexact_prefetch", false, AlgorithmId::Bfs,
+     Variant::InexactPrefetch, 1526u, 0x3c53d9cbbfd81a57ULL},
+    {"gds_pr_epref_buffer64", false, AlgorithmId::Pr,
+     Variant::EprefBuffer64, 32522u, 0xf44826b26bca26a2ULL},
+    {"gds_sssp_epref_buffer64", false, AlgorithmId::Sssp,
+     Variant::EprefBuffer64, 10872u, 0x425abeae2037fe86ULL},
+    {"gds_sssp_no_update_schedule", false, AlgorithmId::Sssp,
+     Variant::NoUpdateSchedule, 3181u, 0xfdd672307f2617d2ULL},
+    {"gds_bfs_no_update_schedule", false, AlgorithmId::Bfs,
+     Variant::NoUpdateSchedule, 1594u, 0x0855bb251791feacULL},
+    {"gi_pr_vpref_batch1", true, AlgorithmId::Pr, Variant::VprefBatch1,
+     34798u, 0xca68c8bdd5034cbcULL},
+    {"gi_bfs_vpref_batch1", true, AlgorithmId::Bfs, Variant::VprefBatch1,
+     4813u, 0x181eb74ac3df3388ULL},
 };
 
 INSTANTIATE_TEST_SUITE_P(Runs, TimingGolden, ::testing::ValuesIn(kGolden),
