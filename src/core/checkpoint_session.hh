@@ -24,7 +24,7 @@ namespace gds::core
  * any change to a checkpointed class's field list; a checkpoint of
  * another version is ignored on resume and the run starts clean.
  */
-inline constexpr std::uint32_t kStateVersion = 7;
+inline constexpr std::uint32_t kStateVersion = 8;
 
 /**
  * Run @p run under the checkpoint policy of @p options. With a

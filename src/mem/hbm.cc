@@ -18,16 +18,16 @@ namespace
 constexpr std::uint32_t kHbmMarker = 0x48424d31; // "HBM1"
 
 /**
- * Initial completion-wheel span in cycles: it covers a default-timing
- * row miss behind a full queue's worth of bus backlog. Longer backlogs,
+ * Initial counter-ring span in cycles: it covers a default-timing row
+ * miss behind a full queue's worth of bus backlog. Longer backlogs,
  * far-memory timing and fault delays double it on demand.
  */
-constexpr std::size_t kInitialWheelSpan = 256;
+constexpr std::size_t kInitialRingSpan = 256;
 
 /**
- * Farthest a restored completion may lie ahead of the clock. Far beyond
- * any modelled latency, bus backlog or fault delay, it keeps a corrupt
- * checkpoint from sizing an enormous wheel.
+ * Farthest a restored landing or finish may lie ahead of the clock. Far
+ * beyond any modelled latency, bus backlog or fault delay, it keeps a
+ * corrupt checkpoint from sizing an enormous ring.
  */
 constexpr Cycle kMaxRestoredSpan = Cycle{1} << 24;
 
@@ -78,7 +78,7 @@ Hbm::Hbm(const HbmConfig &config, sim::Component *parent)
             cfg.tRefi / cfg.banksPerChannel / cfg.numChannels * (ch + 1);
     }
     busyChannels.assign((cfg.numChannels + 63) / 64, 0);
-    wheel.resize(kInitialWheelSpan);
+    landings.resize(kInitialRingSpan);
 }
 
 void
@@ -89,15 +89,14 @@ Hbm::mapAddress(Addr tx_addr, unsigned &channel, std::uint32_t &bank,
     // sequential stream spreads across all channels, and within a channel
     // walks consecutive columns of one row before moving on (near-perfect
     // row locality for streams, row misses for random access).
+    channel = txChannel(tx_addr);
     if (pow2Geometry) {
-        channel = static_cast<unsigned>(tx_addr & (cfg.numChannels - 1));
         const std::uint64_t rowGlobal = (tx_addr >> channelShift) >> rowShift;
         bank = static_cast<std::uint32_t>(rowGlobal &
                                           (cfg.banksPerChannel - 1));
         row = rowGlobal >> bankShift;
         return;
     }
-    channel = static_cast<unsigned>(tx_addr % cfg.numChannels);
     const std::uint64_t local = tx_addr / cfg.numChannels;
     const std::uint64_t txPerRow = cfg.rowBytes / cfg.txBytes;
     const std::uint64_t rowGlobal = local / txPerRow;
@@ -145,16 +144,13 @@ Hbm::access(Addr addr, unsigned bytes, bool is_write, std::uint64_t tag,
     }
 
     // Allocate a request slot.
-    std::uint32_t index;
-    if (!freeList.empty()) {
-        index = freeList.back();
-        freeList.pop_back();
-        requests[index] = Request{tag, port, tx_count, is_write, now};
-    } else {
-        index = static_cast<std::uint32_t>(requests.size());
-        requests.push_back(Request{tag, port, tx_count, is_write, now});
+    if (freeList.empty()) {
+        freeList.push_back(static_cast<std::uint32_t>(requests.size()));
+        requests.emplace_back();
     }
-    requests[index].queuedTx = tx_count;
+    const std::uint32_t index = freeList.back();
+    freeList.pop_back();
+    requests[index] = Request{tag, port, now, tx_count};
     port->_inflight += 1;
 
     for (Addr tx = first_tx; tx <= last_tx; ++tx) {
@@ -215,11 +211,9 @@ Hbm::serviceChannel(unsigned ch)
     Channel &channel = channels[ch];
 
     // FR-FCFS: prefer the oldest row hit within the lookahead window,
-    // otherwise the oldest transaction whose bank is ready and whose
-    // activate is allowed by tRRD. When nothing is issuable, remember the
-    // earliest cycle something could be (the gate nextEventCycle() would
-    // derive) so the channel is not rescanned before then.
-    const bool can_activate = now >= channel.nextActivateAt;
+    // otherwise the oldest row miss whose gate has passed. When nothing
+    // is issuable, remember the earliest gate (the one nextEventCycle()
+    // would derive) so the channel is not rescanned before then.
     const std::size_t window =
         std::min<std::size_t>(channel.queue.size(), cfg.frfcfsWindow);
     std::size_t pick = window; // sentinel: nothing issuable
@@ -227,22 +221,15 @@ Hbm::serviceChannel(unsigned ch)
     Cycle gate = kNeverEvent;
     for (std::size_t i = 0; i < window; ++i) {
         const Transaction &tx = channel.queue[i];
-        const Bank &bank = channel.banks[tx.bank];
-        const bool hit = bank.openRow == tx.row;
-        if (bank.nextReady <= now) {
-            if (hit) {
-                pick = i;
-                break;
-            }
-            if (can_activate) {
-                if (oldest_miss == window)
-                    oldest_miss = i;
-                continue;
-            }
+        const Cycle ready = txGate(channel, tx);
+        if (ready > now) {
+            gate = std::min(gate, ready);
+        } else if (channel.banks[tx.bank].openRow == tx.row) {
+            pick = i;
+            break;
+        } else if (oldest_miss == window) {
+            oldest_miss = i;
         }
-        gate = std::min(gate, hit ? bank.nextReady
-                                  : std::max(bank.nextReady,
-                                             channel.nextActivateAt));
     }
     if (pick == window)
         pick = oldest_miss;
@@ -275,113 +262,103 @@ Hbm::serviceChannel(unsigned ch)
     bank.nextReady = column_at + cfg.tCcd;
     statDataBusBusy += static_cast<double>(cfg.tBurst);
     ++statTransactions;
-    scheduleCompletion(done, tx.requestIndex);
+    const std::uint64_t seq = addLanding(done);
 
-    // Once the last transaction issues, the request's delivery cycle is
-    // fixed: from here on only that cycle (not every burst landing) is a
-    // visible event for the fast-forward horizon.
+    // The request finishes with the last of its landings pushed at its
+    // latest landing cycle. Once its last transaction issues, that
+    // (cycle, sequence) key is fixed and joins the finish heap.
     Request &req = requests[tx.requestIndex];
-    if (done > req.finishAt)
+    if (done >= req.finishAt) {
         req.finishAt = done;
+        req.finishSeq = seq;
+    }
     gds_assert(req.queuedTx > 0, "issued more transactions than queued");
     --queuedTxTotal;
     if (--req.queuedTx == 0)
-        pushFinish(req.finishAt, tx.requestIndex);
+        pushFinish(req.finishAt, req.finishSeq, tx.requestIndex);
 }
 
 void
-Hbm::pushFinish(Cycle at, std::uint32_t request_index)
+Hbm::pushFinish(Cycle at, std::uint64_t seq, std::uint32_t request_index)
 {
-    requestFinishes.push_back(Completion{at, request_index});
+    requestFinishes.push_back(Finish{at, seq, request_index});
     std::push_heap(requestFinishes.begin(), requestFinishes.end(),
                    std::greater<>{});
 }
 
-void
-Hbm::scheduleCompletion(Cycle at, std::uint32_t request_index)
+std::uint64_t
+Hbm::addLanding(Cycle at)
 {
     const Cycle ahead = at - now;
-    if (ahead >= wheel.size())
-        growWheel(ahead);
-    wheel[at & (wheel.size() - 1)].push_back(request_index);
+    if (ahead >= landings.size())
+        growRing(ahead);
+    ++landings[at & (landings.size() - 1)];
+    return landingSeq++;
 }
 
 void
-Hbm::growWheel(Cycle ahead)
+Hbm::growRing(Cycle ahead)
 {
-    // Pending completions span [now, now + size), so each bucket holds
-    // exactly one cycle and moves whole to that cycle's bucket in the
-    // larger wheel.
-    std::size_t size = wheel.size();
+    // Pending landings span [now, now + size), so each slot holds exactly
+    // one cycle and moves to that cycle's slot in the larger ring.
+    std::size_t size = landings.size();
     while (ahead >= size)
         size *= 2;
-    std::vector<std::vector<std::uint32_t>> grown(size);
-    const std::size_t old_mask = wheel.size() - 1;
-    for (std::size_t b = 0; b < wheel.size(); ++b) {
+    std::vector<std::uint32_t> grown(size);
+    const std::size_t old_mask = landings.size() - 1;
+    for (std::size_t b = 0; b < landings.size(); ++b) {
         const Cycle at = now + ((b - now) & old_mask);
-        grown[at & (size - 1)] = std::move(wheel[b]);
+        grown[at & (size - 1)] = landings[b];
     }
-    wheel = std::move(grown);
+    landings = std::move(grown);
 }
 
 void
-Hbm::finishCompletions()
+Hbm::finishRequest()
 {
-    // Retire this cycle's bucket in push order. It is swapped out first:
-    // a delayed-fault redelivery pushes into the wheel, which may grow.
-    retiring.swap(wheel[now & (wheel.size() - 1)]);
-    for (const std::uint32_t index : retiring) {
-        Request &req = requests[index];
-        gds_assert(req.pendingTx > 0, "double completion");
-        --inflightTx;
-        if (--req.pendingTx != 0)
-            continue;
-        if (fault && !req.faultChecked) {
-            req.faultChecked = true;
-            if (fault->dropResponse()) {
-                // The response is lost on the wire: the requester keeps
-                // waiting (its port still reports the request in flight),
-                // which the run watchdog must catch.
-                ++statFaultDropped;
-                if (obs::Tracer *t = obs::activeTracer())
-                    t->instant(t->track(tracePath()), "fault:drop", now);
-                freeList.push_back(index);
-                continue;
-            }
-            if (const Cycle delay = fault->responseDelay()) {
-                ++statFaultDelayed;
-                if (obs::Tracer *t = obs::activeTracer())
-                    t->instant(t->track(tracePath()), "fault:delay", now);
-                req.pendingTx = 1;
-                ++inflightTx;
-                scheduleCompletion(now + delay, index);
-                pushFinish(now + delay, index);
-                continue;
-            }
+    std::pop_heap(requestFinishes.begin(), requestFinishes.end(),
+                  std::greater<>{});
+    const std::uint32_t index = requestFinishes.back().requestIndex;
+    requestFinishes.pop_back();
+    Request &req = requests[index];
+    if (fault && !req.faultChecked) {
+        req.faultChecked = true;
+        if (fault->dropResponse()) {
+            // The response is lost on the wire: the requester keeps
+            // waiting (its port still reports the request in flight),
+            // which the run watchdog must catch.
+            ++statFaultDropped;
+            if (obs::Tracer *t = obs::activeTracer())
+                t->instant(t->track(tracePath()), "fault:drop", now);
+            freeList.push_back(index);
+            return;
         }
-        req.port->responses.push_back(req.tag);
-        req.port->_inflight -= 1;
-        statLatencySum += static_cast<double>(now - req.issuedAt);
-        ++statRequests;
-        progressed(now);
-        freeList.push_back(index);
+        if (const Cycle delay = fault->responseDelay()) {
+            // The redelivery is one more landing, keyed by its own push.
+            ++statFaultDelayed;
+            if (obs::Tracer *t = obs::activeTracer())
+                t->instant(t->track(tracePath()), "fault:delay", now);
+            ++inflightTx;
+            pushFinish(now + delay, addLanding(now + delay), index);
+            return;
+        }
     }
-    retiring.clear();
+    req.port->responses.push_back(req.tag);
+    req.port->_inflight -= 1;
+    statLatencySum += static_cast<double>(now - req.issuedAt);
+    ++statRequests;
+    progressed(now);
+    freeList.push_back(index);
 }
 
 void
 Hbm::tick()
 {
-    if (inflightTx != queuedTxTotal)
-        finishCompletions();
-    // Matured finish events were acted on just now (response delivered,
-    // or superseded by a delayed-fault redelivery pushed at the deferred
-    // cycle); drop them so the horizon never reports a stale event.
-    while (!requestFinishes.empty() && requestFinishes.front().at <= now) {
-        std::pop_heap(requestFinishes.begin(), requestFinishes.end(),
-                      std::greater<>{});
-        requestFinishes.pop_back();
-    }
+    // This cycle's landings leave flight, and the requests they finish
+    // are delivered in landing push order.
+    inflightTx -= std::exchange(landings[now & (landings.size() - 1)], 0);
+    while (!requestFinishes.empty() && requestFinishes.front().at <= now)
+        finishRequest();
     fireRefreshes(now);
     // Only channels with queued transactions and a passed issue gate can
     // act; visit them in ascending order.
@@ -403,9 +380,8 @@ Hbm::nextEventCycle() const
 {
     // The tick i cycles from now runs with the local clock at now + i - 1,
     // so an event gated at absolute cycle G is reached by tick G - now + 1.
-    // Only request-finishing completions are visible events: the bursts a
-    // multi-transaction request lands along the way merely decrement its
-    // pending count, which skipCycles() replays in bulk.
+    // Only request finishes are visible events: the other landings merely
+    // lower the in-flight count, which skipCycles() replays in bulk.
     Cycle horizon = kNeverEvent;
     if (!requestFinishes.empty()) {
         const Cycle at = requestFinishes.front().at;
@@ -426,14 +402,10 @@ Hbm::nextEventCycle() const
             const std::size_t window = std::min<std::size_t>(
                 channel.queue.size(), cfg.frfcfsWindow);
             for (std::size_t i = 0; i < window; ++i) {
-                const Transaction &tx = channel.queue[i];
-                const Bank &bank = channel.banks[tx.bank];
-                Cycle gate = bank.nextReady;
-                if (bank.openRow != tx.row)
-                    gate = std::max(gate, channel.nextActivateAt);
                 // A refresh inside the window can only delay this further
                 // (close the row, raise nextReady), so the pre-refresh
                 // gate is a safe lower bound.
+                const Cycle gate = txGate(channel, channel.queue[i]);
                 horizon = std::min(horizon,
                                    gate > now ? gate - now + 1 : Cycle{1});
                 if (horizon == 1)
@@ -453,32 +425,23 @@ Hbm::skipCycles(Cycle cycles)
     gds_assert(requestFinishes.empty() || requestFinishes.front().at > last,
                "fast-forward across a matured HBM request completion");
 
-    // Retire the intermediate transaction completions maturing inside the
-    // window exactly as the skipped ticks would have, integrating the
-    // occupancy stat piecewise around each retirement. None of them can
-    // finish a request (the assert above), so no port response, fault
-    // draw, latency stat or progress mark is due. Pending completions lie
-    // within one wheel span of now, so at most that many buckets are
-    // visited, and none once all have retired.
+    // Retire the landings inside the window exactly as the skipped ticks
+    // would have, integrating the occupancy stat piecewise around each
+    // landing cycle. None of them finishes a request (the assert above),
+    // so no port response, fault draw, latency stat or progress mark is
+    // due. Pending landings lie within one ring span of now, so at most
+    // that many slots are visited, and none once all have retired.
     Cycle cursor = now; // next cycle whose occupancy is unaccounted
-    const Cycle scan_last = std::min<Cycle>(last, now + wheel.size() - 1);
+    const Cycle scan_last = std::min<Cycle>(last, now + landings.size() - 1);
     for (Cycle at = now; at <= scan_last && inflightTx != queuedTxTotal;
          ++at) {
-        std::vector<std::uint32_t> &bucket = wheel[at & (wheel.size() - 1)];
-        if (bucket.empty())
+        std::uint32_t &count = landings[at & (landings.size() - 1)];
+        if (count == 0)
             continue;
         statOccupancySum += static_cast<double>(at - cursor) *
                             static_cast<double>(inflightTx);
         cursor = at;
-        for (const std::uint32_t index : bucket) {
-            Request &req = requests[index];
-            gds_assert(req.pendingTx > 1,
-                       "request-finishing completion inside a skipped "
-                       "window");
-            --req.pendingTx;
-            --inflightTx;
-        }
-        bucket.clear();
+        inflightTx -= std::exchange(count, 0);
     }
     statOccupancySum += static_cast<double>(now + cycles - cursor) *
                         static_cast<double>(inflightTx);
@@ -496,11 +459,10 @@ Hbm::debugState() const
 {
     char buf[128];
     std::snprintf(buf, sizeof(buf),
-                  "inflightTx=%llu queuedTx=%llu completions=%llu",
+                  "inflightTx=%llu queuedTx=%llu finishes=%zu",
                   static_cast<unsigned long long>(inflightTx),
                   static_cast<unsigned long long>(queuedTxTotal),
-                  static_cast<unsigned long long>(inflightTx -
-                                                  queuedTxTotal));
+                  requestFinishes.size());
     return buf;
 }
 
@@ -520,39 +482,52 @@ Hbm::rowHitRate() const
     return issued == 0.0 ? 0.0 : statRowHits.value() / issued;
 }
 
-std::vector<Hbm::Completion>
-Hbm::pendingCompletions() const
+std::vector<Hbm::LandingRun>
+Hbm::landingRuns() const
 {
-    std::vector<Completion> pending;
-    pending.reserve(inflightTx - queuedTxTotal);
-    for (Cycle at = now; at < now + wheel.size(); ++at) {
-        for (const std::uint32_t index : wheel[at & (wheel.size() - 1)])
-            pending.push_back(Completion{at, index});
+    std::vector<LandingRun> runs;
+    for (Cycle at = now; at < now + landings.size(); ++at) {
+        if (const std::uint32_t count = landings[at & (landings.size() - 1)])
+            runs.emplace_back(at, count);
     }
-    return pending;
+    return runs;
 }
 
 void
-Hbm::rebuildAfterRestore(const std::vector<Completion> &pending)
+Hbm::rebuildAfterRestore(const std::vector<LandingRun> &runs)
 {
-    gds_require(pending.size() == inflightTx - queuedTxTotal,
-                CheckpointError,
-                "HBM checkpoint lists %zu pending completions for %llu "
-                "issued transactions",
-                pending.size(),
-                static_cast<unsigned long long>(inflightTx - queuedTxTotal));
-    for (std::vector<std::uint32_t> &bucket : wheel)
-        bucket.clear();
-    for (const Completion &c : pending) {
-        gds_require(c.at >= now && c.at - now < kMaxRestoredSpan &&
-                        c.requestIndex < requests.size(),
+    const auto in_span = [this](Cycle at) {
+        return at >= now && at - now < kMaxRestoredSpan;
+    };
+    for (const Finish &f : requestFinishes) {
+        gds_require(in_span(f.at) && f.requestIndex < requests.size(),
                     CheckpointError,
-                    "HBM checkpoint completion (cycle %llu, request %u) "
-                    "is out of range at cycle %llu",
-                    static_cast<unsigned long long>(c.at), c.requestIndex,
+                    "HBM checkpoint finish (cycle %llu, request %u) is out "
+                    "of range at cycle %llu",
+                    static_cast<unsigned long long>(f.at), f.requestIndex,
                     static_cast<unsigned long long>(now));
-        scheduleCompletion(c.at, c.requestIndex);
     }
+    gds_require(std::is_heap(requestFinishes.begin(), requestFinishes.end(),
+                             std::greater<>{}),
+                CheckpointError, "HBM checkpoint finish list is not a heap");
+    std::fill(landings.begin(), landings.end(), 0);
+    std::uint64_t pending = 0;
+    for (const auto &[at, count] : runs) {
+        gds_require(in_span(at), CheckpointError,
+                    "HBM checkpoint landing cycle %llu is out of range at "
+                    "cycle %llu",
+                    static_cast<unsigned long long>(at),
+                    static_cast<unsigned long long>(now));
+        if (at - now >= landings.size())
+            growRing(at - now);
+        landings[at & (landings.size() - 1)] += count;
+        pending += count;
+    }
+    gds_require(pending == inflightTx - queuedTxTotal, CheckpointError,
+                "HBM checkpoint lists %llu pending landings for %llu "
+                "issued transactions",
+                static_cast<unsigned long long>(pending),
+                static_cast<unsigned long long>(inflightTx - queuedTxTotal));
     std::fill(busyChannels.begin(), busyChannels.end(), 0);
     refreshCursor = 0;
     for (unsigned ch = 0; ch < cfg.numChannels; ++ch) {
@@ -573,17 +548,18 @@ Hbm::fields(Self &self, Ar &ar)
 {
     sim::Component::fields(self, ar);
     // Free request slots keep their stale-but-registered port pointer,
-    // preserving the slab entry for entry. Pending completions travel in
-    // (cycle, push order), so a restored wheel retires same-cycle
-    // completions in the pre-checkpoint order.
-    std::vector<Completion> pending;
+    // preserving the slab entry for entry. The ring travels as its
+    // nonzero (cycle, count) slots; the finish heap keeps its layout and
+    // its keys, and the sequence counter keeps later landings after them.
+    std::vector<LandingRun> runs;
     if constexpr (!Ar::kRestoring)
-        pending = self.pendingCompletions();
+        runs = self.landingRuns();
     ar(sim::Marker{kHbmMarker}, sim::fixedCount(self.channels),
-       self.requests, self.freeList, pending, self.requestFinishes);
+       self.requests, self.freeList, runs, self.requestFinishes);
+    ar(self.landingSeq);
     ar(self.inflightTx, self.queuedTxTotal, self.now);
     if constexpr (Ar::kRestoring)
-        self.rebuildAfterRestore(pending);
+        self.rebuildAfterRestore(runs);
 }
 
 void

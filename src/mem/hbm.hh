@@ -18,13 +18,16 @@
  *
  * Host cost is O(1) per transaction and nothing per idle channel: a tick
  * visits only channels with queued transactions whose issue gate has
- * passed, fires refreshes from a cursor, and retires one timing-wheel
- * bucket of completions.
+ * passed, fires refreshes from a cursor, takes its cycle's landings off
+ * a per-cycle counter ring, and delivers the requests that finish then
+ * from a heap holding one entry per fully issued request.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "common/bitutil.hh"
@@ -101,7 +104,7 @@ hbmContractViolation(const HbmConfig &c)
     if (c.rowBytes == 0 || c.rowBytes % c.txBytes != 0)
         return "hbm.rowBytes must be a nonzero multiple of hbm.txBytes";
     // A transaction completes at least tBurst cycles after it issues, so
-    // a completion never lands in the timing-wheel bucket being retired.
+    // it never lands in the counter-ring slot a tick is retiring.
     if (c.tBurst == 0)
         return "hbm.tBurst must be nonzero";
     if (c.tRefi < c.banksPerChannel)
@@ -176,22 +179,22 @@ class Hbm : public sim::Component
 
     /**
      * Earliest tick with an externally visible event: the min over the
-     * earliest *request*-finishing completion (the cycle a port response
-     * appears) and, per queued transaction in each channel's FR-FCFS
-     * window, its bank-ready / activate gate. Intermediate transaction
-     * completions of a multi-burst request are internal bookkeeping and
-     * do not bound the horizon (skipCycles() retires them in bulk);
-     * refreshes likewise only delay issue and are replayed exactly.
+     * earliest request finish (the cycle a port response appears) and,
+     * per queued transaction in each channel's FR-FCFS window, its issue
+     * gate. Transaction landings that finish no request only move the
+     * occupancy count and do not bound the horizon (skipCycles() retires
+     * them in bulk); refreshes likewise only delay issue and are
+     * replayed exactly.
      */
     Cycle nextEventCycle() const override;
 
     /**
-     * Replay @p cycles pure-wait ticks: retire every intermediate
-     * transaction completion maturing in the window at its exact cycle
-     * (piecewise-integrating occupancy around each), fire every scheduled
-     * refresh, advance the local clock. Asserts no request finishes
-     * inside the window; issue gates never fall inside it because they
-     * bound the horizon the window was derived from.
+     * Replay @p cycles pure-wait ticks: retire every transaction landing
+     * in the window at its exact cycle (piecewise-integrating occupancy
+     * around each), fire every scheduled refresh, advance the local
+     * clock. Asserts no request finishes inside the window; issue gates
+     * never fall inside it because they bound the horizon the window was
+     * derived from.
      */
     void skipCycles(Cycle cycles) override;
 
@@ -204,12 +207,13 @@ class Hbm : public sim::Component
      * rows, bus/activate/refresh clocks, the request slab (ports travel
      * as pointer-registry references — register every HbmPort on the
      * Serializer/Deserializer before calling), the free list, the
-     * pending transaction completions as a (cycle, push order) list, and
-     * the request-finish heap. Restore rebuilds the completion wheel from
-     * that list, so same-cycle completions retire in the pre-checkpoint
-     * order; the busy-channel mask, issue gates and refresh cursor are
-     * re-derived. Geometry and timing come from the constructor's config
-     * and are not serialized.
+     * landing counts as (cycle, count) runs, and the keyed finish heap
+     * with the landing sequence counter, so same-cycle responses keep
+     * the pre-checkpoint order. Restore rebuilds the counter ring from
+     * the runs, rejects out-of-range finish entries with CheckpointError,
+     * and re-derives the busy-channel mask, issue gates and refresh
+     * cursor. Geometry and timing come from the constructor's config and
+     * are not serialized.
      */
     void saveState(sim::Serializer &s) const override;
     void restoreState(sim::Deserializer &d) override;
@@ -276,20 +280,19 @@ class Hbm : public sim::Component
     {
         std::uint64_t tag;
         HbmPort *port;
-        unsigned pendingTx;
-        bool isWrite;
         Cycle issuedAt;
-        bool faultChecked = false; ///< injector consulted for this request
-        unsigned queuedTx = 0;     ///< transactions not yet issued
-        Cycle finishAt = 0;        ///< max completion time issued so far
+        unsigned queuedTx;           ///< transactions not yet issued
+        bool faultChecked = false;   ///< injector consulted for this request
+        Cycle finishAt = 0;          ///< latest landing issued so far
+        std::uint64_t finishSeq = 0; ///< seq of its last landing at finishAt
 
         /** The port travels as a pointer-registry reference. */
         template <typename Self, typename Ar>
         static void
         fields(Self &r, Ar &ar)
         {
-            ar(r.tag, r.port, r.pendingTx, r.isWrite, r.issuedAt,
-               r.faultChecked, r.queuedTx, r.finishAt);
+            ar(r.tag, r.port, r.issuedAt, r.queuedTx, r.faultChecked,
+               r.finishAt, r.finishSeq);
         }
     };
 
@@ -337,20 +340,29 @@ class Hbm : public sim::Component
         }
     };
 
-    struct Completion
+    /** A pending request finish: the cycle its response is due. */
+    struct Finish
     {
         Cycle at;
+        std::uint64_t seq; ///< landing sequence number: same-cycle order
         std::uint32_t requestIndex;
-        /** Min-heap order of requestFinishes (by time only). */
-        bool operator>(const Completion &o) const { return at > o.at; }
+
+        /** Min-heap order of requestFinishes: by cycle, then landing. */
+        bool
+        operator>(const Finish &o) const
+        {
+            return at != o.at ? at > o.at : seq > o.seq;
+        }
 
         template <typename Self, typename Ar>
         static void
-        fields(Self &c, Ar &ar)
+        fields(Self &f, Ar &ar)
         {
-            ar(c.at, c.requestIndex);
+            ar(f.at, f.seq, f.requestIndex);
         }
     };
+
+    using LandingRun = std::pair<Cycle, std::uint32_t>; ///< (cycle, count)
 
     static constexpr std::uint64_t noRow = ~0ULL;
 
@@ -367,8 +379,21 @@ class Hbm : public sim::Component
                          : tx_addr % cfg.numChannels);
     }
 
+    /** The FR-FCFS issue gate of @p tx: its bank's ready cycle, and for
+     *  a row miss also the channel's tRRD activate gate. */
+    static Cycle
+    txGate(const Channel &channel, const Transaction &tx)
+    {
+        const Bank &bank = channel.banks[tx.bank];
+        return bank.openRow == tx.row
+                   ? bank.nextReady
+                   : std::max(bank.nextReady, channel.nextActivateAt);
+    }
+
     void serviceChannel(unsigned ch);
-    void finishCompletions();
+
+    /** Deliver, drop or re-land (fault injection) the earliest finish. */
+    void finishRequest();
 
     /**
      * Fire every channel refresh scheduled at or before @p last, in
@@ -378,22 +403,22 @@ class Hbm : public sim::Component
      */
     void fireRefreshes(Cycle last);
 
-    /** Push a request-finish event onto the requestFinishes heap. */
-    void pushFinish(Cycle at, std::uint32_t request_index);
+    /** Push a request finish onto the requestFinishes heap. */
+    void pushFinish(Cycle at, std::uint64_t seq, std::uint32_t request_index);
 
-    /** Queue a transaction completion at cycle @p at (>= now). */
-    void scheduleCompletion(Cycle at, std::uint32_t request_index);
+    /** Count a landing at cycle @p at (> now) on the counter ring and
+     *  return its sequence number. */
+    std::uint64_t addLanding(Cycle at);
 
-    /** Double the wheel until it spans @p ahead cycles past now. */
-    void growWheel(Cycle ahead);
+    /** Double the ring until it spans @p ahead cycles past now. */
+    void growRing(Cycle ahead);
 
-    /** Pending completions in (cycle, push order): the checkpoint image
-     *  of the wheel. */
-    std::vector<Completion> pendingCompletions() const;
+    /** Nonzero ring slots in cycle order: the ring's checkpoint image. */
+    std::vector<LandingRun> landingRuns() const;
 
-    /** Rebuild the wheel and re-derive busy mask, issue gates and the
-     *  refresh cursor after fields() restored everything else. */
-    void rebuildAfterRestore(const std::vector<Completion> &pending);
+    /** Check the restored finish heap, rebuild the ring from @p runs and
+     *  re-derive busy mask, issue gates and the refresh cursor. */
+    void rebuildAfterRestore(const std::vector<LandingRun> &runs);
 
     void
     markBusy(unsigned ch)
@@ -421,29 +446,27 @@ class Hbm : public sim::Component
     std::vector<Request> requests;       ///< slab of live requests
     std::vector<std::uint32_t> freeList; ///< recycled request slots
     /**
-     * Transaction completions, one bucket per cycle: bucket
-     * `at & (size - 1)` holds the request index of every transaction
-     * completing at cycle `at`, in push (issue) order. Every pending
-     * completion lies in [now, now + size), so a bucket holds one cycle;
-     * a push that many cycles ahead or more doubles the wheel first. The
-     * pending count is inflightTx - queuedTxTotal.
+     * Transaction landings per cycle: slot `at & (size - 1)` counts the
+     * issued transactions (and fault redeliveries) landing at cycle `at`.
+     * Every pending landing lies in [now, now + size), so a slot holds
+     * one cycle; a landing that many cycles ahead or more doubles the
+     * ring first. The counts sum to inflightTx - queuedTxTotal and feed
+     * only inflightTx and the occupancy stat.
      */
-    // gds-ckpt: skip(wheel) travels as the (cycle, push order) list that
-    // fields() builds with pendingCompletions() and restore rebuilds from
-    std::vector<std::vector<std::uint32_t>> wheel;
-    // gds-ckpt: skip(retiring) per-tick scratch: the bucket being retired,
-    // swapped out of the wheel and empty between ticks
-    std::vector<std::uint32_t> retiring;
+    // gds-ckpt: skip(landings) travels as the (cycle, count) runs that
+    // fields() builds with landingRuns() and restore rebuilds from
+    std::vector<std::uint32_t> landings;
+    /** Sequence number the next landing takes. */
+    std::uint64_t landingSeq = 0;
     /**
-     * Externally visible completion events, a min-heap by time: one entry
-     * per fully-issued request, stamped with its last transaction's
-     * completion time (the cycle its port response appears). Intermediate
-     * transaction completions are internal bookkeeping the fast-forward
-     * path replays in bulk, so only these bound the idle horizon. Entries
-     * are pruned by time once they mature (a delayed-fault redelivery
-     * pushes a fresh entry at the deferred time).
+     * The one path that delivers responses: a min-heap with one entry
+     * per fully issued request, keyed by the cycle its last transaction
+     * lands, then by that landing's sequence number, so same-cycle
+     * responses follow landing push order. A fault-delayed redelivery
+     * pushes a fresh entry keyed by its own landing. Only these entries
+     * bound the idle horizon.
      */
-    std::vector<Completion> requestFinishes;
+    std::vector<Finish> requestFinishes;
     /** One bit per channel with queued transactions; tick() and
      *  nextEventCycle() walk the set bits in ascending channel order. */
     // gds-ckpt: skip(busyChannels) derived from the channel queues on

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -14,6 +15,7 @@
 
 #include "common/bitutil.hh"
 #include "common/rng.hh"
+#include "expect_error.hh"
 #include "mem/hbm.hh"
 #include "sim/checkpoint.hh"
 #include "sim/fault.hh"
@@ -428,12 +430,22 @@ namespace
  * a seeded mix of streaming and random reads and writes of 1-40
  * transactions (some wider than the channel count), retrying refused
  * accesses, with idle phases crossed by skipCycles(nextEventCycle() - 1)
- * the way the Simulator fast-forwards. Returns an FNV-1a hash over each
- * port's (completion cycle, tag) pairs, sorted within a cycle, and the
- * device's timing statistics.
+ * the way the Simulator fast-forwards. Hashes (FNV-1a) each port's
+ * (completion cycle, tag) pairs and the device's timing statistics, once
+ * with the pairs sorted within a cycle (timing only) and once in
+ * delivery order, which pins the same-cycle retire order that fault
+ * draws and requesters see. With a fault plan, the injector is attached
+ * and its drop/delay/reject counts join both hashes.
  */
-std::uint64_t
-goldenRun(const HbmConfig &cfg, std::uint64_t seed)
+struct GoldenHashes
+{
+    std::uint64_t sorted;
+    std::uint64_t arrival;
+};
+
+GoldenHashes
+goldenRun(const HbmConfig &cfg, std::uint64_t seed,
+          const sim::FaultPlan *plan = nullptr)
 {
     constexpr unsigned kPorts = 3;
     constexpr Cycle kCycles = 60000;
@@ -446,6 +458,11 @@ goldenRun(const HbmConfig &cfg, std::uint64_t seed)
     };
 
     Hbm hbm(cfg, nullptr);
+    std::optional<sim::FaultInjector> fault;
+    if (plan) {
+        fault.emplace(*plan);
+        hbm.setFaultInjector(&*fault);
+    }
     HbmPort ports[kPorts];
     std::vector<std::pair<Cycle, std::uint64_t>> seen[kPorts];
     Pending pending[kPorts];
@@ -505,22 +522,35 @@ goldenRun(const HbmConfig &cfg, std::uint64_t seed)
         collect();
     }
 
-    std::uint64_t hash = fnv1a64(nullptr, 0);
-    for (auto &pairs : seen) {
+    std::vector<const char *> names = {"rowHits",      "rowMisses",
+                                       "refreshes",    "occupancySum",
+                                       "latencySum",   "transactions"};
+    if (plan)
+        names.insert(names.end(),
+                     {"faultDropped", "faultDelayed", "faultRejected"});
+    const auto hashRun = [&](std::uint64_t hash) {
+        for (const auto &pairs : seen)
+            hash = fnv1a64(pairs.data(), pairs.size() * sizeof(pairs[0]),
+                           hash);
+        for (const char *name : names) {
+            const double v = hbm.statsGroup().scalar(name).value();
+            hash = fnv1a64(&v, sizeof v, hash);
+        }
+        return hash;
+    };
+    GoldenHashes hashes;
+    hashes.arrival = hashRun(fnv1a64(nullptr, 0));
+    for (auto &pairs : seen)
         std::sort(pairs.begin(), pairs.end());
-        hash = fnv1a64(pairs.data(), pairs.size() * sizeof(pairs[0]), hash);
-    }
-    for (const char *name : {"rowHits", "rowMisses", "refreshes",
-                             "occupancySum", "latencySum", "transactions"}) {
-        const double v = hbm.statsGroup().scalar(name).value();
-        hash = fnv1a64(&v, sizeof v, hash);
-    }
-    return hash;
+    hashes.sorted = hashRun(fnv1a64(nullptr, 0));
+    return hashes;
 }
 
 TEST(HbmGolden, DefaultGeometry)
 {
-    EXPECT_EQ(goldenRun(HbmConfig{}, 11), 0xa6e90d9b699f02bbULL);
+    const GoldenHashes h = goldenRun(HbmConfig{}, 11);
+    EXPECT_EQ(h.sorted, 0xa6e90d9b699f02bbULL);
+    EXPECT_EQ(h.arrival, 0xe641cf57d2f44373ULL);
 }
 
 TEST(HbmGolden, NonPowerOfTwoGeometry)
@@ -528,7 +558,9 @@ TEST(HbmGolden, NonPowerOfTwoGeometry)
     HbmConfig cfg;
     cfg.numChannels = 24;
     cfg.banksPerChannel = 12;
-    EXPECT_EQ(goldenRun(cfg, 12), 0xd53e4ddbf57955a1ULL);
+    const GoldenHashes h = goldenRun(cfg, 12);
+    EXPECT_EQ(h.sorted, 0xd53e4ddbf57955a1ULL);
+    EXPECT_EQ(h.arrival, 0x51bb70461fa6faf1ULL);
 }
 
 TEST(HbmGolden, FarMemoryTiming)
@@ -537,19 +569,73 @@ TEST(HbmGolden, FarMemoryTiming)
     cfg.tCl *= 64;
     cfg.tRcd *= 64;
     cfg.tRp *= 64;
-    EXPECT_EQ(goldenRun(cfg, 13), 0x5b3e8772accda20eULL);
+    const GoldenHashes h = goldenRun(cfg, 13);
+    EXPECT_EQ(h.sorted, 0x5b3e8772accda20eULL);
+    EXPECT_EQ(h.arrival, 0x9f105445f56947a2ULL);
 }
 
-TEST(HbmCheckpoint, RestoreResumesCompletionsPastTheWheelSpan)
+TEST(HbmGolden, FaultDropsDelaysAndRejects)
 {
-    // Far-memory timing plus 5000-cycle fault delays leave completions
-    // thousands of cycles ahead at the checkpoint, so the wheel has
-    // grown. Several requests issue per cycle, so many finish in the
-    // same cycle, where retire order decides the fault draws and the
-    // port's response order. A fresh Hbm restored from the payload (its
-    // wheel starts at the initial span) must deliver the remaining
-    // responses at the same cycles, in the same order, with the same
-    // statistics.
+    // Drop and delay draws are made in same-cycle retire order, so this
+    // run pins that order through the fault outcomes (and the timing
+    // they move) as well as through the delivery-order hash.
+    sim::FaultPlan plan;
+    plan.seed = 14;
+    plan.delayResponseProb = 0.2;
+    plan.delayCycles = 700;
+    plan.dropResponseProb = 0.02;
+    plan.rejectRequestProb = 0.05;
+    const GoldenHashes h = goldenRun(HbmConfig{}, 14, &plan);
+    EXPECT_EQ(h.sorted, 0xe0fe745479876bfbULL);
+    EXPECT_EQ(h.arrival, 0x8ea81c53dd1418f3ULL);
+}
+
+TEST(HbmOrder, SameCycleResponsesFollowTheLastTransactionPush)
+{
+    // A (channel 5) is accepted before B (channel 2); both issue in tick
+    // 0, where channels are serviced in ascending order, so B's only
+    // transaction is pushed first and both finish at tRCD + tCL + tBurst
+    // = 30. Every first finish is delayed by 10 cycles: B, then A, is
+    // redelivered at 40, each keyed by when its redelivery was pushed
+    // (cycle 30). C issues fresh at cycle 10, so it also lands at 40 but
+    // was pushed earlier: it is delivered first, then B, then A.
+    sim::FaultPlan plan;
+    plan.delayResponseProb = 1.0;
+    plan.delayCycles = 10;
+    sim::FaultInjector fault(plan);
+    Hbm hbm(HbmConfig{}, nullptr);
+    hbm.setFaultInjector(&fault);
+    HbmPort port;
+    ASSERT_TRUE(hbm.access(5 * 32, 32, false, 1, &port)); // A
+    ASSERT_TRUE(hbm.access(2 * 32, 32, false, 2, &port)); // B
+    std::vector<std::pair<Cycle, std::uint64_t>> seen;
+    while (hbm.busy() || hbm.elapsed() <= 10) {
+        if (hbm.elapsed() == 10) {
+            ASSERT_TRUE(hbm.access(7 * 32, 32, false, 3, &port)); // C
+        }
+        hbm.tick();
+        // C's fresh finish at 40 must not be delayed itself.
+        if (hbm.elapsed() == 31)
+            hbm.setFaultInjector(nullptr);
+        while (port.hasResponse())
+            seen.emplace_back(hbm.elapsed() - 1, port.popResponse());
+    }
+    const std::vector<std::pair<Cycle, std::uint64_t>> expected = {
+        {40, 3}, {40, 2}, {40, 1}};
+    EXPECT_EQ(seen, expected);
+    EXPECT_EQ(hbm.statsGroup().scalar("faultDelayed").value(), 2.0);
+}
+
+TEST(HbmCheckpoint, RestoreResumesFinishesPastTheRingSpan)
+{
+    // Far-memory timing plus 5000-cycle fault delays leave landings and
+    // finishes thousands of cycles ahead at the checkpoint, so the
+    // counter ring has grown. Several requests issue per cycle, so many
+    // finish in the same cycle, where the finish-heap key decides the
+    // fault draws and the port's response order. A fresh Hbm restored
+    // from the payload (its ring starts at the initial span) must
+    // deliver the remaining responses at the same cycles, in the same
+    // order, with the same statistics.
     HbmConfig cfg;
     cfg.tCl *= 64;
     cfg.tRcd *= 64;
@@ -622,35 +708,90 @@ TEST(HbmCheckpoint, RestoreResumesCompletionsPastTheWheelSpan)
 
 TEST(HbmCheckpoint, RestoreRejectsOutOfRangeCompletion)
 {
-    // One cold 32 B read issued at cycle 0 completes at tRCD + tCL +
-    // tBurst, so the pending-completion list is the 20 bytes (count 1,
-    // that cycle, request 0). Moving the cycle far past the clock must
-    // fail the restore with a typed error instead of sizing the wheel.
+    // Two cold 32 B reads on channels 0 and 1 issue in tick 0 and both
+    // land at T = tRCD + tCL + tBurst. The image then holds one landing
+    // run (count 1; cycle T, 2 landings) and a two-entry finish heap
+    // (count 2; {T, seq 0, request 0}, {T, seq 1, request 1}). Each
+    // corrupted copy must fail the restore with a typed error instead of
+    // sizing the ring or delivering from a bad entry.
     Hbm a(HbmConfig{}, nullptr);
     HbmPort port;
-    ASSERT_TRUE(a.access(0, 32, false, 99, &port));
+    ASSERT_TRUE(a.access(0, 32, false, 98, &port));
+    ASSERT_TRUE(a.access(32, 32, false, 99, &port));
     a.tick();
     sim::Serializer s;
     s.registerPointer(&port);
     a.saveState(s);
 
     const auto &cfg = a.config();
-    const std::uint64_t entry[2] = {1, cfg.tRcd + cfg.tCl + cfg.tBurst};
-    const std::uint32_t index = 0;
-    std::vector<std::uint8_t> needle(20);
-    std::memcpy(needle.data(), entry, 16);
-    std::memcpy(needle.data() + 16, &index, 4);
-    std::vector<std::uint8_t> payload = s.bytes();
-    const auto at = std::search(payload.begin(), payload.end(),
-                                needle.begin(), needle.end());
-    ASSERT_NE(at, payload.end());
-    const std::uint64_t far = a.elapsed() + (std::uint64_t{1} << 40);
-    std::memcpy(&*at + 8, &far, 8);
+    const std::uint64_t t = cfg.tRcd + cfg.tCl + cfg.tBurst;
+    std::vector<std::uint8_t> bytes;
+    const auto put = [&bytes](auto v) {
+        const auto *p = reinterpret_cast<const std::uint8_t *>(&v);
+        bytes.insert(bytes.end(), p, p + sizeof v);
+    };
+    const auto find = [&](const std::vector<std::uint8_t> &payload) {
+        const auto at = std::search(payload.begin(), payload.end(),
+                                    bytes.begin(), bytes.end());
+        EXPECT_NE(at, payload.end());
+        return static_cast<std::size_t>(at - payload.begin());
+    };
+    put(std::uint64_t{1});
+    put(t);
+    put(std::uint32_t{2});
+    const std::size_t runs = find(s.bytes());
+    bytes.clear();
+    put(std::uint64_t{2});
+    for (std::uint32_t r = 0; r < 2; ++r) {
+        put(t);
+        put(std::uint64_t{r});
+        put(r);
+    }
+    const std::size_t heap = find(s.bytes());
+    ASSERT_EQ(heap, runs + 20);
 
-    Hbm b(HbmConfig{}, nullptr);
-    sim::Deserializer d(payload);
-    d.registerPointer(&port);
-    EXPECT_THROW(b.restoreState(d), CheckpointError);
+    const auto restores = [&](const std::vector<std::uint8_t> &payload) {
+        Hbm b(HbmConfig{}, nullptr);
+        sim::Deserializer d(payload);
+        d.registerPointer(&port);
+        b.restoreState(d);
+        d.expectEnd();
+    };
+    EXPECT_NO_THROW(restores(s.bytes()));
+
+    const std::size_t entry0 = heap + 8, entry1 = entry0 + 20;
+    const auto mutant = [&](std::size_t offset, auto value) {
+        std::vector<std::uint8_t> payload = s.bytes();
+        std::memcpy(payload.data() + offset, &value, sizeof value);
+        return payload;
+    };
+    const std::uint64_t far = a.elapsed() + (std::uint64_t{1} << 40);
+    const std::uint64_t past_span = a.elapsed() + (std::uint64_t{1} << 24);
+    std::vector<std::uint8_t> swapped = s.bytes();
+    std::swap_ranges(swapped.begin() + entry0, swapped.begin() + entry1,
+                     swapped.begin() + entry1);
+    struct Mutant
+    {
+        const char *what;
+        std::vector<std::uint8_t> payload;
+        const char *error;
+    };
+    const Mutant mutants[] = {
+        {"landing cycle far ahead", mutant(runs + 8, far), "landing cycle"},
+        {"landing count off by one", mutant(runs + 16, std::uint32_t{3}),
+         "pending landings"},
+        {"finish request out of range",
+         mutant(entry0 + 16, std::uint32_t{2}), "finish (cycle"},
+        {"finish before the clock", mutant(entry0, std::uint64_t{0}),
+         "finish (cycle"},
+        {"finish past the restored span", mutant(entry1, past_span),
+         "finish (cycle"},
+        {"finish list not a heap", swapped, "not a heap"},
+    };
+    for (const Mutant &m : mutants) {
+        SCOPED_TRACE(m.what);
+        EXPECT_TYPED_ERROR(restores(m.payload), CheckpointError, m.error);
+    }
 }
 
 } // namespace
